@@ -67,6 +67,7 @@ from .taildep import (
     window_report,
     windowed_reports,
     write_relation_csv,
+    write_tail_curve_csv,
 )
 
 __all__ = [
@@ -123,4 +124,5 @@ __all__ = [
     "window_report",
     "windowed_reports",
     "write_relation_csv",
+    "write_tail_curve_csv",
 ]

@@ -37,6 +37,7 @@ from .taildep import (
     tail_curve,
     windowed_reports,
     write_relation_csv,
+    write_tail_curve_csv,
 )
 
 EXIT_OK = 0
@@ -90,7 +91,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="tail level in (0, 0.5]; repeatable (default 0.02 0.04 0.1 0.25)")
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--threads", type=int, default=0,
-                       help="worker threads (0 = all available cores)")
+                       help="worker threads for dynamics windows (0 = all available cores)")
         p.add_argument("--upper-tail-convention", choices=UPPER_TAIL_CONVENTIONS,
                        default="literal", help="definition used for lambda_upper")
 
@@ -253,25 +254,19 @@ def run(cfg: RunConfig) -> int:
         inputs = [cfg.input_path] + ([cfg.calendar_path] if cfg.calendar_path else [])
 
         if cfg.command == "copula":
-            grid = average_pairwise_density(matrix, cfg.grid, threads=cfg.threads)
+            grid = average_pairwise_density(matrix, cfg.grid)
             write_grid_csv(grid, runner.path("grid.csv"), permille=cfg.permille)
             runner.manifest(cfg, inputs=inputs)
         elif cfg.command == "diff":
-            grid = average_pairwise_density(matrix, cfg.grid, threads=cfg.threads)
+            grid = average_pairwise_density(matrix, cfg.grid)
             corr = pearson_matrix(matrix)
             diff = difference_map(grid, corr)
             write_difference_csv(diff, runner.path("difference.csv"))
             runner.manifest(cfg, inputs=inputs)
         elif cfg.command == "taildep":
-            grid = average_pairwise_density(matrix, cfg.grid, threads=cfg.threads)
+            grid = average_pairwise_density(matrix, cfg.grid)
             curve = tail_curve(grid, cfg.alphas, upper_convention=cfg.upper_tail_convention)
-            target = runner.path("tail_curve.csv")
-            lines = ["alpha,lambda_lower,lambda_upper"]
-            for idx, alpha in enumerate(curve.alphas):
-                lines.append(
-                    f"{float(alpha)!r},{float(curve.lower[idx])!r},{float(curve.upper[idx])!r}"
-                )
-            target.write_text("\n".join(lines) + "\n")
+            write_tail_curve_csv(curve, runner.path("tail_curve.csv"))
             runner.manifest(cfg, inputs=inputs)
         elif cfg.command == "dynamics":
             reports = windowed_reports(

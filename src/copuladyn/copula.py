@@ -19,7 +19,6 @@ accumulated before the single division by the sample count.
 from __future__ import annotations
 
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -158,19 +157,12 @@ def empirical_copula_density(r1, r2, resolution: int) -> CopulaGrid:
     return _grid_from_counts(counts, a.size, pair_count=1)
 
 
-def _pair_chunks(n_assets: int, chunks: int):
-    pairs = [(i, j) for i in range(n_assets) for j in range(i + 1, n_assets)]
-    size = max(1, (len(pairs) + chunks - 1) // chunks)
-    return [pairs[k : k + size] for k in range(0, len(pairs), size)]
-
-
 def average_pairwise_density(matrix, resolution: int, threads: int | None = None) -> CopulaGrid:
     """Average the empirical copula density over all asset pairs i < j.
 
-    Bin indices are computed once per asset; each pair then contributes an
-    integer 2-D histogram. Histograms are accumulated as integers in the fixed
-    i < j lexicographic order (and integer addition is order-free anyway), so
-    the result is identical for any thread count.
+    Bin indices are computed once per asset; the pairs (i, j > i) of each
+    first asset i then go into one integer histogram. Counts are integers, so
+    the result is exact and does not depend on the order of accumulation.
 
     Parameters
     ----------
@@ -179,7 +171,8 @@ def average_pairwise_density(matrix, resolution: int, threads: int | None = None
     resolution : int
         Bins per margin.
     threads : int, optional
-        Worker threads for the pair histograms; None or 1 runs sequentially.
+        Accepted for interface compatibility and ignored: the histograms are
+        counted sequentially, and the result does not depend on it.
     """
     returns = np.asarray(getattr(matrix, "returns", matrix), dtype=float)
     if returns.ndim != 2:
@@ -190,24 +183,11 @@ def average_pairwise_density(matrix, resolution: int, threads: int | None = None
     m = resolution
     n_obs = returns.shape[1]
     bins = np.vstack([quantile_bins(returns[k], m) for k in range(n_assets)])
-
-    def chunk_counts(chunk):
-        acc = np.zeros(m * m, dtype=np.int64)
-        for i, j in chunk:
-            acc += np.bincount(bins[i] * m + bins[j], minlength=m * m)
-        return acc
-
+    counts = np.zeros(m * m, dtype=np.int64)
+    for i in range(n_assets - 1):
+        counts += np.bincount((bins[i] * m + bins[i + 1 :]).ravel(), minlength=m * m)
     n_pairs = n_assets * (n_assets - 1) // 2
-    if threads is None or threads <= 1:
-        total_counts = chunk_counts([(i, j) for i in range(n_assets) for j in range(i + 1, n_assets)])
-    else:
-        chunks = _pair_chunks(n_assets, 4 * threads)
-        total_counts = np.zeros(m * m, dtype=np.int64)
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for part in pool.map(chunk_counts, chunks):
-                total_counts += part
-    counts = total_counts.reshape(m, m)
-    return _grid_from_counts(counts, n_pairs * n_obs, pair_count=n_pairs)
+    return _grid_from_counts(counts.reshape(m, m), n_pairs * n_obs, pair_count=n_pairs)
 
 
 def interpolate_cumulative(grid: CopulaGrid, u: float, v: float) -> float:
@@ -273,6 +253,11 @@ def write_grid_csv(grid: CopulaGrid, destination, permille: bool = False) -> Non
             if permille:
                 row += f",{dens * 1000.0!r}"
             lines.append(row)
+    _write_lines(destination, lines)
+
+
+def _write_lines(destination, lines) -> None:
+    """Write newline-terminated lines to a path (truncating it) or to an open text stream."""
     payload = "\n".join(lines) + "\n"
     if isinstance(destination, (str, bytes)) or hasattr(destination, "__fspath__"):
         with open(destination, "w", newline="") as fh:

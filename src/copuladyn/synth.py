@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .copula import _write_lines
 from .ingest import ReturnMatrix, TradingCalendar
 
 __all__ = [
@@ -188,9 +189,4 @@ def write_price_csv(
             for a in range(k):
                 lines.append(f"{iso},{matrix.asset_ids[a]},{float(paths[a, col + e])!r}")
         col += n_cols
-    payload = "\n".join(lines) + "\n"
-    if isinstance(destination, (str, bytes)) or hasattr(destination, "__fspath__"):
-        with open(destination, "w", newline="") as fh:
-            fh.write(payload)
-    else:
-        destination.write(payload)
+    _write_lines(destination, lines)

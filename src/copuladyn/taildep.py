@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .copula import CopulaGrid, average_pairwise_density, interpolate_cumulative
+from .copula import CopulaGrid, _write_lines, average_pairwise_density, interpolate_cumulative
 from .gaussian import gaussian_copula_cdf
 from .ingest import ReturnMatrix
 
@@ -42,6 +42,7 @@ __all__ = [
     "window_report",
     "windowed_reports",
     "write_relation_csv",
+    "write_tail_curve_csv",
 ]
 
 UPPER_TAIL_CONVENTIONS = ("literal", "survival")
@@ -169,10 +170,10 @@ def average_gaussian_tail(
 ) -> float:
     """Mean over pairs of the Gaussian-implied tail Cop_c(alpha, alpha).
 
-    With ``c_round`` set, correlations are rounded to that many decimals first
-    and the copula value is computed once per distinct rounded entry (cost
-    control for large matrices; the induced error is far below sampling noise
-    at that rounding).
+    The copula value is computed once per distinct entry, in one vectorised
+    call. With ``c_round`` set, correlations are rounded to that many decimals
+    first, which makes entries coincide (the induced error is far below
+    sampling noise at that rounding).
     """
     alpha = _check_alpha(alpha)
     k = corr.size
@@ -183,10 +184,7 @@ def average_gaussian_tail(
     if c_round is not None:
         entries = np.round(entries, c_round)
     unique, counts = np.unique(entries, return_counts=True)
-    total = 0.0
-    for c_val, weight in zip(unique, counts):
-        total += weight * gaussian_copula_cdf(alpha, alpha, float(c_val))
-    return total / entries.size
+    return float((counts * gaussian_copula_cdf(alpha, alpha, unique)).sum()) / entries.size
 
 
 def gaussian_tail_curve(
@@ -303,9 +301,12 @@ def write_relation_csv(reports, destination) -> None:
                 f"{float(rep.tail.lower[idx])!r},{float(rep.tail.upper[idx])!r},"
                 f"{float(rep.gaussian_tail.lower[idx])!r}"
             )
-    payload = "\n".join(lines) + "\n"
-    if isinstance(destination, (str, bytes)) or hasattr(destination, "__fspath__"):
-        with open(destination, "w", newline="") as fh:
-            fh.write(payload)
-    else:
-        destination.write(payload)
+    _write_lines(destination, lines)
+
+
+def write_tail_curve_csv(curve: TailCurve, destination) -> None:
+    """Tail curve as CSV rows ``alpha,lambda_lower,lambda_upper``."""
+    lines = ["alpha,lambda_lower,lambda_upper"]
+    for idx, alpha in enumerate(curve.alphas):
+        lines.append(f"{float(alpha)!r},{float(curve.lower[idx])!r},{float(curve.upper[idx])!r}")
+    _write_lines(destination, lines)

@@ -24,7 +24,7 @@ from copuladyn import (
     std_normal_quantile,
     write_difference_csv,
 )
-from oracles import bvn_cdf_dblquad
+from oracles import bvn_cdf_dblquad, bvn_cdf_quad
 
 # frozen output of the 2-D adaptive quadrature oracle (tests/oracles.py)
 DBLQUAD_CASES = [
@@ -283,3 +283,95 @@ def test_write_difference_csv_permille():
     for line in lines[1:]:
         i, j, _u, _v, d = line.split(",")
         assert float(d) == diff.values[int(i) - 1, int(j) - 1] * 1000.0
+
+
+@pytest.mark.parametrize("m", [10, 20, 50])
+def test_grid_matches_quad_oracle(m):
+    # the Owen's T kernel against the 1-D conditional-CDF quadrature it replaced
+    z = [float(q) for q in std_normal_quantile(np.arange(1, m) / m)]
+    for c in (-0.99, -0.5, 0.0, 0.3, 0.9, 0.99):
+        grid = gaussian_grid(c, m)
+        ref = np.zeros((m - 1, m - 1))
+        for i in range(m - 1):
+            for j in range(i, m - 1):
+                ref[i, j] = ref[j, i] = bvn_cdf_quad(z[i], z[j], c)
+        assert np.max(np.abs(grid.cumulative[1:m, 1:m] - ref)) < 1e-10, c
+
+
+def test_cdf_matches_quad_oracle_random(rng):
+    x = rng.uniform(-5.0, 5.0, size=1000)
+    y = rng.uniform(-5.0, 5.0, size=1000)
+    c = rng.uniform(-0.999, 0.999, size=1000)
+    got = bivariate_normal_cdf(x, y, c)
+    ref = np.array([bvn_cdf_quad(float(a), float(b), float(r)) for a, b, r in zip(x, y, c)])
+    assert np.max(np.abs(got - ref)) < 1e-10
+
+
+def test_cdf_array_equals_scalar_calls_and_is_symmetric(rng):
+    x = np.concatenate([rng.normal(scale=2.0, size=300), [0.0, -0.0, 0.0, 1.5, -45.0, 3.0]])
+    y = np.concatenate([rng.normal(scale=2.0, size=300), [0.0, 0.7, -0.7, -0.0, 0.2, 45.0]])
+    c = np.concatenate([rng.uniform(-1.0, 1.0, size=300), [0.6, -0.3, 0.9, 0.2, 0.5, -0.4]])
+    c[:10] = [1.0, -1.0, 0.0, 0.0, 1.0, -1.0, 0.99999, -0.99999, 0.5, -0.5]
+    got = bivariate_normal_cdf(x, y, c)
+    assert got.shape == x.shape
+    scalar = np.array([bivariate_normal_cdf(float(a), float(b), float(r)) for a, b, r in zip(x, y, c)])
+    assert np.array_equal(got, scalar)
+    assert np.array_equal(got, bivariate_normal_cdf(y, x, c))
+    assert isinstance(bivariate_normal_cdf(0.1, 0.2, 0.3), float)
+    assert bivariate_normal_cdf(x[:, None], y[None, :], 0.4).shape == (306, 306)
+
+
+def test_cdf_with_a_zero_argument_matches_quad_oracle():
+    # at h = 0 or k = 0 Owen's a is infinite; a signed zero must not flip it
+    for zero in (0.0, -0.0):
+        for other in (-1.3, 0.7):
+            for c in (-0.3, 0.6):
+                expected = bvn_cdf_quad(0.0, other, c)
+                assert abs(bivariate_normal_cdf(zero, other, c) - expected) < 1e-10
+                assert abs(bivariate_normal_cdf(other, zero, c) - expected) < 1e-10
+
+
+def test_cdf_array_input_validated():
+    with pytest.raises(ValueError):
+        bivariate_normal_cdf(np.array([0.0, np.nan]), 0.0, 0.5)
+    with pytest.raises(ValueError):
+        bivariate_normal_cdf(0.0, 0.0, np.array([0.5, 1.5]))
+
+
+def test_copula_cdf_array_equals_scalar_calls(rng):
+    u = np.concatenate([rng.uniform(size=100), [0.0, 1.0, 0.3, 1.0, 0.0, 0.4, 0.6]])
+    v = np.concatenate([rng.uniform(size=100), [0.5, 0.2, 1.0, 1.0, 0.0, 0.4, 0.6]])
+    c = np.concatenate([rng.uniform(-1.0, 1.0, size=100), [0.5, -0.5, 0.2, 0.0, 1.0, 1.0, -1.0]])
+    got = gaussian_copula_cdf(u, v, c)
+    scalar = np.array([gaussian_copula_cdf(float(a), float(b), float(r)) for a, b, r in zip(u, v, c)])
+    assert np.array_equal(got, scalar)
+    assert np.array_equal(gaussian_copula_cdf(0.1, 0.1, c), [gaussian_copula_cdf(0.1, 0.1, float(r)) for r in c])
+    with pytest.raises(ValueError):
+        gaussian_copula_cdf(np.array([0.5, 1.2]), 0.5, 0.3)
+
+
+def _bvn_mpmath(h, k, c):
+    """Conditional-CDF integral at 40 digits, split where the integrand turns over."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        h, k, c = mp.mpf(h), mp.mpf(k), mp.mpf(c)
+        scale = mp.sqrt((1 - c) * (1 + c))
+        pivot = k / c
+        points = [p for p in (pivot - mp.mpf("0.05"), pivot, pivot + mp.mpf("0.05")) if p < h]
+        value = mp.quad(
+            lambda t: mp.npdf(t) * mp.ncdf((k - c * t) / scale), [-mp.inf, *points, h]
+        )
+        return float(value)
+
+
+@pytest.mark.parametrize(
+    "x,y,expected",
+    [(0.5, 0.5, 0.38292492254802621), (0.114, 0.2666, 0.15049252546057932)],
+)
+def test_cdf_near_countermonotone_matches_mpmath(x, y, expected):
+    # the single-integral quadrature was 6.3e-4 off at (0.5, 0.5, -0.99999)
+    # without tripping its error estimate
+    reference = _bvn_mpmath(x, y, -0.99999)
+    assert reference == pytest.approx(expected, abs=1e-15)
+    assert bivariate_normal_cdf(x, y, -0.99999) == pytest.approx(reference, abs=1e-13)
+    assert bivariate_normal_cdf(y, x, -0.99999) == pytest.approx(reference, abs=1e-13)

@@ -23,6 +23,7 @@ from copuladyn import (
     window_report,
     windowed_reports,
     write_relation_csv,
+    write_tail_curve_csv,
 )
 
 ALPHAS = (0.02, 0.04, 0.1, 0.25)
@@ -250,3 +251,18 @@ def test_write_relation_csv_shape_and_values():
     assert float(first[4]) == reports[0].tail.lower[0]
     assert float(first[5]) == reports[0].tail.upper[0]
     assert float(first[6]) == reports[0].gaussian_tail.lower[0]
+
+
+def test_write_tail_curve_csv_roundtrip(tmp_path):
+    grid = empirical_copula_density(*make_panel(10, assets=2, seed=5).returns, 10)
+    curve = tail_curve(grid, ALPHAS)
+    buf = io.StringIO()
+    write_tail_curve_csv(curve, buf)
+    lines = buf.getvalue().split("\n")
+    assert lines[0] == "alpha,lambda_lower,lambda_upper"
+    assert lines[-1] == "" and len(lines) == 2 + len(ALPHAS)
+    for idx, line in enumerate(lines[1:-1]):
+        a, lo, up = (float(v) for v in line.split(","))
+        assert (a, lo, up) == (curve.alphas[idx], curve.lower[idx], curve.upper[idx])
+    write_tail_curve_csv(curve, tmp_path / "tail_curve.csv")
+    assert (tmp_path / "tail_curve.csv").read_text() == buf.getvalue()
