@@ -17,6 +17,7 @@ from __future__ import annotations
 import csv
 import datetime as dt
 import logging
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -218,62 +219,63 @@ def _parse_price_rows(reader, calendar: TradingCalendar) -> PricePanel:
     if [h.strip() for h in header] != _HEADER:
         raise PriceDataError(f"line 1: header must be {','.join(_HEADER)!r}")
 
-    raw_ts = []
-    raw_sym = []
-    raw_px = []
-    lines = []
+    codes = {}  # symbol -> integer code, in order of first appearance
+    ts_texts, sym_codes, raw_px, lines = [], [], [], []
+
+    def fault(message):
+        # a bad timestamp on an earlier line, or on this one once appended, comes first
+        _parse_timestamps(ts_texts, lines)
+        return PriceDataError(message)
+
     for lineno, row in enumerate(reader, start=2):
         if not row:
             continue
         if len(row) != 3:
-            raise PriceDataError(f"line {lineno}: expected 3 fields, got {len(row)}")
+            raise fault(f"line {lineno}: expected 3 fields, got {len(row)}")
         ts_text, symbol, price_text = (f.strip() for f in row)
         if not symbol:
-            raise PriceDataError(f"line {lineno}: empty symbol")
-        try:
-            ts = np.datetime64(ts_text, "s")
-        except ValueError:
-            raise PriceDataError(f"line {lineno}: unparseable timestamp {ts_text!r}") from None
+            raise fault(f"line {lineno}: empty symbol")
+        ts_texts.append(ts_text)
+        lines.append(lineno)
         try:
             price = float(price_text)
         except ValueError:
-            raise PriceDataError(f"line {lineno}: unparseable price {price_text!r}") from None
-        if not np.isfinite(price) or price <= 0.0:
-            raise PriceDataError(f"line {lineno}: price must be strictly positive, got {price_text}")
-        raw_ts.append(ts)
-        raw_sym.append(symbol)
+            raise fault(f"line {lineno}: unparseable price {price_text!r}") from None
+        if not math.isfinite(price) or price <= 0.0:
+            raise fault(f"line {lineno}: price must be strictly positive, got {price_text}")
+        sym_codes.append(codes.setdefault(symbol, len(codes)))
         raw_px.append(price)
-        lines.append(lineno)
 
-    if not raw_ts:
+    if not ts_texts:
         raise PriceDataError("input contains no data rows")
 
-    ts_arr = np.array(raw_ts, dtype="datetime64[s]")
-    keep = calendar.in_session_mask(ts_arr)
+    ts = _parse_timestamps(ts_texts, lines)
+    del ts_texts  # ~70 bytes a row; free them before the panel is allocated
+    keep = calendar.in_session_mask(ts)
     excluded = int(np.count_nonzero(~keep))
     if excluded:
         logger.info("load_prices: excluded %d rows outside trading sessions", excluded)
     if not keep.any():
         raise PriceDataError("all rows fall outside trading sessions")
+    ts, code, px = ts[keep], np.array(sym_codes)[keep], np.array(raw_px)[keep]
 
-    symbols = sorted({raw_sym[k] for k in range(len(raw_sym)) if keep[k]})
-    sym_index = {s: k for k, s in enumerate(symbols)}
-    panel_ts = np.unique(ts_arr[keep])
+    names = list(codes)
+    # per symbol, in file order: each quote must be later than the one before
+    order = np.argsort(code, kind="stable")
+    regress = (np.diff(code[order]) == 0) & (np.diff(ts[order]).astype(np.int64) <= 0)
+    if regress.any():
+        first = order[1:][regress].min()
+        raise PriceDataError(
+            f"line {lines[np.flatnonzero(keep)[first]]}: timestamps for symbol "
+            f"{names[code[first]]!r} must be strictly increasing"
+        )
+
+    symbols = sorted(names[c] for c in np.unique(code).tolist())
+    row_of = np.empty(len(codes), dtype=np.intp)
+    row_of[[codes[s] for s in symbols]] = np.arange(len(symbols))
+    panel_ts = np.unique(ts)
     prices = np.full((len(symbols), panel_ts.size), np.nan)
-    last_seen = {}
-    for k in range(len(raw_ts)):
-        if not keep[k]:
-            continue
-        sym = raw_sym[k]
-        prev = last_seen.get(sym)
-        if prev is not None and raw_ts[k] <= prev:
-            raise PriceDataError(
-                f"line {lines[k]}: timestamps for symbol {sym!r} must be strictly increasing"
-            )
-        last_seen[sym] = raw_ts[k]
-        col = int(np.searchsorted(panel_ts, raw_ts[k]))
-        prices[sym_index[sym], col] = raw_px[k]
-
+    prices[row_of[code], np.searchsorted(panel_ts, ts)] = px
     return PricePanel(
         asset_ids=symbols,
         timestamps=panel_ts,
@@ -281,6 +283,18 @@ def _parse_price_rows(reader, calendar: TradingCalendar) -> PricePanel:
         calendar=calendar,
         excluded_count=excluded,
     )
+
+
+def _parse_timestamps(texts, lines) -> np.ndarray:
+    try:
+        return np.array(texts, dtype="datetime64[s]")
+    except ValueError:
+        for text, lineno in zip(texts, lines):
+            try:
+                np.datetime64(text, "s")
+            except ValueError:
+                raise PriceDataError(f"line {lineno}: unparseable timestamp {text!r}") from None
+        raise
 
 
 def compute_returns(panel: PricePanel, interval: int) -> ReturnMatrix:
@@ -301,53 +315,35 @@ def compute_returns(panel: PricePanel, interval: int) -> ReturnMatrix:
             f"interval {interval} min exceeds the {session_minutes} min session"
         )
     per_session = session_minutes // interval
-    n_assets = len(panel.asset_ids)
 
-    day_of = panel.timestamps.astype("datetime64[D]")
+    days = np.unique(panel.timestamps.astype("datetime64[D]"))
     open_delta = np.timedelta64(
         panel.calendar.open_time.hour * 3600 + panel.calendar.open_time.minute * 60, "s"
     )
     step = np.timedelta64(interval * 60, "s")
+    midnight = days.astype("datetime64[s]")[:, None]
+    endpoints = midnight + open_delta + np.arange(per_session + 1) * step  # sessions x endpoints
 
-    out_cols = []
-    out_ts = []
-    out_days = []
-    for day in np.unique(day_of):
-        lo = int(np.searchsorted(day_of, day, side="left"))
-        hi = int(np.searchsorted(day_of, day, side="right"))
-        sess_ts = panel.timestamps[lo:hi]
-        sess_px = panel.prices[:, lo:hi]
-        endpoints = day.astype("datetime64[s]") + open_delta + np.arange(per_session + 1) * step
-        # previous tick: index of the last in-session quote at or before each endpoint
-        pos = np.searchsorted(sess_ts, endpoints, side="right") - 1
-        valid = ~np.isnan(sess_px)
-        col_idx = np.where(valid, np.arange(sess_ts.size)[None, :], -1)
-        last_valid = np.maximum.accumulate(col_idx, axis=1)
-        grid = np.full((n_assets, per_session + 1), np.nan)
-        have_quote = pos >= 0
-        if have_quote.any():
-            lv = last_valid[:, pos[have_quote]]
-            resolved = lv >= 0
-            gathered = np.take_along_axis(sess_px, np.maximum(lv, 0), axis=1)
-            grid[:, have_quote] = np.where(resolved, gathered, np.nan)
-        endpoint_ok = ~np.isnan(grid).any(axis=0)
-        col_ok = endpoint_ok[:-1] & endpoint_ok[1:]
-        if not col_ok.any():
-            continue
-        prev = grid[:, :-1][:, col_ok]
-        nxt = grid[:, 1:][:, col_ok]
-        out_cols.append((nxt - prev) / prev)
-        out_ts.append(endpoints[1:][col_ok])
-        out_days.append(np.full(int(col_ok.sum()), day, dtype="datetime64[D]"))
+    grid = np.full((len(panel.asset_ids),) + endpoints.shape, np.nan)
+    for row, quotes in zip(grid, panel.prices):
+        quoted = ~np.isnan(quotes)
+        ts, px = panel.timestamps[quoted], quotes[quoted]
+        # previous tick, accepted only when it was quoted in the endpoint's session
+        after = np.searchsorted(ts, endpoints, side="right")
+        found = after > np.searchsorted(ts, midnight)
+        row[found] = px[after[found] - 1]
 
-    if not out_cols:
+    endpoint_ok = ~np.isnan(grid).any(axis=0)
+    col_ok = endpoint_ok[:, :-1] & endpoint_ok[:, 1:]
+    if not col_ok.any():
         raise PriceDataError("no complete return intervals could be formed")
+    prev = grid[:, :, :-1][:, col_ok]
     return ReturnMatrix(
         asset_ids=list(panel.asset_ids),
         interval=int(interval),
-        returns=np.hstack(out_cols),
-        timestamps=np.concatenate(out_ts),
-        session_dates=np.concatenate(out_days),
+        returns=(grid[:, :, 1:][:, col_ok] - prev) / prev,
+        timestamps=endpoints[:, 1:][col_ok],
+        session_dates=np.broadcast_to(days[:, None], col_ok.shape)[col_ok],
     )
 
 

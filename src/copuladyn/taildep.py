@@ -236,7 +236,6 @@ def window_report(
     alphas,
     upper_convention: str = "literal",
     c_round: int | None = None,
-    threads: int | None = None,
 ) -> WindowReport:
     """Assemble the per-window dependence summary.
 
@@ -244,7 +243,7 @@ def window_report(
     matrix with its mean level, and the Gaussian-implied tail curve at the
     measured correlations.
     """
-    grid = average_pairwise_density(window, resolution, threads=threads)
+    grid = average_pairwise_density(window, resolution)
     corr = pearson_matrix(window)
     start, end = window.period
     return WindowReport(

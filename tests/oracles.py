@@ -1,17 +1,21 @@
 """Independent reference implementations used to freeze expected test values.
 
 Everything here is deliberately written on a different path from the library:
-pure-python loops and scans instead of vectorized rank arithmetic, and
-adaptive quadrature of the bivariate normal (2-D over the explicit density,
-or 1-D over the conditional CDF) instead of the library's Owen's T closed
-form.
+pure-python loops and scans instead of vectorized rank arithmetic, adaptive
+quadrature of the bivariate normal (2-D over the explicit density, or 1-D
+over the conditional CDF) instead of the library's Owen's T closed form, and
+a row-at-a-time price parser with a per-session previous-tick search instead
+of the library's column-wise ingest.
 """
 
 import math
 import warnings
 
+import numpy as np
 from scipy.integrate import IntegrationWarning, dblquad, quad
 from scipy.special import ndtr
+
+from copuladyn.ingest import PriceDataError, PricePanel, ReturnMatrix
 
 QUAD_LOW = -8.5  # univariate tail mass below this is ~1e-17
 
@@ -111,3 +115,145 @@ def bvn_cdf_quad(x, y, c):
             integrand, -40.0, upper, epsabs=1e-12, epsrel=1e-10, limit=200, points=points
         )
     return min(max(value, 0.0), 1.0)
+
+
+def parse_price_rows(reader, calendar):
+    """PricePanel from ``csv.reader`` rows, converting and checking one row at a time.
+
+    Rows are validated in file order (field count, symbol, timestamp, price),
+    then per-symbol timestamps are checked in file order against the last
+    in-session quote seen for that symbol, and each quote is placed by its own
+    ``searchsorted`` into the panel.
+    """
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise PriceDataError("empty input: missing header row") from None
+    if [h.strip() for h in header] != ["timestamp", "symbol", "price"]:
+        raise PriceDataError("line 1: header must be 'timestamp,symbol,price'")
+
+    raw_ts = []
+    raw_sym = []
+    raw_px = []
+    lines = []
+    for lineno, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != 3:
+            raise PriceDataError(f"line {lineno}: expected 3 fields, got {len(row)}")
+        ts_text, symbol, price_text = (f.strip() for f in row)
+        if not symbol:
+            raise PriceDataError(f"line {lineno}: empty symbol")
+        try:
+            ts = np.datetime64(ts_text, "s")
+        except ValueError:
+            raise PriceDataError(f"line {lineno}: unparseable timestamp {ts_text!r}") from None
+        try:
+            price = float(price_text)
+        except ValueError:
+            raise PriceDataError(f"line {lineno}: unparseable price {price_text!r}") from None
+        if not np.isfinite(price) or price <= 0.0:
+            raise PriceDataError(f"line {lineno}: price must be strictly positive, got {price_text}")
+        raw_ts.append(ts)
+        raw_sym.append(symbol)
+        raw_px.append(price)
+        lines.append(lineno)
+
+    if not raw_ts:
+        raise PriceDataError("input contains no data rows")
+
+    ts_arr = np.array(raw_ts, dtype="datetime64[s]")
+    keep = calendar.in_session_mask(ts_arr)
+    excluded = int(np.count_nonzero(~keep))
+    if not keep.any():
+        raise PriceDataError("all rows fall outside trading sessions")
+
+    symbols = sorted({raw_sym[k] for k in range(len(raw_sym)) if keep[k]})
+    sym_index = {s: k for k, s in enumerate(symbols)}
+    panel_ts = np.unique(ts_arr[keep])
+    prices = np.full((len(symbols), panel_ts.size), np.nan)
+    last_seen = {}
+    for k in range(len(raw_ts)):
+        if not keep[k]:
+            continue
+        sym = raw_sym[k]
+        prev = last_seen.get(sym)
+        if prev is not None and raw_ts[k] <= prev:
+            raise PriceDataError(
+                f"line {lines[k]}: timestamps for symbol {sym!r} must be strictly increasing"
+            )
+        last_seen[sym] = raw_ts[k]
+        col = int(np.searchsorted(panel_ts, raw_ts[k]))
+        prices[sym_index[sym], col] = raw_px[k]
+
+    return PricePanel(
+        asset_ids=symbols,
+        timestamps=panel_ts,
+        prices=prices,
+        calendar=calendar,
+        excluded_count=excluded,
+    )
+
+
+def session_returns(panel, interval):
+    """ReturnMatrix built one session at a time.
+
+    Within each session, the last panel timestamp at or before each endpoint
+    is found first, then each asset's last quoted column up to it by a running
+    maximum over quoted column indices.
+    """
+    if interval <= 0:
+        raise PriceDataError("interval must be positive")
+    session_minutes = panel.calendar.session_minutes
+    if interval > session_minutes:
+        raise PriceDataError(
+            f"interval {interval} min exceeds the {session_minutes} min session"
+        )
+    per_session = session_minutes // interval
+    n_assets = len(panel.asset_ids)
+
+    day_of = panel.timestamps.astype("datetime64[D]")
+    open_delta = np.timedelta64(
+        panel.calendar.open_time.hour * 3600 + panel.calendar.open_time.minute * 60, "s"
+    )
+    step = np.timedelta64(interval * 60, "s")
+
+    out_cols = []
+    out_ts = []
+    out_days = []
+    for day in np.unique(day_of):
+        lo = int(np.searchsorted(day_of, day, side="left"))
+        hi = int(np.searchsorted(day_of, day, side="right"))
+        sess_ts = panel.timestamps[lo:hi]
+        sess_px = panel.prices[:, lo:hi]
+        endpoints = day.astype("datetime64[s]") + open_delta + np.arange(per_session + 1) * step
+        pos = np.searchsorted(sess_ts, endpoints, side="right") - 1
+        valid = ~np.isnan(sess_px)
+        col_idx = np.where(valid, np.arange(sess_ts.size)[None, :], -1)
+        last_valid = np.maximum.accumulate(col_idx, axis=1)
+        grid = np.full((n_assets, per_session + 1), np.nan)
+        have_quote = pos >= 0
+        if have_quote.any():
+            lv = last_valid[:, pos[have_quote]]
+            resolved = lv >= 0
+            gathered = np.take_along_axis(sess_px, np.maximum(lv, 0), axis=1)
+            grid[:, have_quote] = np.where(resolved, gathered, np.nan)
+        endpoint_ok = ~np.isnan(grid).any(axis=0)
+        col_ok = endpoint_ok[:-1] & endpoint_ok[1:]
+        if not col_ok.any():
+            continue
+        prev = grid[:, :-1][:, col_ok]
+        nxt = grid[:, 1:][:, col_ok]
+        out_cols.append((nxt - prev) / prev)
+        out_ts.append(endpoints[1:][col_ok])
+        out_days.append(np.full(int(col_ok.sum()), day, dtype="datetime64[D]"))
+
+    if not out_cols:
+        raise PriceDataError("no complete return intervals could be formed")
+    return ReturnMatrix(
+        asset_ids=list(panel.asset_ids),
+        interval=int(interval),
+        returns=np.hstack(out_cols),
+        timestamps=np.concatenate(out_ts),
+        session_dates=np.concatenate(out_days),
+    )

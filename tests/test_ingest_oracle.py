@@ -1,0 +1,243 @@
+"""Column-wise ingest against the row-at-a-time reference, and error precedence."""
+
+import csv
+import datetime as dt
+import io
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from copuladyn import PriceDataError, PricePanel, TradingCalendar, compute_returns, load_prices
+from oracles import parse_price_rows, session_returns
+
+HOLIDAY = dt.date(2024, 1, 15)  # a Monday
+# Thursday, Friday, Saturday, the holiday, then Tuesday and Wednesday
+DAYS = ["2024-01-11", "2024-01-12", "2024-01-13", "2024-01-15", "2024-01-16", "2024-01-17"]
+CALENDARS = [
+    TradingCalendar(holidays=frozenset({HOLIDAY})),
+    TradingCalendar(open_time=dt.time(10, 0), close_time=dt.time(15, 30),
+                    holidays=frozenset({HOLIDAY})),
+]
+INTERVALS = (7, 30, 45, 60, 120, 240, 330)
+
+
+def outcome(fn, *args):
+    """The function's result, or the message of the PriceDataError it raised."""
+    try:
+        return fn(*args)
+    except PriceDataError as exc:
+        return str(exc)
+
+
+def library_panel(text, calendar):
+    return outcome(load_prices, io.StringIO(text), calendar)
+
+
+def oracle_panel(text, calendar):
+    return outcome(parse_price_rows, csv.reader(io.StringIO(text)), calendar)
+
+
+def assert_same_panel(got, want):
+    assert got.asset_ids == want.asset_ids
+    assert got.excluded_count == want.excluded_count
+    assert got.timestamps.dtype == want.timestamps.dtype
+    assert np.array_equal(got.timestamps, want.timestamps)
+    assert got.prices.dtype == want.prices.dtype
+    assert got.prices.shape == want.prices.shape
+    assert got.prices.tobytes() == want.prices.tobytes()  # NaN positions included
+
+
+def assert_same_returns(got, want):
+    assert got.asset_ids == want.asset_ids
+    assert got.interval == want.interval
+    assert got.returns.shape == want.returns.shape
+    assert got.returns.tobytes() == want.returns.tobytes()
+    assert got.timestamps.dtype == want.timestamps.dtype
+    assert np.array_equal(got.timestamps, want.timestamps)
+    assert got.session_dates.dtype == want.session_dates.dtype
+    assert np.array_equal(got.session_dates, want.session_dates)
+
+
+def stamp(day, seconds):
+    return f"{day}T{seconds // 3600:02d}:{seconds // 60 % 60:02d}:{seconds % 60:02d}"
+
+
+def tick_tape(seed, calendar):
+    """Asynchronous tick tape as CSV text.
+
+    Each symbol quotes at its own random seconds; some sessions a symbol misses
+    its opening print or does not quote at all. Pre-open, post-close, weekend
+    and holiday rows are mixed in at random places, out of time order, and
+    blank lines and padded fields are scattered through the file.
+    """
+    rng = np.random.default_rng(seed)
+    open_s = calendar.open_time.hour * 3600 + calendar.open_time.minute * 60
+    session_s = calendar.session_minutes * 60
+    symbols = [f"S{k}" for k in range(int(rng.integers(2, 6)))]
+    quotes = []  # (timestamp text, symbol, price text)
+    off_session = []
+    for day in DAYS:
+        trading = calendar.is_trading_day(day)
+        for sym in symbols:
+            if trading and rng.random() < 0.15:
+                continue  # no quote in this session
+            secs = rng.choice(session_s + 1, int(rng.integers(1, 30)), replace=False)
+            if rng.random() < 0.5:
+                secs = np.append(secs[secs != 0], 0)  # the opening print
+            elif rng.random() < 0.5:
+                secs = secs[secs != 0]  # a missed opening print
+            rows = quotes if trading else off_session
+            for s in np.sort(secs).tolist():
+                rows.append((stamp(day, open_s + s), sym, repr(float(np.exp(rng.normal(3.0, 1.0))))))
+        for s in rng.integers(0, 86400, 3).tolist():
+            if not open_s <= s <= open_s + session_s:
+                off_session.append((stamp(day, s), str(rng.choice(symbols)), "1.5"))
+    # time order across symbols with random tie order; each symbol's quotes stay increasing
+    rows = [quotes[k] for k in np.lexsort((rng.random(len(quotes)), [q[0] for q in quotes]))]
+    for row in off_session:
+        rows.insert(int(rng.integers(len(rows) + 1)), row)
+    lines = ["timestamp,symbol,price"]
+    for row in rows:
+        if rng.random() < 0.05:
+            lines.append("")
+        pad = " " if rng.random() < 0.1 else ""
+        lines.append(",".join(pad + field + pad for field in row))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_tick_tape_matches_row_oracle(seed):
+    calendar = CALENDARS[seed % 2]
+    text = tick_tape(seed, calendar)
+    panel = library_panel(text, calendar)
+    assert_same_panel(panel, oracle_panel(text, calendar))
+    assert panel.excluded_count > 0
+    for interval in INTERVALS:
+        got = outcome(compute_returns, panel, interval)
+        want = outcome(session_returns, panel, interval)
+        if isinstance(want, str):
+            assert got == want
+        else:
+            assert_same_returns(got, want)
+
+
+def test_returns_asset_without_quotes_matches_oracle():
+    panel = PricePanel(
+        asset_ids=["AAA", "BBB"],
+        timestamps=np.array(["2024-01-03T09:30", "2024-01-03T12:00"], dtype="datetime64[s]"),
+        prices=np.array([[100.0, 101.0], [np.nan, np.nan]]),
+        calendar=TradingCalendar(),
+    )
+    assert outcome(compute_returns, panel, 30) == outcome(session_returns, panel, 30)
+
+
+SYMBOLS = ("AAA", "BBB", "CCC")
+BAD_TIMESTAMPS = ("yesterday", "2024-13-01T10:00:00", "2024-01-03T25:00:00", "2024-1-3", "10:00")
+BAD_PRICES = ("cheap", "", "1.2.3", "0", "-0.0", "-3.5", "nan", "inf", "-inf")
+
+
+@st.composite
+def faulty_csv(draw):
+    """A small valid price CSV with one or two injected faults, as text."""
+    n = draw(st.integers(1, 8))
+    minutes = sorted(draw(st.lists(st.integers(-30, 420), min_size=n, max_size=n)))
+    rows = [
+        [stamp("2024-01-03", 9 * 3600 + 30 * 60 + 60 * m), draw(st.sampled_from(SYMBOLS)),
+         draw(st.sampled_from(("100.0", "7.25", "1e3")))]
+        for m in minutes
+    ]
+    for k in draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2, unique=True)):
+        kind = draw(st.sampled_from(
+            ("short", "long", "symbol", "timestamp", "price", "repeat", "blank")))
+        if kind == "short":
+            rows[k] = rows[k][:2]
+        elif kind == "long":
+            rows[k] = rows[k] + ["x"]
+        elif kind == "symbol":
+            rows[k][1] = " "
+        elif kind == "timestamp":
+            rows[k][0] = draw(st.sampled_from(BAD_TIMESTAMPS))
+        elif kind == "price":
+            rows[k][2] = draw(st.sampled_from(BAD_PRICES))
+        elif kind == "repeat":  # an earlier row's symbol and time again
+            rows[k][:2] = rows[draw(st.integers(0, k))][:2]
+        else:
+            rows[k] = []
+    return "timestamp,symbol,price\n" + "".join(",".join(r) + "\n" for r in rows)
+
+
+@given(faulty_csv())
+@settings(max_examples=300, deadline=None)
+def test_faulty_csv_matches_row_oracle(text):
+    want = oracle_panel(text, CALENDARS[0])
+    got = library_panel(text, CALENDARS[0])
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert_same_panel(got, want)
+
+
+def error_of(rows):
+    with pytest.raises(PriceDataError) as excinfo:
+        load_prices(io.StringIO("timestamp,symbol,price\n" + "\n".join(rows) + "\n"),
+                    TradingCalendar())
+    return str(excinfo.value)
+
+
+GOOD = "2024-01-03T09:30:00,AAA,100.0"
+
+
+def test_first_offending_line_wins_across_kinds():
+    assert error_of([GOOD, "2024-01-03T09:31:00,AAA,cheap", GOOD, "yesterday,AAA,1.0"]) == (
+        "line 3: unparseable price 'cheap'")
+    assert error_of([GOOD, "yesterday,AAA,1.0", GOOD, "2024-01-03T09:31:00,AAA,cheap"]) == (
+        "line 3: unparseable timestamp 'yesterday'")
+    assert error_of(["yesterday,AAA,1.0", "2024-01-03T09:31:00,AAA"]) == (
+        "line 2: unparseable timestamp 'yesterday'")
+    assert error_of(["yesterday,AAA,1.0", "2024-01-03T09:31:00,,1.0"]) == (
+        "line 2: unparseable timestamp 'yesterday'")
+    assert error_of(["yesterday,AAA,1.0", "2024-01-03T09:31:00,AAA,0"]) == (
+        "line 2: unparseable timestamp 'yesterday'")
+    # a row fault anywhere is reported before any per-symbol time regression
+    assert error_of([GOOD, GOOD, GOOD, "2024-01-03T09:31:00,AAA,-1"]) == (
+        "line 5: price must be strictly positive, got -1")
+
+
+@pytest.mark.parametrize("row, message", [
+    ("yesterday,,cheap,x", "line 2: expected 3 fields, got 4"),
+    ("yesterday,,cheap", "line 2: empty symbol"),
+    ("yesterday,AAA,cheap", "line 2: unparseable timestamp 'yesterday'"),
+    ("yesterday,AAA,-1", "line 2: unparseable timestamp 'yesterday'"),
+    ("2024-01-03T09:30:00,AAA,cheap", "line 2: unparseable price 'cheap'"),
+    ("2024-01-03T09:30:00,AAA,-1", "line 2: price must be strictly positive, got -1"),
+])
+def test_fault_order_within_a_row(row, message):
+    assert error_of([row]) == message
+
+
+def test_regression_message_and_first_line():
+    assert error_of(["2024-01-03T10:00:00,AAA,1.0", "2024-01-03T09:30:00,AAA,1.0"]) == (
+        "line 3: timestamps for symbol 'AAA' must be strictly increasing")
+    # a repeated time is a regression too
+    assert error_of([GOOD, "2024-01-03T09:30:00,BBB,1.0", GOOD]) == (
+        "line 4: timestamps for symbol 'AAA' must be strictly increasing")
+    # BBB regresses first in the file although AAA comes first in it and sorts first
+    assert error_of([
+        "2024-01-03T10:00:00,AAA,1.0",
+        "2024-01-03T10:00:00,BBB,1.0",
+        "2024-01-03T09:45:00,BBB,1.0",
+        "2024-01-03T09:45:00,AAA,1.0",
+    ]) == "line 4: timestamps for symbol 'BBB' must be strictly increasing"
+
+
+def test_off_session_rows_do_not_regress():
+    panel = load_prices(io.StringIO(
+        "timestamp,symbol,price\n"
+        "2024-01-03T10:00:00,AAA,1.0\n"
+        "2024-01-03T08:00:00,AAA,2.0\n"
+        "2024-01-03T10:30:00,AAA,3.0\n"
+    ), TradingCalendar())
+    assert panel.excluded_count == 1
+    assert panel.prices.tolist() == [[1.0, 3.0]]
