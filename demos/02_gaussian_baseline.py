@@ -40,7 +40,7 @@ z = rng.multivariate_normal([0, 0], [[1, 0.5], [0.5, 1]], size=T)
 emp = empirical_copula_density(z[:, 0], z[:, 1], 8)
 c_hat = np.corrcoef(z[:, 0], z[:, 1])[0, 1]
 corr = np.array([[1.0, c_hat], [c_hat, 1.0]])
-diff = difference_map(emp, corr, c_round=None)
+diff = difference_map(emp, corr)
 
 print("\ndifference map x 1000 (sampling noise only, should hover near 0):")
 for row in diff.values * 1000:

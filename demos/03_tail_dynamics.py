@@ -41,8 +41,7 @@ panel = ReturnMatrix(
     session_dates=np.concatenate([calm.session_dates, stressed.session_dates]),
 )
 
-reports = windowed_reports(panel, window_days=25, resolution=20,
-                           alphas=(0.05, 0.1), threads=4)
+reports = windowed_reports(panel, window_days=25, resolution=20, alphas=(0.05, 0.1))
 print(f"{len(reports)} windows of 25 days, "
       f"{reports[0].sample_count} observations each\n")
 

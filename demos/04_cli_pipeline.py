@@ -46,7 +46,7 @@ run("taildep", "--input", str(prices), "--dt", "30", "--grid", "20",
 head(OUT / "taildep" / "tail_curve.csv", n=5)
 
 run("dynamics", "--input", str(prices), "--dt", "30", "--grid", "10",
-    "--window-days", "10", "--threads", "4", "--out", str(OUT / "dynamics"))
+    "--window-days", "10", "--out", str(OUT / "dynamics"))
 head(OUT / "dynamics" / "relation.csv", n=6)
 windows = sorted((OUT / "dynamics" / "windows").iterdir())
 print(f"per-window grids: {len(windows)} files, first is {windows[0].name}\n")

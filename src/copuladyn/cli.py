@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -63,7 +62,6 @@ class RunConfig:
     window_days: int = 10
     out_dir: str = "."
     seed: int | None = None
-    threads: int = 0
     upper_tail_convention: str = "literal"
     permille: bool = False
     kind: str = "gaussian"
@@ -91,7 +89,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="tail level in (0, 0.5]; repeatable (default 0.02 0.04 0.1 0.25)")
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--threads", type=int, default=0,
-                       help="worker threads for dynamics windows (0 = all available cores)")
+                       help="accepted for compatibility; has no effect (windows run in order)")
         p.add_argument("--upper-tail-convention", choices=UPPER_TAIL_CONVENTIONS,
                        default="literal", help="definition used for lambda_upper")
 
@@ -148,7 +146,6 @@ def _config_from_args(args, parser) -> RunConfig:
         if not 0.0 < a <= 0.5:
             parser.error(f"--alpha {a} outside (0, 0.5]")
     cfg.alphas = alphas
-    cfg.threads = args.threads if args.threads > 0 else (os.cpu_count() or 1)
     cfg.upper_tail_convention = args.upper_tail_convention
     cfg.permille = getattr(args, "permille", False)
     cfg.window_days = getattr(args, "window_days", 10)
@@ -211,7 +208,6 @@ class _Run:
                 input=cfg.input_path,
                 grid=cfg.grid,
                 alphas=list(cfg.alphas),
-                threads=cfg.threads,
                 upper_tail_convention=cfg.upper_tail_convention,
             )
             if cfg.command == "dynamics":
@@ -275,8 +271,6 @@ def run(cfg: RunConfig) -> int:
                 cfg.grid,
                 cfg.alphas,
                 upper_convention=cfg.upper_tail_convention,
-                c_round=3,
-                threads=cfg.threads,
             )
             for idx, rep in enumerate(reports, start=1):
                 write_grid_csv(rep.grid, runner.path("windows", f"window_{idx:04d}.csv"))

@@ -157,7 +157,7 @@ def empirical_copula_density(r1, r2, resolution: int) -> CopulaGrid:
     return _grid_from_counts(counts, a.size, pair_count=1)
 
 
-def average_pairwise_density(matrix, resolution: int, threads: int | None = None) -> CopulaGrid:
+def average_pairwise_density(matrix, resolution: int) -> CopulaGrid:
     """Average the empirical copula density over all asset pairs i < j.
 
     Bin indices are computed once per asset; the pairs (i, j > i) of each
@@ -170,9 +170,6 @@ def average_pairwise_density(matrix, resolution: int, threads: int | None = None
         Aligned return panel with assets as rows, K >= 2.
     resolution : int
         Bins per margin.
-    threads : int, optional
-        Accepted for interface compatibility and ignored: the histograms are
-        counted sequentially, and the result does not depend on it.
     """
     returns = np.asarray(getattr(matrix, "returns", matrix), dtype=float)
     if returns.ndim != 2:

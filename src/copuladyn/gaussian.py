@@ -34,6 +34,8 @@ __all__ = [
 
 # beyond this the univariate tail mass is below 1e-300 and can be truncated
 _TAIL_LIMIT = 40.0
+# correlations are rounded to this many decimals before the Gaussian baseline
+_CORR_DECIMALS = 3
 
 
 @dataclass(frozen=True)
@@ -109,13 +111,15 @@ def bivariate_normal_cdf(x, y, correlation):
     h = np.minimum(x, y) + 0.0
     k = np.maximum(x, y) + 0.0
     h, k, c = np.broadcast_arrays(h, k, c)
+    phi_h = ndtr(h)
+    phi_k = ndtr(k)
     with np.errstate(divide="ignore", invalid="ignore"):
         scale = np.sqrt((1.0 - c) * (1.0 + c))
         a_h = (k - c * h) / (h * scale)
         a_k = (h - c * k) / (k * scale)
         owen = (
-            0.5 * ndtr(h)
-            + 0.5 * ndtr(k)
+            0.5 * phi_h
+            + 0.5 * phi_k
             - owens_t(h, a_h)
             - owens_t(k, a_k)
             - np.where((h < 0.0) & (k >= 0.0), 0.5, 0.0)
@@ -123,10 +127,10 @@ def bivariate_normal_cdf(x, y, correlation):
     out = np.select(
         [c == 1.0, c == -1.0, h <= -_TAIL_LIMIT, k >= _TAIL_LIMIT, (h == 0.0) & (k == 0.0)],
         [
-            ndtr(h),
-            np.maximum(ndtr(h) + ndtr(k) - 1.0, 0.0),
+            phi_h,
+            np.maximum(phi_h + phi_k - 1.0, 0.0),
             0.0,
-            ndtr(h),
+            phi_h,
             0.25 + np.arcsin(c) / (2.0 * math.pi),
         ],
         np.clip(owen, 0.0, 1.0),
@@ -146,12 +150,15 @@ def gaussian_copula_cdf(u, v, correlation):
     v = np.asarray(v, dtype=float)
     if not (np.all((u >= 0.0) & (u <= 1.0)) and np.all((v >= 0.0) & (v <= 1.0))):
         raise ValueError("copula arguments must lie in [0, 1]")
-    u, v, c = np.broadcast_arrays(u, v, c)
-    out = np.select(
-        [(u == 0.0) | (v == 0.0), u == 1.0, v == 1.0, c == 0.0, c == 1.0, c == -1.0],
-        [0.0, v, u, u * v, np.minimum(u, v), np.maximum(u + v - 1.0, 0.0)],
-        bivariate_normal_cdf(ndtri(u), ndtri(v), c),
-    )
+    # quantiles of the unbroadcast arguments: one per value of u and of v, not
+    # per cell; each closed form below overrides the ones above it
+    out = bivariate_normal_cdf(ndtri(u), ndtri(v), c)
+    out = np.where(c == -1.0, np.maximum(u + v - 1.0, 0.0), out)
+    out = np.where(c == 1.0, np.minimum(u, v), out)
+    out = np.where(c == 0.0, u * v, out)
+    out = np.where(v == 1.0, u, out)
+    out = np.where(u == 1.0, v, out)
+    out = np.where((u == 0.0) | (v == 0.0), 0.0, out)
     return float(out) if out.ndim == 0 else out
 
 
@@ -181,10 +188,11 @@ def gaussian_copula_density(u, v, correlation: float):
 def gaussian_grid(correlation: float, resolution: int) -> CopulaGrid:
     """Gaussian copula on the same quantile grid as the empirical estimator.
 
-    ``cumulative[i, j] = Cop_c(i/m, j/m)``; cell masses come from corner
-    inclusion-exclusion of the cumulative, so they are exact cell
-    probabilities, directly comparable with empirical cell masses. Degenerate
-    correlations +/-1 produce the comonotone and countermonotone grids.
+    ``cumulative[i, j] = Cop_c(i/m, j/m)`` from one ``gaussian_copula_cdf``
+    call; cell masses come from corner inclusion-exclusion of the cumulative,
+    so they are exact cell probabilities, directly comparable with empirical
+    cell masses. Degenerate correlations +/-1 produce the comonotone and
+    countermonotone grids.
     ``sample_count`` is 0: the grid is analytic, not an estimate.
     """
     c = float(_correlation(correlation))
@@ -192,18 +200,7 @@ def gaussian_grid(correlation: float, resolution: int) -> CopulaGrid:
     if m < 2:
         raise ValueError("resolution must be at least 2")
     nodes = np.arange(m + 1) / m
-    if c == 0.0:
-        cumulative = np.outer(nodes, nodes)
-    elif c == 1.0:
-        cumulative = np.minimum.outer(nodes, nodes)
-    elif c == -1.0:
-        cumulative = np.maximum(np.add.outer(nodes, nodes) - 1.0, 0.0)
-    else:
-        cumulative = np.zeros((m + 1, m + 1))
-        cumulative[:, m] = nodes
-        cumulative[m, :] = nodes
-        z = ndtri(nodes[1:m])
-        cumulative[1:m, 1:m] = bivariate_normal_cdf(z[:, None], z[None, :], c)
+    cumulative = gaussian_copula_cdf(nodes[:, None], nodes[None, :], c)
     density = (
         cumulative[1:, 1:]
         - cumulative[:-1, 1:]
@@ -224,7 +221,14 @@ def gaussian_grid(correlation: float, resolution: int) -> CopulaGrid:
     )
 
 
-def _upper_triangle_correlations(corr) -> np.ndarray:
+def _distinct_correlations(corr) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct upper-triangle correlations, rounded, with their pair counts.
+
+    Entries are rounded to ``_CORR_DECIMALS`` decimals, so the Gaussian
+    baseline is evaluated once per distinct rounded value instead of once per
+    pair; the induced error is far below sampling noise. Values come out
+    sorted, so reductions over them are deterministic.
+    """
     values = np.asarray(getattr(corr, "values", corr), dtype=float)
     if values.ndim != 2 or values.shape[0] != values.shape[1]:
         raise ValueError("correlation matrix must be square")
@@ -234,20 +238,16 @@ def _upper_triangle_correlations(corr) -> np.ndarray:
     if k < 2:
         raise ValueError("correlation matrix must cover at least two assets")
     iu = np.triu_indices(k, 1)
-    return values[iu]
+    return np.unique(np.round(values[iu], _CORR_DECIMALS), return_counts=True)
 
 
-def average_gaussian_density(corr, resolution: int, c_round: int | None = 3) -> CopulaGrid:
+def average_gaussian_density(corr, resolution: int) -> CopulaGrid:
     """Mean Gaussian copula grid over all pairs of a correlation matrix.
 
-    Grids are memoized per distinct correlation after rounding to ``c_round``
-    decimals (None disables rounding); distinct values are processed in sorted
-    order with multiplicity weights, so the reduction is deterministic.
+    One grid per distinct rounded correlation (``_distinct_correlations``),
+    weighted by its pair count.
     """
-    cs = _upper_triangle_correlations(corr)
-    if c_round is not None:
-        cs = np.round(cs, c_round)
-    unique, counts = np.unique(cs, return_counts=True)
+    unique, counts = _distinct_correlations(corr)
     m = int(resolution)
     density = np.zeros((m, m))
     cumulative = np.zeros((m + 1, m + 1))
@@ -255,7 +255,7 @@ def average_gaussian_density(corr, resolution: int, c_round: int | None = 3) -> 
         ref = gaussian_grid(float(c_val), m)
         density += weight * ref.density
         cumulative += weight * ref.cumulative
-    n_pairs = cs.size
+    n_pairs = int(counts.sum())
     density /= n_pairs
     cumulative /= n_pairs
     return CopulaGrid(
@@ -263,11 +263,11 @@ def average_gaussian_density(corr, resolution: int, c_round: int | None = 3) -> 
         density=density,
         cumulative=cumulative,
         sample_count=0,
-        pair_count=int(n_pairs),
+        pair_count=n_pairs,
     )
 
 
-def difference_map(empirical: CopulaGrid, corr, c_round: int | None = 3) -> DifferenceGrid:
+def difference_map(empirical: CopulaGrid, corr) -> DifferenceGrid:
     """Empirical minus Gaussian cell masses on a shared grid.
 
     The Gaussian side pairs each entry of the correlation upper triangle with
@@ -275,7 +275,7 @@ def difference_map(empirical: CopulaGrid, corr, c_round: int | None = 3) -> Diff
     the subtraction is cell-aligned by construction. Positive cells mark
     regions where the Gaussian baseline under-represents the observed mass.
     """
-    reference = average_gaussian_density(corr, empirical.resolution, c_round=c_round)
+    reference = average_gaussian_density(corr, empirical.resolution)
     if reference.pair_count != empirical.pair_count:
         raise ValueError(
             f"correlation matrix covers {reference.pair_count} pairs but the "

@@ -17,13 +17,12 @@ the tail curve a Gaussian copula would imply at the measured correlations.
 from __future__ import annotations
 
 import datetime as dt
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .copula import CopulaGrid, _write_lines, average_pairwise_density, interpolate_cumulative
-from .gaussian import gaussian_copula_cdf
+from .gaussian import _distinct_correlations, gaussian_copula_cdf
 from .ingest import ReturnMatrix
 
 __all__ = [
@@ -165,34 +164,21 @@ def mean_correlation(corr: CorrelationMatrix) -> float:
     return float(corr.values[iu].mean())
 
 
-def average_gaussian_tail(
-    corr: CorrelationMatrix, alpha: float, c_round: int | None = None
-) -> float:
+def average_gaussian_tail(corr: CorrelationMatrix, alpha: float) -> float:
     """Mean over pairs of the Gaussian-implied tail Cop_c(alpha, alpha).
 
-    The copula value is computed once per distinct entry, in one vectorised
-    call. With ``c_round`` set, correlations are rounded to that many decimals
-    first, which makes entries coincide (the induced error is far below
-    sampling noise at that rounding).
+    The copula value is computed in one vectorised call over the distinct
+    rounded correlations, weighted by their pair counts.
     """
     alpha = _check_alpha(alpha)
-    k = corr.size
-    if k < 2:
-        raise ValueError("need at least two assets")
-    iu = np.triu_indices(k, 1)
-    entries = corr.values[iu]
-    if c_round is not None:
-        entries = np.round(entries, c_round)
-    unique, counts = np.unique(entries, return_counts=True)
-    return float((counts * gaussian_copula_cdf(alpha, alpha, unique)).sum()) / entries.size
+    unique, counts = _distinct_correlations(corr)
+    return float((counts * gaussian_copula_cdf(alpha, alpha, unique)).sum()) / int(counts.sum())
 
 
-def gaussian_tail_curve(
-    corr: CorrelationMatrix, alphas, c_round: int | None = None
-) -> TailCurve:
+def gaussian_tail_curve(corr: CorrelationMatrix, alphas) -> TailCurve:
     """Gaussian-implied tail curve; lower and upper coincide by symmetry."""
     alpha_arr = np.asarray(list(alphas), dtype=float)
-    values = np.array([average_gaussian_tail(corr, a, c_round=c_round) for a in alpha_arr])
+    values = np.array([average_gaussian_tail(corr, a) for a in alpha_arr])
     return TailCurve(alphas=alpha_arr, lower=values, upper=values.copy())
 
 
@@ -235,7 +221,6 @@ def window_report(
     resolution: int,
     alphas,
     upper_convention: str = "literal",
-    c_round: int | None = None,
 ) -> WindowReport:
     """Assemble the per-window dependence summary.
 
@@ -251,7 +236,7 @@ def window_report(
         window_end=end,
         mean_correlation=mean_correlation(corr),
         tail=tail_curve(grid, alphas, upper_convention=upper_convention),
-        gaussian_tail=gaussian_tail_curve(corr, alphas, c_round=c_round),
+        gaussian_tail=gaussian_tail_curve(corr, alphas),
         sample_count=window.n_observations,
         grid=grid,
     )
@@ -263,26 +248,12 @@ def windowed_reports(
     resolution: int,
     alphas,
     upper_convention: str = "literal",
-    c_round: int | None = None,
-    threads: int | None = None,
 ) -> list:
-    """Window reports for the whole panel, in chronological order.
-
-    Windows are independent and may be processed by a thread pool; reports are
-    returned in window order regardless of completion order, so results do not
-    depend on the thread count.
-    """
-    windows = partition_windows(matrix, window_days)
-
-    def one(win):
-        return window_report(
-            win, resolution, alphas, upper_convention=upper_convention, c_round=c_round
-        )
-
-    if threads is None or threads <= 1:
-        return [one(w) for w in windows]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(one, windows))
+    """Window reports for the whole panel, computed in chronological order."""
+    return [
+        window_report(win, resolution, alphas, upper_convention=upper_convention)
+        for win in partition_windows(matrix, window_days)
+    ]
 
 
 def write_relation_csv(reports, destination) -> None:

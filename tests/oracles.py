@@ -136,9 +136,11 @@ def parse_price_rows(reader, calendar):
     raw_sym = []
     raw_px = []
     lines = []
-    for lineno, row in enumerate(reader, start=2):
+    for row in reader:
         if not row:
             continue
+        # the physical line the record ends on; a quoted field may span lines
+        lineno = reader.line_num
         if len(row) != 3:
             raise PriceDataError(f"line {lineno}: expected 3 fields, got {len(row)}")
         ts_text, symbol, price_text = (f.strip() for f in row)

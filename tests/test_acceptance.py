@@ -79,10 +79,10 @@ def test_criterion_2_gaussian_self_consistency():
     t_len = 100_000
     mat = sample_panel(SynthSpec(kind="gaussian", assets=10, length=t_len,
                                  seed=20070102, correlation=0.5))
-    emp = average_pairwise_density(mat, 50, threads=4)
+    emp = average_pairwise_density(mat, 50)
     corr = pearson_matrix(mat)
-    ref = average_gaussian_density(corr, 50, c_round=3)
-    diff = difference_map(emp, corr, c_round=3)
+    ref = average_gaussian_density(corr, 50)
+    diff = difference_map(emp, corr)
     assert np.array_equal(diff.values, emp.density - ref.density)
     sigma = np.sqrt(ref.density * (1.0 - ref.density) / t_len)
     z = np.abs(diff.values) / sigma
@@ -201,7 +201,7 @@ def test_criterion_7_dynamics_two_regime(tmp_path):
     stamps, dates = synthetic_timestamps(TradingCalendar(), "2007-01-03", t_len, 30)
     mat = ReturnMatrix(asset_ids=[f"S{k}" for k in range(k_assets)], interval=30,
                        returns=data, timestamps=stamps, session_dates=dates)
-    reports = windowed_reports(mat, 10, 50, (0.1,), threads=4)
+    reports = windowed_reports(mat, 10, 50, (0.1,))
     lam = np.array([r.tail.lower[0] for r in reports])
     cbar = np.array([r.mean_correlation for r in reports])
     lgauss = np.array([r.gaussian_tail.lower[0] for r in reports])
@@ -260,7 +260,7 @@ def test_criterion_8_determinism_and_scaling(tmp_path):
     big = sample_panel(SynthSpec(kind="gaussian", assets=100, length=3000,
                                  seed=77, correlation=0.3))
     t1 = time.perf_counter()
-    grid = average_pairwise_density(big, 50, threads=4)
+    grid = average_pairwise_density(big, 50)
     scale_time = time.perf_counter() - t1
     ok = identical and grid.pair_count == 4950 and scale_time < 60.0
     elapsed = time.perf_counter() - t0

@@ -163,7 +163,7 @@ def test_dynamics_threads_byte_identical(tmp_path):
             "dynamics", "--input", str(src / "prices.csv"), "--grid", "8",
             "--window-days", "10", "--threads", threads, "--out", str(out))
         assert proc.returncode == 0, proc.stderr
-        blob = (out / "relation.csv").read_bytes()
+        blob = (out / "relation.csv").read_bytes() + (out / "manifest.json").read_bytes()
         for win in sorted((out / "windows").iterdir()):
             blob += win.read_bytes()
         payloads.append(blob)
@@ -214,7 +214,7 @@ def test_numeric_failures_exit_4(tmp_path, price_file, monkeypatch):
 
     monkeypatch.setattr(cli, "average_pairwise_density", boom)
     cfg = cli.RunConfig(command="copula", input_path=str(price_file),
-                        out_dir=str(tmp_path / "num"), grid=8, threads=1)
+                        out_dir=str(tmp_path / "num"), grid=8)
     assert cli.run(cfg) == cli.EXIT_NUMERIC
     target = tmp_path / "num"
     assert not target.exists() or not any(

@@ -190,14 +190,6 @@ def test_average_pairwise_matches_explicit_mean(rng):
     assert np.array_equal(avg.density, counts / (10 * 200))
 
 
-def test_average_pairwise_thread_count_invariant(rng):
-    mat = rng.normal(size=(7, 150))
-    grids = [average_pairwise_density(mat, 5, threads=k) for k in (1, 2, 4, 8)]
-    for g in grids[1:]:
-        assert np.array_equal(grids[0].density, g.density)
-        assert np.array_equal(grids[0].cumulative, g.cumulative)
-
-
 def test_interpolation_at_nodes_and_midpoints():
     grid = empirical_copula_density(R1, R2, 3)
     for i in range(4):

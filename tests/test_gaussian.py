@@ -211,13 +211,22 @@ def test_grid_matches_pointwise_cdf():
                 gaussian_copula_cdf(i / 4, j / 4, 0.7), abs=1e-12)
 
 
+@pytest.mark.parametrize("m", [3, 10])
+@pytest.mark.parametrize("c", [-1.0, -0.5, 0.0, 0.5, 1.0])
+def test_grid_cumulative_is_pointwise_cdf_bit_for_bit(c, m):
+    cumulative = gaussian_grid(c, m).cumulative
+    expect = np.array([[gaussian_copula_cdf(i / m, j / m, c) for j in range(m + 1)]
+                       for i in range(m + 1)])
+    assert cumulative.tobytes() == expect.tobytes()
+
+
 def test_average_gaussian_density_explicit_mean():
     corr = np.array([
         [1.0, 0.2, 0.5],
         [0.2, 1.0, 0.8],
         [0.5, 0.8, 1.0],
     ])
-    avg = average_gaussian_density(corr, 5, c_round=None)
+    avg = average_gaussian_density(corr, 5)
     ref = (
         gaussian_grid(0.2, 5).density
         + gaussian_grid(0.5, 5).density
@@ -235,8 +244,8 @@ def test_average_gaussian_density_memoizes_rounded():
     ])
     wobbled = base.copy()
     wobbled[0, 1] = wobbled[1, 0] = 0.2000004
-    a = average_gaussian_density(base, 4, c_round=3)
-    b = average_gaussian_density(wobbled, 4, c_round=3)
+    a = average_gaussian_density(base, 4)
+    b = average_gaussian_density(wobbled, 4)
     assert np.array_equal(a.density, b.density)
 
 

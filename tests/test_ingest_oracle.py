@@ -232,6 +232,22 @@ def test_regression_message_and_first_line():
     ]) == "line 4: timestamps for symbol 'BBB' must be strictly increasing"
 
 
+# the quoted symbol on the first data record spans physical lines 2 and 3
+SPLIT_RECORD = 'timestamp,symbol,price\n2024-01-03T09:30:00,"B\nB",100.0\n'
+
+
+@pytest.mark.parametrize("rows, message", [
+    ("2024-01-03T09:31:00,AAA,cheap\n", "line 4: unparseable price 'cheap'"),
+    ("yesterday,AAA,1.0\n", "line 4: unparseable timestamp 'yesterday'"),
+    ("2024-01-03T10:00:00,AAA,1.0\n2024-01-03T09:30:00,AAA,1.0\n",
+     "line 5: timestamps for symbol 'AAA' must be strictly increasing"),
+])
+def test_line_numbers_count_physical_lines(rows, message):
+    text = SPLIT_RECORD + rows
+    assert library_panel(text, CALENDARS[0]) == message
+    assert oracle_panel(text, CALENDARS[0]) == message
+
+
 def test_off_session_rows_do_not_regress():
     panel = load_prices(io.StringIO(
         "timestamp,symbol,price\n"
