@@ -15,20 +15,13 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from . import __version__
 from .copula import average_pairwise_density, write_grid_csv
 from .gaussian import difference_map, write_difference_csv
-from .ingest import (
-    CalendarError,
-    PriceDataError,
-    TradingCalendar,
-    compute_returns,
-    load_calendar,
-    load_prices,
-)
+from .ingest import TradingCalendar, compute_returns, load_calendar, load_prices
 from .synth import SynthSpec, sample_panel, write_price_csv
 from .taildep import (
     UPPER_TAIL_CONVENTIONS,

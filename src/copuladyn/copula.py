@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -35,6 +36,9 @@ __all__ = [
     "rebuild_joint_cdf",
     "write_grid_csv",
 ]
+
+# lines per write() call of the CSV writers; bounds the text held in memory
+_WRITE_BLOCK_LINES = 4096
 
 
 @dataclass(frozen=True)
@@ -235,29 +239,46 @@ def write_grid_csv(grid: CopulaGrid, destination, permille: bool = False) -> Non
     holds the cell mass scaled by 1000.
     """
     m = grid.resolution
-    lines = []
+    density = _float_list(grid.density)
+    cumulative = _float_list(grid.cumulative)
     header = "i,j,u_hi,v_hi,density,cumulative"
     if permille:
         header += ",density_permille"
-    lines.append(header)
-    for i in range(1, m + 1):
-        u_hi = i / m
-        for j in range(1, m + 1):
-            v_hi = j / m
-            dens = float(grid.density[i - 1, j - 1])
-            cum = float(grid.cumulative[i, j])
-            row = f"{i},{j},{u_hi!r},{v_hi!r},{dens!r},{cum!r}"
-            if permille:
-                row += f",{dens * 1000.0!r}"
-            lines.append(row)
-    _write_lines(destination, lines)
+
+    def lines():
+        yield header
+        for i in range(1, m + 1):
+            u_hi = i / m
+            dens_row, cum_row = density[i - 1], cumulative[i]
+            for j in range(1, m + 1):
+                dens = dens_row[j - 1]
+                row = f"{i},{j},{u_hi!r},{j / m!r},{dens!r},{cum_row[j]!r}"
+                if permille:
+                    row += f",{dens * 1000.0!r}"
+                yield row
+
+    _write_lines(destination, lines())
 
 
 def _write_lines(destination, lines) -> None:
-    """Write newline-terminated lines to a path (truncating it) or to an open text stream."""
-    payload = "\n".join(lines) + "\n"
+    """Write newline-terminated lines to a path (truncating it) or to an open text stream.
+
+    ``lines`` may be any iterable, a generator included; it is consumed and
+    written ``_WRITE_BLOCK_LINES`` lines at a time, so no writer holds its
+    whole text. The bytes written are always those of
+    ``"\\n".join(lines) + "\\n"``, so an empty iterable writes one newline.
+    """
     if isinstance(destination, (str, bytes)) or hasattr(destination, "__fspath__"):
         with open(destination, "w", newline="") as fh:
-            fh.write(payload)
-    else:
-        destination.write(payload)
+            _write_lines(fh, lines)
+        return
+    rows = iter(lines)
+    # the first block is written even when empty, as a lone newline
+    destination.write("\n".join(islice(rows, _WRITE_BLOCK_LINES)) + "\n")
+    while block := list(islice(rows, _WRITE_BLOCK_LINES)):
+        destination.write("\n".join(block) + "\n")
+
+
+def _float_list(values) -> list:
+    """``values`` as (nested) lists of Python floats, whatever its numeric dtype."""
+    return np.asarray(values, dtype=float).tolist()

@@ -6,6 +6,10 @@ correlations. The Gaussian copula and its density follow by the
 probability-integral transform; copula grids are filled at the quantile nodes
 and differenced by inclusion-exclusion so a Gaussian grid is directly
 comparable, cell by cell, with an empirical grid of the same resolution.
+
+``scipy.special`` is imported inside the functions that evaluate a normal
+CDF or quantile, so importing this module does not load scipy, and the CLI
+commands without a Gaussian step never pay for that import.
 """
 
 from __future__ import annotations
@@ -14,9 +18,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr, ndtri, owens_t
 
-from .copula import CopulaGrid, _write_lines
+from .copula import CopulaGrid, _float_list, _write_lines
 
 __all__ = [
     "GaussianCopulaParams",
@@ -72,12 +75,14 @@ class DifferenceGrid:
 
 def std_normal_cdf(x):
     """Standard normal CDF (scalar or array)."""
+    from scipy.special import ndtr
     out = ndtr(np.asarray(x, dtype=float))
     return float(out) if np.isscalar(x) else out
 
 
 def std_normal_quantile(u):
     """Standard normal quantile for u strictly inside (0, 1)."""
+    from scipy.special import ndtri
     u_arr = np.asarray(u, dtype=float)
     if np.any(u_arr <= 0.0) or np.any(u_arr >= 1.0) or not np.all(np.isfinite(u_arr)):
         raise ValueError("quantile level must lie strictly inside (0, 1)")
@@ -101,6 +106,7 @@ def bivariate_normal_cdf(x, y, correlation):
     where beta = 1/2 when h < 0 <= k and 0 otherwise. At h = k = 0 the limit
     1/4 + asin(c) / (2 pi) is used.
     """
+    from scipy.special import ndtr, owens_t
     c = _correlation(correlation)
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -145,6 +151,7 @@ def gaussian_copula_cdf(u, v, correlation):
     float. Boundary values follow by continuity: zero when either argument is
     zero, the other argument when one argument is one.
     """
+    from scipy.special import ndtri
     c = _correlation(correlation)
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
@@ -168,6 +175,7 @@ def gaussian_copula_density(u, v, correlation: float):
     Equals the bivariate normal density over the product of the marginal
     densities at the normal quantiles; at u = v = 1/2 this is 1/sqrt(1 - c^2).
     """
+    from scipy.special import ndtri
     c = float(_correlation(correlation))
     if abs(c) == 1.0:
         raise ValueError("density requires |correlation| < 1")
@@ -294,12 +302,14 @@ def write_difference_csv(diff: DifferenceGrid, destination) -> None:
     of the difference analysis.
     """
     m = diff.resolution
-    lines = ["i,j,u_hi,v_hi,d_permille"]
-    for i in range(1, m + 1):
-        u_hi = i / m
-        for j in range(1, m + 1):
-            v_hi = j / m
-            lines.append(
-                f"{i},{j},{u_hi!r},{v_hi!r},{float(diff.values[i - 1, j - 1]) * 1000.0!r}"
-            )
-    _write_lines(destination, lines)
+    values = _float_list(diff.values)
+
+    def lines():
+        yield "i,j,u_hi,v_hi,d_permille"
+        for i in range(1, m + 1):
+            u_hi = i / m
+            row = values[i - 1]
+            for j in range(1, m + 1):
+                yield f"{i},{j},{u_hi!r},{j / m!r},{row[j - 1] * 1000.0!r}"
+
+    _write_lines(destination, lines())

@@ -157,6 +157,8 @@ def write_price_csv(
     unchanged, so re-ingesting reproduces the scaled returns with the same
     ranks and no overnight artifacts. If the panel ends mid-session, ingestion
     extends that session with the last price carried flat (zero returns).
+    ``scale`` is checked before ``destination`` is opened, so a rejected call
+    leaves an existing file as it was; the rows are then streamed.
     """
     per_session = {}
     for d in matrix.session_dates:
@@ -177,16 +179,21 @@ def write_price_csv(
     np.cumprod(factors, axis=1, out=paths[:, 1:])
     paths[:, 1:] *= starts[:, None]
 
-    lines = ["timestamp,symbol,price"]
-    col = 0
-    for day in sorted(per_session):
-        n_cols = per_session[day]
-        day64 = np.datetime64(day, "D").astype("datetime64[s]")
-        endpoints = day64 + open_delta + np.arange(n_cols + 1) * step
-        # endpoint e of this session corresponds to path column col + e
-        for e, stamp in enumerate(endpoints):
-            iso = str(stamp.astype("datetime64[s]"))
-            for a in range(k):
-                lines.append(f"{iso},{matrix.asset_ids[a]},{float(paths[a, col + e])!r}")
-        col += n_cols
-    _write_lines(destination, lines)
+    columns = paths.T.tolist()  # columns[c][a]: price of asset a at path column c
+    names = list(matrix.asset_ids)
+
+    def lines():
+        yield "timestamp,symbol,price"
+        col = 0
+        for day in sorted(per_session):
+            n_cols = per_session[day]
+            day64 = np.datetime64(day, "D").astype("datetime64[s]")
+            endpoints = day64 + open_delta + np.arange(n_cols + 1) * step
+            # endpoint e of this session corresponds to path column col + e
+            stamps = endpoints.astype(str).tolist()
+            for iso, prices in zip(stamps, columns[col : col + n_cols + 1]):
+                for name, price in zip(names, prices):
+                    yield f"{iso},{name},{price!r}"
+            col += n_cols
+
+    _write_lines(destination, lines())

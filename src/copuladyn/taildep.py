@@ -21,7 +21,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .copula import CopulaGrid, _write_lines, average_pairwise_density, interpolate_cumulative
+from .copula import (
+    CopulaGrid,
+    _float_list,
+    _write_lines,
+    average_pairwise_density,
+    interpolate_cumulative,
+)
 from .gaussian import _distinct_correlations, gaussian_copula_cdf
 from .ingest import ReturnMatrix
 
@@ -262,21 +268,31 @@ def write_relation_csv(reports, destination) -> None:
     Columns: ``window_start,window_end,mean_corr,alpha,lambda_lower,``
     ``lambda_upper,lambda_gauss``.
     """
-    lines = ["window_start,window_end,mean_corr,alpha,lambda_lower,lambda_upper,lambda_gauss"]
-    for rep in reports:
-        for idx, alpha in enumerate(rep.tail.alphas):
-            lines.append(
-                f"{rep.window_start.isoformat()},{rep.window_end.isoformat()},"
-                f"{rep.mean_correlation!r},{float(alpha)!r},"
-                f"{float(rep.tail.lower[idx])!r},{float(rep.tail.upper[idx])!r},"
-                f"{float(rep.gaussian_tail.lower[idx])!r}"
-            )
-    _write_lines(destination, lines)
+
+    def lines():
+        yield "window_start,window_end,mean_corr,alpha,lambda_lower,lambda_upper,lambda_gauss"
+        for rep in reports:
+            start, end = rep.window_start.isoformat(), rep.window_end.isoformat()
+            span = f"{start},{end},{rep.mean_correlation!r}"
+            for alpha, lower, upper, gauss in zip(
+                _float_list(rep.tail.alphas),
+                _float_list(rep.tail.lower),
+                _float_list(rep.tail.upper),
+                _float_list(rep.gaussian_tail.lower),
+            ):
+                yield f"{span},{alpha!r},{lower!r},{upper!r},{gauss!r}"
+
+    _write_lines(destination, lines())
 
 
 def write_tail_curve_csv(curve: TailCurve, destination) -> None:
     """Tail curve as CSV rows ``alpha,lambda_lower,lambda_upper``."""
-    lines = ["alpha,lambda_lower,lambda_upper"]
-    for idx, alpha in enumerate(curve.alphas):
-        lines.append(f"{float(alpha)!r},{float(curve.lower[idx])!r},{float(curve.upper[idx])!r}")
-    _write_lines(destination, lines)
+
+    def lines():
+        yield "alpha,lambda_lower,lambda_upper"
+        for alpha, lower, upper in zip(
+            _float_list(curve.alphas), _float_list(curve.lower), _float_list(curve.upper)
+        ):
+            yield f"{alpha!r},{lower!r},{upper!r}"
+
+    _write_lines(destination, lines())

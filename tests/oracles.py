@@ -5,7 +5,9 @@ pure-python loops and scans instead of vectorized rank arithmetic, adaptive
 quadrature of the bivariate normal (2-D over the explicit density, or 1-D
 over the conditional CDF) instead of the library's Owen's T closed form, and
 a row-at-a-time price parser with a per-session previous-tick search instead
-of the library's column-wise ingest.
+of the library's column-wise ingest, and CSV writers that index one numpy
+scalar per cell and join the whole text in memory instead of the library's
+streamed writers over plain Python floats.
 """
 
 import math
@@ -259,3 +261,60 @@ def session_returns(panel, interval):
         timestamps=np.concatenate(out_ts),
         session_dates=np.concatenate(out_days),
     )
+
+
+def price_csv_text(matrix, calendar, base_price=100.0, scale=1e-3):
+    """Text of ``synth.write_price_csv``, by a row loop over numpy scalars."""
+    per_session = {}
+    for d in matrix.session_dates:
+        key = d.item()
+        per_session[key] = per_session.get(key, 0) + 1
+    open_delta = np.timedelta64(
+        calendar.open_time.hour * 3600 + calendar.open_time.minute * 60, "s"
+    )
+    step = np.timedelta64(matrix.interval * 60, "s")
+
+    factors = 1.0 + scale * matrix.returns
+    if np.any(factors <= 0.0):
+        raise ValueError("scale too large: price path would cross zero")
+    k = matrix.n_assets
+    starts = base_price * (1.0 + np.arange(k, dtype=float) / 10.0)
+    paths = np.empty((k, matrix.n_observations + 1))
+    paths[:, 0] = starts
+    np.cumprod(factors, axis=1, out=paths[:, 1:])
+    paths[:, 1:] *= starts[:, None]
+
+    lines = ["timestamp,symbol,price"]
+    col = 0
+    for day in sorted(per_session):
+        n_cols = per_session[day]
+        day64 = np.datetime64(day, "D").astype("datetime64[s]")
+        endpoints = day64 + open_delta + np.arange(n_cols + 1) * step
+        # endpoint e of this session corresponds to path column col + e
+        for e, stamp in enumerate(endpoints):
+            iso = str(stamp.astype("datetime64[s]"))
+            for a in range(k):
+                lines.append(f"{iso},{matrix.asset_ids[a]},{float(paths[a, col + e])!r}")
+        col += n_cols
+    return "\n".join(lines) + "\n"
+
+
+def grid_csv_text(grid, permille=False):
+    """Text of ``copula.write_grid_csv``, by a cell loop over numpy scalars."""
+    m = grid.resolution
+    lines = []
+    header = "i,j,u_hi,v_hi,density,cumulative"
+    if permille:
+        header += ",density_permille"
+    lines.append(header)
+    for i in range(1, m + 1):
+        u_hi = i / m
+        for j in range(1, m + 1):
+            v_hi = j / m
+            dens = float(grid.density[i - 1, j - 1])
+            cum = float(grid.cumulative[i, j])
+            row = f"{i},{j},{u_hi!r},{v_hi!r},{dens!r},{cum!r}"
+            if permille:
+                row += f",{dens * 1000.0!r}"
+            lines.append(row)
+    return "\n".join(lines) + "\n"

@@ -1,0 +1,50 @@
+"""Only the commands with a Gaussian step load scipy.
+
+Runs in a fresh interpreter: this test process has scipy loaded already,
+through ``tests/oracles.py`` among others.
+"""
+
+import json
+import subprocess
+import sys
+
+SCRIPT = """
+import json, sys
+from pathlib import Path
+
+out = Path(sys.argv[1])
+seen = {}
+import copuladyn
+seen["import copuladyn"] = "scipy" in sys.modules
+from copuladyn.cli import main
+seen["import copuladyn.cli"] = "scipy" in sys.modules
+prices = str(out / "data" / "prices.csv")
+runs = [
+    ("synth", ["synth", "--assets", "3", "--length", "40", "--seed", "3",
+               "--out", str(out / "data")]),
+    ("copula", ["copula", "--input", prices, "--grid", "4", "--permille", "--out", str(out / "c")]),
+    ("taildep", ["taildep", "--input", prices, "--grid", "4", "--out", str(out / "t")]),
+    ("diff", ["diff", "--input", prices, "--grid", "4", "--out", str(out / "d")]),
+]
+for name, argv in runs:
+    if main(argv) != 0:
+        raise SystemExit(f"{name} failed")
+    seen[name] = "scipy" in sys.modules
+print(json.dumps(seen))
+"""
+
+
+def test_only_gaussian_commands_load_scipy(tmp_path):
+    proc = subprocess.run([sys.executable, "-c", SCRIPT, str(tmp_path)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout)
+    assert seen == {
+        "import copuladyn": False,
+        "import copuladyn.cli": False,
+        "synth": False,
+        "copula": False,
+        "taildep": False,
+        # the check can see a load: diff evaluates the Gaussian baseline
+        "diff": True,
+    }

@@ -1,0 +1,166 @@
+"""Streamed CSV writers against the row-loop oracles, byte for byte."""
+
+import datetime as dt
+import io
+
+import numpy as np
+import pytest
+from oracles import grid_csv_text, price_csv_text
+
+from copuladyn import copula
+from copuladyn.copula import (
+    CopulaGrid,
+    average_pairwise_density,
+    empirical_copula_density,
+    write_grid_csv,
+)
+from copuladyn.gaussian import gaussian_grid
+from copuladyn.ingest import TradingCalendar
+from copuladyn.synth import SynthSpec, sample_panel, write_price_csv
+
+CAL = TradingCalendar()
+SHORT_CAL = TradingCalendar(
+    open_time=dt.time(10, 0),
+    close_time=dt.time(15, 15),
+    holidays=frozenset({dt.date(2011, 3, 2)}),
+)
+
+
+def written(writer, destination, tmp_path):
+    """Run ``writer`` on a path or an ``io.StringIO`` and return the text."""
+    if destination == "path":
+        target = tmp_path / "out.csv"
+        writer(target)
+        return target.read_bytes().decode()
+    buf = io.StringIO()
+    writer(buf)
+    return buf.getvalue()
+
+
+PANELS = [
+    # (spec, calendar, start, interval, writer keywords)
+    (SynthSpec("gaussian", 2, 13, 1, 0.5), CAL, "2007-01-02", 30, {}),  # one whole session
+    (SynthSpec("gaussian", 5, 137, 2, 0.3), CAL, "2007-01-02", 30, {}),  # partial final session
+    (SynthSpec("independent", 3, 20, 3), CAL, "2008-12-30", 60, {}),  # --dt 60, partial
+    (SynthSpec("comonotone", 4, 1, 4), CAL, "2007-01-02", 30, {}),  # a single return
+    (SynthSpec("countermonotone", 2, 26, 5), CAL, "2010-06-30", 120, {}),
+    (SynthSpec("gaussian", 12, 300, 6, -0.05), CAL, "2007-01-05", 30, {}),
+    (SynthSpec("gaussian", 3, 50, 7, 0.9), SHORT_CAL, "2011-02-28", 60,
+     {"base_price": 1.0, "scale": 1e-5}),
+    (SynthSpec("independent", 2, 9, 8), CAL, "2007-01-02", 240, {"base_price": 3e-4}),
+]
+
+
+@pytest.mark.parametrize("destination", ["path", "stream"])
+@pytest.mark.parametrize("spec,calendar,start,interval,kw", PANELS)
+def test_price_csv_matches_row_loop_oracle(tmp_path, destination, spec, calendar, start,
+                                           interval, kw):
+    mat = sample_panel(spec, calendar=calendar, start=start, interval=interval)
+    text = written(lambda dest: write_price_csv(mat, calendar, dest, **kw), destination, tmp_path)
+    assert text == price_csv_text(mat, calendar, **kw)
+
+
+def _grids():
+    rng = np.random.default_rng(17)
+    a, b = rng.standard_normal(40), rng.standard_normal(40)
+    panel = sample_panel(SynthSpec("gaussian", 6, 260, 9, 0.4))
+    tiny = np.array([[0.0, 3.0e-5], [1.0e-9, 5e-324]])
+    return {
+        # sparse: most of the 400 cells hold exactly 0.0
+        "empirical-sparse": empirical_copula_density(a, b, 20),
+        "pairwise": average_pairwise_density(panel, 10),
+        # corner masses far below 1e-4 print in exponent form
+        "gaussian-0.99": gaussian_grid(0.99, 50),
+        "gaussian-minus-1": gaussian_grid(-1.0, 4),
+        "hand-made": CopulaGrid(
+            resolution=2,
+            density=tiny,
+            cumulative=np.array([[0.0, 0.0, 0.0], [0.0, 1e-300, 2.5e-7], [0.0, 0.5, 1.0]]),
+            sample_count=0,
+        ),
+        # an integer-valued grid still prints floats ("1.0", not "1")
+        "integer-dtype": CopulaGrid(
+            resolution=2,
+            density=np.array([[1, 0], [0, 1]]),
+            cumulative=np.array([[0, 0, 0], [0, 1, 1], [0, 1, 2]]),
+            sample_count=2,
+        ),
+    }
+
+
+@pytest.mark.parametrize("permille", [False, True])
+@pytest.mark.parametrize("destination", ["path", "stream"])
+@pytest.mark.parametrize("name", sorted(_grids()))
+def test_grid_csv_matches_oracle(tmp_path, name, destination, permille):
+    grid = _grids()[name]
+    text = written(lambda dest: write_grid_csv(grid, dest, permille=permille), destination,
+                   tmp_path)
+    assert text == grid_csv_text(grid, permille=permille)
+
+
+def test_grid_cases_cover_exponents_and_exact_zeros():
+    texts = [grid_csv_text(g, permille=True) for g in _grids().values()]
+    assert any("e-" in t for t in texts)
+    assert any(",0.0," in t for t in texts)
+    assert all(t.splitlines()[0].endswith(",density_permille") for t in texts)
+
+
+@pytest.mark.parametrize("destination", ["path", "stream"])
+@pytest.mark.parametrize("extra", [-1, 0, 1])  # line count = block + extra
+def test_writers_at_block_boundaries(tmp_path, monkeypatch, destination, extra):
+    mat = sample_panel(SynthSpec("gaussian", 3, 30, 12, 0.2))
+    grid = gaussian_grid(0.3, 5)
+    price_lines = price_csv_text(mat, CAL).count("\n")
+    grid_lines = grid_csv_text(grid, permille=True).count("\n")
+
+    monkeypatch.setattr(copula, "_WRITE_BLOCK_LINES", price_lines - extra)
+    text = written(lambda dest: write_price_csv(mat, CAL, dest), destination, tmp_path)
+    assert text == price_csv_text(mat, CAL)
+
+    monkeypatch.setattr(copula, "_WRITE_BLOCK_LINES", grid_lines - extra)
+    text = written(lambda dest: write_grid_csv(grid, dest, permille=True), destination, tmp_path)
+    assert text == grid_csv_text(grid, permille=True)
+
+
+class _RecordingStream(io.StringIO):
+    def __init__(self):
+        super().__init__()
+        self.calls = []
+
+    def write(self, text):
+        self.calls.append(text)
+        return super().write(text)
+
+
+# line counts as (blocks, extra lines): 0, 1, block - 1, block, block + 1, 2 blocks + 1
+COUNTS = [(0, 0), (0, 1), (1, -1), (1, 0), (1, 1), (2, 1)]
+
+
+@pytest.mark.parametrize("destination", ["path", "stream"])
+@pytest.mark.parametrize("blocks,extra", COUNTS)
+def test_write_lines_equals_join(tmp_path, destination, blocks, extra):
+    n = blocks * copula._WRITE_BLOCK_LINES + extra
+    lines = [f"row {k},{k * 0.5!r}" for k in range(n)]
+    text = written(lambda dest: copula._write_lines(dest, iter(lines)), destination, tmp_path)
+    assert text == "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("blocks,extra", COUNTS)
+def test_write_lines_streams_in_blocks(blocks, extra):
+    block = copula._WRITE_BLOCK_LINES
+    n = blocks * block + extra
+    stream = _RecordingStream()
+    copula._write_lines(stream, (str(k) for k in range(n)))
+    assert len(stream.calls) == max(1, -(-n // block))
+    assert max(call.count("\n") for call in stream.calls) <= block
+    assert stream.getvalue() == "\n".join(str(k) for k in range(n)) + "\n"
+
+
+def test_price_csv_validates_scale_before_opening(tmp_path):
+    mat = sample_panel(SynthSpec("gaussian", 2, 100, 1, 0.0))
+    target = tmp_path / "prices.csv"
+    target.write_bytes(b"timestamp,symbol,price\nkeep,me,1.0\n")
+    with pytest.raises(ValueError, match="scale"):
+        write_price_csv(mat, CAL, target, scale=10.0)
+    assert target.read_bytes() == b"timestamp,symbol,price\nkeep,me,1.0\n"
+
