@@ -6,11 +6,7 @@ anchor cases, and demonstrates that the estimate only sees ranks.
 
 import numpy as np
 
-from copuladyn import (
-    empirical_copula_cumulative,
-    empirical_copula_density,
-    write_grid_csv,
-)
+from copuladyn import empirical_copula_density, write_grid_csv
 
 rng = np.random.default_rng(7)
 
@@ -32,7 +28,8 @@ mono = empirical_copula_density(x, np.exp(x), 5)
 anti = empirical_copula_density(x, -x, 5)
 print("\ncomonotone diagonal:", np.round(np.diag(mono.density), 3))
 print("countermonotone antidiagonal:", np.round(np.diag(np.fliplr(anti.density)), 3))
-print("countermonotone Cop(0.5, 0.5) =", empirical_copula_cumulative(x, -x, 0.5, 0.5))
+# Cop(0.5, 0.5) is grid node (5, 5) of a 10 x 10 grid
+print("countermonotone Cop(0.5, 0.5) =", empirical_copula_density(x, -x, 10).cumulative[5, 5])
 
 # rank invariance: any strictly increasing transform leaves the grid alone
 warped = empirical_copula_density(np.exp(x), y ** 3 + y, 10)

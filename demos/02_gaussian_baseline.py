@@ -8,7 +8,6 @@ elliptical shape, most visibly in the corners.
 import numpy as np
 
 from copuladyn import (
-    GaussianCopulaParams,
     bivariate_normal_cdf,
     difference_map,
     empirical_copula_density,
@@ -23,8 +22,7 @@ for c in (-0.9, -0.3, 0.0, 0.5, 0.95):
     ref = 0.25 + np.arcsin(c) / (2.0 * np.pi)
     print(f"c = {c:+.2f}: Phi2(0,0) = {got:.12f}  closed form {ref:.12f}")
 
-params = GaussianCopulaParams(0.5)
-print("\ncopula CDF at (0.5, 0.5):", gaussian_copula_cdf(0.5, 0.5, params))
+print("\ncopula CDF at (0.5, 0.5):", gaussian_copula_cdf(0.5, 0.5, 0.5))
 
 ref = gaussian_grid(0.5, 8)
 print("\nGaussian cell masses x 1000 at c = 0.5 (m = 8):")

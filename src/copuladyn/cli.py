@@ -18,6 +18,8 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .copula import average_pairwise_density, write_grid_csv
 from .gaussian import difference_map, write_difference_csv
@@ -123,6 +125,22 @@ def _config_from_args(args, parser) -> RunConfig:
     cfg.out_dir = args.out
     cfg.dt = getattr(args, "dt", 30)
     if args.command == "synth":
+        if args.assets < 2:
+            parser.error("--assets must be at least 2")
+        if args.length < 1:
+            parser.error("--length must be at least 1")
+        if args.kind == "gaussian" and not -1.0 <= args.corr <= 1.0:
+            parser.error(f"--corr {args.corr} outside [-1, 1]")
+        if args.kind == "countermonotone" and args.assets != 2:
+            parser.error("--kind countermonotone needs --assets 2")
+        if args.seed < 0:
+            parser.error("--seed must be non-negative")
+        try:
+            start = np.datetime64(args.start_date, "D")
+        except ValueError:
+            start = np.datetime64("NaT")
+        if np.isnat(start):  # numpy also parses "NaT" and "" as not-a-time
+            parser.error(f"--start-date {args.start_date!r} is not an ISO date")
         cfg.seed = args.seed
         cfg.kind = args.kind
         cfg.corr = args.corr

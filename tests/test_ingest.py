@@ -13,7 +13,6 @@ from copuladyn import (
     compute_returns,
     load_calendar,
     load_prices,
-    pair_view,
 )
 
 CAL = TradingCalendar()
@@ -78,6 +77,28 @@ def test_load_calendar_text():
 def test_load_calendar_bad_line_reports_number():
     with pytest.raises(CalendarError, match="line 2"):
         load_calendar(io.StringIO("open=10:00\nnot-a-date\n"))
+
+
+def test_byte_order_mark_is_ignored(tmp_path):
+    # Excel's "CSV UTF-8" export starts the file with a byte-order mark
+    calendar_text = "open=10:00\nclose=15:30\n2024-01-04\n"
+    prices_text = "timestamp,symbol,price\n" + "\n".join(
+        full_session_rows("AAA", "2024-01-03", [100.0 + k for k in range(14)])) + "\n"
+    loaded = []
+    for encoding in ("utf-8", "utf-8-sig"):
+        cal_path = tmp_path / f"{encoding}.cal"
+        cal_path.write_text(calendar_text, encoding=encoding)
+        prices_path = tmp_path / f"{encoding}.csv"
+        prices_path.write_text(prices_text, encoding=encoding)
+        cal = load_calendar(cal_path)
+        loaded.append((cal, load_prices(prices_path, cal)))
+    (plain_cal, plain), (bom_cal, bom) = loaded
+    assert (tmp_path / "utf-8-sig.csv").read_bytes().startswith(b"\xef\xbb\xbf")
+    assert bom_cal == plain_cal
+    assert bom.asset_ids == plain.asset_ids
+    assert np.array_equal(bom.timestamps, plain.timestamps)
+    assert np.array_equal(bom.prices, plain.prices, equal_nan=True)
+    assert bom.excluded_count == plain.excluded_count
 
 
 def test_calendar_rejects_inverted_session():
@@ -170,6 +191,11 @@ def test_returns_full_session_has_thirteen_columns():
     mat = compute_returns(load_prices(csv_stream(rows), CAL), 30)
     assert mat.n_observations == 13  # 390 / 30
     assert mat.period == (dt.date(2024, 1, 3), dt.date(2024, 1, 3))
+    rows = (
+        full_session_rows("AAA", "2024-01-03", [100.0] * 14)
+        + full_session_rows("BBB", "2024-01-03", [50.0] * 14)
+    )
+    assert compute_returns(load_prices(csv_stream(rows), CAL), 30).returns.shape == (2, 13)
 
 
 def test_returns_constant_prices_are_zero():
@@ -249,16 +275,3 @@ def test_returns_no_complete_interval_errors():
     with pytest.raises(PriceDataError, match="no complete"):
         compute_returns(panel, 30)
 
-
-def test_pair_view_and_errors():
-    rows = (
-        full_session_rows("AAA", "2024-01-03", [100.0] * 14)
-        + full_session_rows("BBB", "2024-01-03", [50.0] * 14)
-    )
-    mat = compute_returns(load_prices(csv_stream(rows), CAL), 30)
-    a, b = pair_view(mat, 0, 1)
-    assert a.shape == b.shape == (13,)
-    with pytest.raises(IndexError):
-        pair_view(mat, 0, 2)
-    with pytest.raises(ValueError):
-        pair_view(mat, 1, 1)

@@ -1,0 +1,71 @@
+"""The package's public names: what it exports and what outside code relies on."""
+
+import ast
+import importlib
+import importlib.util
+from pathlib import Path
+
+import copuladyn
+
+ROOT = Path(__file__).resolve().parents[1]
+
+PUBLIC = {
+    "__version__",
+    # empirical
+    "EmpiricalDistribution", "ecdf", "quantile",
+    # copula
+    "CopulaGrid", "quantile_bins", "empirical_copula_density",
+    "average_pairwise_density", "interpolate_cumulative", "write_grid_csv",
+    # gaussian
+    "DifferenceGrid", "std_normal_quantile", "bivariate_normal_cdf",
+    "gaussian_copula_cdf", "gaussian_grid", "average_gaussian_density",
+    "difference_map", "write_difference_csv",
+    # ingest
+    "PriceDataError", "CalendarError", "TradingCalendar", "PricePanel",
+    "ReturnMatrix", "load_calendar", "load_prices", "compute_returns",
+    # synth
+    "SynthSpec", "sample_panel", "synthetic_timestamps", "write_price_csv",
+    # taildep
+    "CorrelationMatrix", "TailCurve", "WindowReport", "lower_tail", "upper_tail",
+    "upper_tail_survival", "tail_curve", "pearson_matrix", "mean_correlation",
+    "average_gaussian_tail", "gaussian_tail_curve", "partition_windows",
+    "window_report", "windowed_reports", "write_relation_csv", "write_tail_curve_csv",
+}
+
+
+def test_exports_are_exactly_the_public_names():
+    assert len(copuladyn.__all__) == len(set(copuladyn.__all__))
+    assert set(copuladyn.__all__) == PUBLIC
+    for name in copuladyn.__all__:
+        assert hasattr(copuladyn, name), name
+
+
+def _copuladyn_imports(path):
+    """(module, name) for each ``from copuladyn... import name`` in a script."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "copuladyn":
+            for alias in node.names:
+                yield node.module, alias.name
+
+
+def test_benchmark_and_demo_imports_resolve():
+    scripts = [ROOT / "perfbench" / "workloads.py", *sorted((ROOT / "demos").glob("*.py"))]
+    found = 0
+    for script in scripts:
+        for module, name in _copuladyn_imports(script):
+            assert hasattr(importlib.import_module(module), name), f"{script.name}: {module}.{name}"
+            found += 1
+    assert found > 0
+
+
+def test_traced_names_exist():
+    # the benchmark's tracer patches these names in place from outside the package
+    spec = importlib.util.spec_from_file_location("_perfbench_tracer", ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    assert tracer.TRACED
+    for module, names in tracer.TRACED.items():
+        mod = importlib.import_module(module)
+        for name in names:
+            assert callable(getattr(mod, name, None)), f"{module}.{name}"
