@@ -129,10 +129,12 @@ def _config_from_args(args, parser) -> RunConfig:
             parser.error("--assets must be at least 2")
         if args.length < 1:
             parser.error("--length must be at least 1")
-        if args.kind == "gaussian" and not -1.0 <= args.corr <= 1.0:
-            parser.error(f"--corr {args.corr} outside [-1, 1]")
         if args.kind == "countermonotone" and args.assets != 2:
             parser.error("--kind countermonotone needs --assets 2")
+        try:
+            SynthSpec(args.kind, args.assets, args.length, args.seed, args.corr)
+        except ValueError as exc:  # the checks above leave only the correlation to fail
+            parser.error(f"--corr {args.corr}: {exc}")
         if args.seed < 0:
             parser.error("--seed must be non-negative")
         try:
@@ -231,20 +233,12 @@ class _Run:
         target.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _load_returns(cfg: RunConfig):
-    calendar = load_calendar(cfg.calendar_path) if cfg.calendar_path else TradingCalendar()
-    panel = load_prices(cfg.input_path, calendar)
-    return compute_returns(panel, cfg.dt), calendar
-
-
 def run(cfg: RunConfig) -> int:
     """Execute a resolved config; returns the process exit status."""
     runner = _Run(cfg.out_dir)
     try:
+        calendar = load_calendar(cfg.calendar_path) if cfg.calendar_path else TradingCalendar()
         if cfg.command == "synth":
-            calendar = (
-                load_calendar(cfg.calendar_path) if cfg.calendar_path else TradingCalendar()
-            )
             spec = SynthSpec(
                 kind=cfg.kind,
                 assets=cfg.assets,
@@ -257,7 +251,7 @@ def run(cfg: RunConfig) -> int:
             runner.manifest(cfg, inputs=[cfg.calendar_path] if cfg.calendar_path else [])
             return EXIT_OK
 
-        matrix, _calendar = _load_returns(cfg)
+        matrix = compute_returns(load_prices(cfg.input_path, calendar), cfg.dt)
         inputs = [cfg.input_path] + ([cfg.calendar_path] if cfg.calendar_path else [])
 
         if cfg.command == "copula":

@@ -3,9 +3,9 @@
 Input CSV is UTF-8 (a leading byte-order mark is allowed) with header
 ``timestamp,symbol,price``: ISO-8601 timestamps at seconds resolution, one row
 per (timestamp, symbol). Rows outside the trading calendar's sessions are
-dropped and counted; rows inside are assembled into a dense panel over the
-union of observed timestamps, with NaN marking an asset that has no quote at a
-given panel timestamp.
+dropped and counted; rows inside are kept as parsed, one time-ordered quote
+run per asset, so the panel grows with the row count and not with assets x
+timestamps.
 
 Returns are arithmetic, r(t) = (P(t + dt) - P(t)) / P(t), computed on a fixed
 per-session endpoint grid (session open, open + dt, ...). Prices at endpoints
@@ -128,31 +128,52 @@ def load_calendar(source) -> TradingCalendar:
 
 @dataclass(frozen=True)
 class PricePanel:
-    """Dense price panel over the union of in-session quote timestamps.
+    """In-session quotes, one run per asset, stored back to back.
 
-    ``prices[k, t]`` is asset k's price at ``timestamps[t]``; NaN marks a gap.
-    ``excluded_count`` reports how many input rows fell outside trading
-    sessions and were dropped.
+    Asset ``asset_ids[k]`` quotes at ``quote_ts[offsets[k]:offsets[k + 1]]``
+    (strictly increasing) with prices ``quote_px`` over the same slice; assets
+    are in alphabetical order. ``excluded_count`` reports how many input rows
+    fell outside trading sessions and were dropped.
     """
 
     asset_ids: list
-    timestamps: np.ndarray
-    prices: np.ndarray
+    offsets: np.ndarray
+    quote_ts: np.ndarray
+    quote_px: np.ndarray
     calendar: TradingCalendar
     excluded_count: int = 0
 
     def __post_init__(self):
-        if self.prices.shape != (len(self.asset_ids), self.timestamps.size):
-            raise PriceDataError("price matrix shape does not match assets x timestamps")
-        if self.timestamps.size == 0:
+        offsets = np.asarray(self.offsets)
+        object.__setattr__(self, "offsets", offsets)
+        n = self.quote_ts.size
+        if not (offsets.shape == (len(self.asset_ids) + 1,) and offsets.dtype.kind in "iu"
+                and offsets[0] == 0 and offsets[-1] == n and (np.diff(offsets) >= 0).all()
+                and self.quote_ts.shape == self.quote_px.shape == (n,)):
+            raise PriceDataError("offsets must split the quotes into one run per asset")
+        if n == 0:
             raise PriceDataError("panel has no in-session rows")
-        if np.any(np.diff(self.timestamps).astype(np.int64) <= 0):
-            raise PriceDataError("panel timestamps must be strictly increasing")
-        present = ~np.isnan(self.prices)
-        if not np.all(np.isfinite(self.prices[present])) or np.any(self.prices[present] <= 0.0):
-            raise PriceDataError("present prices must be strictly positive and finite")
-        if not bool(self.calendar.in_session_mask(self.timestamps).all()):
+        asset = np.repeat(np.arange(len(self.asset_ids)), np.diff(offsets))
+        if np.any((np.diff(asset) == 0) & (np.diff(self.quote_ts).astype(np.int64) <= 0)):
+            raise PriceDataError("each asset's quote timestamps must be strictly increasing")
+        if not (np.isfinite(self.quote_px).all() and (self.quote_px > 0.0).all()):
+            raise PriceDataError("quoted prices must be strictly positive and finite")
+        if not bool(self.calendar.in_session_mask(self.quote_ts).all()):
             raise PriceDataError("panel timestamps must lie inside trading sessions")
+
+    @property
+    def timestamps(self) -> np.ndarray:
+        """Sorted union of all quote timestamps (a derived view; the pipeline never uses it)."""
+        return np.unique(self.quote_ts)
+
+    @property
+    def prices(self) -> np.ndarray:
+        """Dense assets x ``timestamps`` prices, NaN where an asset has no quote (derived view)."""
+        union = self.timestamps
+        dense = np.full((len(self.asset_ids), union.size), np.nan)
+        rows = np.repeat(np.arange(len(self.asset_ids)), np.diff(self.offsets))
+        dense[rows, np.searchsorted(union, self.quote_ts)] = self.quote_px
+        return dense
 
 
 @dataclass(frozen=True)
@@ -263,26 +284,26 @@ def _parse_price_rows(reader, calendar: TradingCalendar) -> PricePanel:
     ts, code, px = ts[keep], np.array(sym_codes)[keep], np.array(raw_px)[keep]
 
     names = list(codes)
-    # per symbol, in file order: each quote must be later than the one before
-    order = np.argsort(code, kind="stable")
-    regress = (np.diff(code[order]) == 0) & (np.diff(ts[order]).astype(np.int64) <= 0)
+    symbols = sorted(names[c] for c in np.flatnonzero(np.bincount(code)).tolist())
+    row_of = np.empty(len(codes), dtype=np.intp)
+    row_of[[codes[s] for s in symbols]] = np.arange(len(symbols))
+    # one stable sort groups each asset's quotes in file order; each quote must
+    # be later than the one before, and the earliest offending row is reported
+    order = np.argsort(row_of[code], kind="stable")
+    row, ts, px = row_of[code[order]], ts[order], px[order]
+    regress = (np.diff(row) == 0) & (np.diff(ts).astype(np.int64) <= 0)
     if regress.any():
         first = order[1:][regress].min()
         raise PriceDataError(
             f"line {lines[np.flatnonzero(keep)[first]]}: timestamps for symbol "
             f"{names[code[first]]!r} must be strictly increasing"
         )
-
-    symbols = sorted(names[c] for c in np.unique(code).tolist())
-    row_of = np.empty(len(codes), dtype=np.intp)
-    row_of[[codes[s] for s in symbols]] = np.arange(len(symbols))
-    panel_ts = np.unique(ts)
-    prices = np.full((len(symbols), panel_ts.size), np.nan)
-    prices[row_of[code], np.searchsorted(panel_ts, ts)] = px
+    del sym_codes, raw_px, lines  # ~80 bytes a row; free them before the panel's checks
     return PricePanel(
         asset_ids=symbols,
-        timestamps=panel_ts,
-        prices=prices,
+        offsets=np.searchsorted(row, np.arange(len(symbols) + 1)),
+        quote_ts=ts,
+        quote_px=px,
         calendar=calendar,
         excluded_count=excluded,
     )
@@ -319,7 +340,7 @@ def compute_returns(panel: PricePanel, interval: int) -> ReturnMatrix:
         )
     per_session = session_minutes // interval
 
-    days = np.unique(panel.timestamps.astype("datetime64[D]"))
+    days = np.unique(panel.quote_ts.astype("datetime64[D]"))
     open_delta = np.timedelta64(
         panel.calendar.open_time.hour * 3600 + panel.calendar.open_time.minute * 60, "s"
     )
@@ -328,9 +349,8 @@ def compute_returns(panel: PricePanel, interval: int) -> ReturnMatrix:
     endpoints = midnight + open_delta + np.arange(per_session + 1) * step  # sessions x endpoints
 
     grid = np.full((len(panel.asset_ids),) + endpoints.shape, np.nan)
-    for row, quotes in zip(grid, panel.prices):
-        quoted = ~np.isnan(quotes)
-        ts, px = panel.timestamps[quoted], quotes[quoted]
+    for row, lo, hi in zip(grid, panel.offsets[:-1].tolist(), panel.offsets[1:].tolist()):
+        ts, px = panel.quote_ts[lo:hi], panel.quote_px[lo:hi]
         # previous tick, accepted only when it was quoted in the endpoint's session
         after = np.searchsorted(ts, endpoints, side="right")
         found = after > np.searchsorted(ts, midnight)

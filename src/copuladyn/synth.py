@@ -50,8 +50,12 @@ class SynthSpec:
             raise ValueError("need at least 2 assets")
         if self.length < 1:
             raise ValueError("length must be at least 1")
-        if self.kind == "gaussian" and not -1.0 <= self.correlation <= 1.0:
-            raise ValueError("correlation must lie in [-1, 1]")
+        floor = -1.0 / (self.assets - 1)  # the most negative feasible equicorrelation
+        if self.kind == "gaussian" and not floor <= self.correlation <= 1.0:
+            raise ValueError(
+                f"equicorrelation {self.correlation} infeasible for K={self.assets} "
+                f"(range [{floor:.6f}, 1])"
+            )
         if self.kind == "countermonotone" and self.assets != 2:
             raise ValueError("countermonotone panels require exactly 2 assets")
 
@@ -90,11 +94,6 @@ def sample_panel(
     k, t = spec.assets, spec.length
     if spec.kind == "gaussian":
         c = spec.correlation
-        floor = -1.0 / (k - 1)
-        if c < floor:
-            raise ValueError(
-                f"equicorrelation {c} infeasible for K={k} (minimum {floor:.6f})"
-            )
         if c >= 0.0:
             common = rng.standard_normal(t)
             noise = rng.standard_normal((k, t))

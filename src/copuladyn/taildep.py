@@ -153,7 +153,8 @@ def pearson_matrix(matrix: ReturnMatrix) -> CorrelationMatrix:
     dead = np.flatnonzero(variances == 0.0)
     if dead.size:
         names = ", ".join(matrix.asset_ids[k] for k in dead)
-        raise ValueError(f"zero-variance series: {names}")
+        start, end = matrix.period
+        raise ValueError(f"zero-variance series in sessions {start} to {end}: {names}")
     corr = np.corrcoef(data)
     corr = (corr + corr.T) / 2.0
     np.fill_diagonal(corr, 1.0)

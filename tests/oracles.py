@@ -4,10 +4,11 @@ Everything here is deliberately written on a different path from the library:
 pure-python loops and scans instead of vectorized rank arithmetic, adaptive
 quadrature of the bivariate normal (2-D over the explicit density, or 1-D
 over the conditional CDF) instead of the library's Owen's T closed form, and
-a row-at-a-time price parser with a per-session previous-tick search instead
-of the library's column-wise ingest, and CSV writers that index one numpy
-scalar per cell and join the whole text in memory instead of the library's
-streamed writers over plain Python floats.
+a row-at-a-time price parser that fills a dense assets x timestamps panel,
+and a per-session previous-tick search over that panel, instead of the
+library's column-wise ingest into per-asset quote runs, and CSV writers that
+index one numpy scalar per cell and join the whole text in memory instead of
+the library's streamed writers over plain Python floats.
 
 Three helpers at the end are not alternative paths but test references and
 data that the library no longer ships: the Gaussian copula density (the
@@ -17,12 +18,13 @@ the elementwise rank transform.
 
 import math
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 from scipy.integrate import IntegrationWarning, dblquad, quad
 from scipy.special import ndtr, ndtri
 
-from copuladyn.ingest import PriceDataError, PricePanel, ReturnMatrix
+from copuladyn.ingest import PriceDataError, ReturnMatrix
 
 QUAD_LOW = -8.5  # univariate tail mass below this is ~1e-17
 
@@ -125,7 +127,11 @@ def bvn_cdf_quad(x, y, c):
 
 
 def parse_price_rows(reader, calendar):
-    """PricePanel from ``csv.reader`` rows, converting and checking one row at a time.
+    """Dense panel from ``csv.reader`` rows, converting and checking one row at a time.
+
+    The record has ``PricePanel``'s derived ``timestamps`` (the sorted union of
+    in-session quote times) and ``prices`` (assets x timestamps, NaN where an
+    asset has no quote), plus ``asset_ids``, ``calendar`` and ``excluded_count``.
 
     Rows are validated in file order (field count, symbol, timestamp, price),
     then per-symbol timestamps are checked in file order against the last
@@ -195,7 +201,7 @@ def parse_price_rows(reader, calendar):
         col = int(np.searchsorted(panel_ts, raw_ts[k]))
         prices[sym_index[sym], col] = raw_px[k]
 
-    return PricePanel(
+    return SimpleNamespace(
         asset_ids=symbols,
         timestamps=panel_ts,
         prices=prices,

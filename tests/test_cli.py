@@ -190,16 +190,17 @@ def test_usage_errors_exit_2(tmp_path, price_file):
         ("--kind", "countermonotone", "--assets", "3"),
         ("--start-date", "nope"),
         ("--start-date", "NaT"),
+        ("--corr", "-0.6", "--assets", "3"),  # below the feasible -1/(K-1)
     ]
     for k, flag_args in enumerate(synth_checks, start=7):
         proc = run_cli("synth", "--seed", "1", *flag_args, "--out", str(tmp_path / f"x{k}"))
         assert proc.returncode == 2, flag_args
         assert flag_args[0] in proc.stderr, proc.stderr
-    proc = run_cli("synth", "--seed", "-1", "--out", str(tmp_path / "x13"))
+    proc = run_cli("synth", "--seed", "-1", "--out", str(tmp_path / "x14"))
     assert proc.returncode == 2
     assert "--seed" in proc.stderr, proc.stderr
     # usage failures never create outputs
-    for k in range(1, 14):
+    for k in range(1, 15):
         target = tmp_path / f"x{k}"
         assert not target.exists() or not any(target.iterdir())
 
@@ -222,6 +223,25 @@ def test_input_errors_exit_3(tmp_path, price_file):
     out3 = tmp_path / "o3"
     assert not out3.exists() or not any(
         p for p in out3.rglob("*") if p.is_file())
+
+
+def test_zero_variance_window_exits_3_naming_its_sessions(tmp_path):
+    rows = ["timestamp,symbol,price"]
+    for d, day in enumerate(["2024-01-03", "2024-01-04", "2024-01-05", "2024-01-08"]):
+        for k in range(14):
+            stamp = f"{day}T{9 + (30 + 30 * k) // 60:02d}:{(30 * k + 30) % 60:02d}:00"
+            rows.append(f"{stamp},AAA,{100 + (7 * k + 3 * d) % 11}")
+            rows.append(f"{stamp},BBB,{80 + (5 * k + d) % 13}")
+            # CCC stops moving in the second two-day window
+            rows.append(f"{stamp},CCC,{50 if d >= 2 else 60 + (3 * k + d) % 7}")
+    prices = tmp_path / "prices.csv"
+    prices.write_text("\n".join(rows) + "\n")
+    out = tmp_path / "dyn"
+    proc = run_cli("dynamics", "--input", str(prices), "--grid", "2", "--window-days", "2",
+                   "--out", str(out))
+    assert proc.returncode == 3
+    assert "zero-variance series in sessions 2024-01-05 to 2024-01-08: CCC" in proc.stderr
+    assert not out.exists() or not any(p for p in out.rglob("*") if p.is_file())
 
 
 def test_numeric_failures_exit_4(tmp_path, price_file, monkeypatch):

@@ -2,6 +2,7 @@
 
 import datetime as dt
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from copuladyn import (
     CalendarError,
     PriceDataError,
+    PricePanel,
     TradingCalendar,
     compute_returns,
     load_calendar,
@@ -275,3 +277,97 @@ def test_returns_no_complete_interval_errors():
     with pytest.raises(PriceDataError, match="no complete"):
         compute_returns(panel, 30)
 
+
+def panel_fields(**changes):
+    """PricePanel fields for AAA (two quotes), no-quote BBB, CCC (one quote), with changes."""
+    fields = dict(
+        asset_ids=["AAA", "BBB", "CCC"],
+        offsets=[0, 2, 2, 3],
+        # CCC's quote is earlier than AAA's last: order is per asset only
+        quote_ts=np.array(["2024-01-03T09:30", "2024-01-03T10:00", "2024-01-03T09:45"],
+                          dtype="datetime64[s]"),
+        quote_px=np.array([100.0, 101.0, 50.0]),
+        calendar=CAL,
+    )
+    fields.update(changes)
+    return fields
+
+
+def test_panel_constructor_accepts_quote_runs():
+    panel = PricePanel(**panel_fields())
+    assert panel.offsets.tolist() == [0, 2, 2, 3]
+    assert panel.timestamps.tolist() == [
+        dt.datetime(2024, 1, 3, 9, 30), dt.datetime(2024, 1, 3, 9, 45),
+        dt.datetime(2024, 1, 3, 10, 0)]
+    assert np.array_equal(panel.prices, [[100.0, np.nan, 101.0], [np.nan] * 3,
+                                         [np.nan, 50.0, np.nan]], equal_nan=True)
+
+
+def ts_of(*clock):
+    return np.array([f"2024-01-03T{c}" for c in clock], dtype="datetime64[s]")
+
+
+@pytest.mark.parametrize("changes", [
+    {"offsets": [0, 2, 3]},  # one offset short of the assets
+    {"offsets": [1, 2, 2, 3]},  # does not start at 0
+    {"offsets": [0, 2, 2, 2]},  # does not cover every quote
+    {"offsets": [0, 3, 2, 3]},  # a run of negative length
+    {"offsets": [0.0, 2.0, 2.0, 3.0]},  # not integers
+    {"quote_px": np.array([100.0, 101.0])},  # prices do not match timestamps
+    {"asset_ids": ["AAA"], "offsets": [0, 0], "quote_ts": ts_of()[:0],
+     "quote_px": np.array([])},  # no quotes
+    {"quote_ts": ts_of("10:00", "09:30", "09:45")},  # AAA goes back in time
+    {"quote_ts": ts_of("09:30", "09:30", "09:45")},  # AAA repeats a time
+    {"quote_px": np.array([100.0, 0.0, 50.0])},
+    {"quote_px": np.array([100.0, -1.0, 50.0])},
+    {"quote_px": np.array([100.0, np.nan, 50.0])},
+    {"quote_px": np.array([100.0, np.inf, 50.0])},
+    {"quote_ts": ts_of("09:30", "10:00", "16:00:01")},  # after the close
+    {"quote_ts": np.array(["2024-01-06T10:00", "2024-01-06T11:00", "2024-01-06T10:30"],
+                          dtype="datetime64[s]")},  # a Saturday
+])
+def test_panel_constructor_rejects_broken_invariants(changes):
+    with pytest.raises(PriceDataError):
+        PricePanel(**panel_fields(**changes))
+
+
+def async_tape(n_symbols, rows, seed):
+    """Asynchronous tape text: one quote a second at ``rows`` random in-session seconds
+    over two sessions, each from a random symbol of ``n_symbols``."""
+    rng = np.random.default_rng(seed)
+    seconds = np.sort(rng.choice(2 * 23_401, rows, replace=False))
+    day, sec = np.divmod(seconds, 23_401)
+    stamps = (np.datetime64("2024-01-03T09:30:00") + day * np.timedelta64(1, "D")
+              + sec * np.timedelta64(1, "s")).astype(str).tolist()
+    symbols = rng.integers(n_symbols, size=rows).tolist()
+    prices = np.exp(rng.normal(3.0, 0.1, rows)).tolist()
+    return "timestamp,symbol,price\n" + "".join(
+        f"{t},S{s:03d},{p!r}\n" for t, s, p in zip(stamps, symbols, prices))
+
+
+def ingest_peak(text):
+    """Peak traced bytes of load_prices + compute_returns on a tape, and its returns."""
+    tracemalloc.start()
+    try:
+        matrix = compute_returns(load_prices(io.StringIO(text), CAL), 30)
+        return tracemalloc.get_traced_memory()[1], matrix
+    finally:
+        tracemalloc.stop()
+
+
+def test_ingest_memory_does_not_grow_with_symbols():
+    few, few_matrix = ingest_peak(async_tape(20, 20_000, seed=1))
+    many, many_matrix = ingest_peak(async_tape(200, 20_000, seed=1))
+    assert (few_matrix.n_assets, many_matrix.n_assets) == (20, 200)
+    # a dense assets x timestamps panel alone would be 3 MiB vs 31 MiB here
+    assert many < 1.1 * few, (few, many)
+
+
+def test_pipeline_never_builds_the_dense_view(monkeypatch):
+    def dense(panel):
+        raise AssertionError("dense panel view used")
+
+    monkeypatch.setattr(PricePanel, "prices", property(dense))
+    monkeypatch.setattr(PricePanel, "timestamps", property(dense))
+    matrix = compute_returns(load_prices(io.StringIO(async_tape(20, 2_000, seed=2)), CAL), 30)
+    assert matrix.n_assets == 20

@@ -126,8 +126,9 @@ def test_tick_tape_matches_row_oracle(seed):
 def test_returns_asset_without_quotes_matches_oracle():
     panel = PricePanel(
         asset_ids=["AAA", "BBB"],
-        timestamps=np.array(["2024-01-03T09:30", "2024-01-03T12:00"], dtype="datetime64[s]"),
-        prices=np.array([[100.0, 101.0], [np.nan, np.nan]]),
+        offsets=[0, 2, 2],
+        quote_ts=np.array(["2024-01-03T09:30", "2024-01-03T12:00"], dtype="datetime64[s]"),
+        quote_px=np.array([100.0, 101.0]),
         calendar=TradingCalendar(),
     )
     assert outcome(compute_returns, panel, 30) == outcome(session_returns, panel, 30)
