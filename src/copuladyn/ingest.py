@@ -321,6 +321,14 @@ def _parse_timestamps(texts, lines) -> np.ndarray:
         raise
 
 
+def _distinct_sorted(values: np.ndarray) -> np.ndarray:
+    """Sorted distinct values; a plain ``np.unique`` imports ``numpy.ma`` on first use."""
+    values = np.sort(values)
+    keep = np.ones(values.size, dtype=bool)
+    keep[1:] = values[1:] != values[:-1]
+    return values[keep]
+
+
 def compute_returns(panel: PricePanel, interval: int) -> ReturnMatrix:
     """Arithmetic returns on a fixed per-session endpoint grid.
 
@@ -340,7 +348,7 @@ def compute_returns(panel: PricePanel, interval: int) -> ReturnMatrix:
         )
     per_session = session_minutes // interval
 
-    days = np.unique(panel.quote_ts.astype("datetime64[D]"))
+    days = _distinct_sorted(panel.quote_ts.astype("datetime64[D]"))
     open_delta = np.timedelta64(
         panel.calendar.open_time.hour * 3600 + panel.calendar.open_time.minute * 60, "s"
     )

@@ -29,7 +29,7 @@ from .copula import (
     interpolate_cumulative,
 )
 from .gaussian import _distinct_correlations, gaussian_copula_cdf
-from .ingest import ReturnMatrix
+from .ingest import ReturnMatrix, _distinct_sorted
 
 __all__ = [
     "CorrelationMatrix",
@@ -172,20 +172,20 @@ def mean_correlation(corr: CorrelationMatrix) -> float:
 
 
 def average_gaussian_tail(corr: CorrelationMatrix, alpha: float) -> float:
-    """Mean over pairs of the Gaussian-implied tail Cop_c(alpha, alpha).
-
-    The copula value is computed in one vectorised call over the distinct
-    rounded correlations, weighted by their pair counts.
-    """
-    alpha = _check_alpha(alpha)
-    unique, counts = _distinct_correlations(corr)
-    return float((counts * gaussian_copula_cdf(alpha, alpha, unique)).sum()) / int(counts.sum())
+    """Mean over pairs of the Gaussian-implied tail Cop_c(alpha, alpha)."""
+    return float(gaussian_tail_curve(corr, [alpha]).lower[0])
 
 
 def gaussian_tail_curve(corr: CorrelationMatrix, alphas) -> TailCurve:
-    """Gaussian-implied tail curve; lower and upper coincide by symmetry."""
-    alpha_arr = np.asarray(list(alphas), dtype=float)
-    values = np.array([average_gaussian_tail(corr, a) for a in alpha_arr])
+    """Gaussian-implied tail curve; lower and upper coincide by symmetry.
+
+    One ``gaussian_copula_cdf`` call covers alphas x distinct rounded
+    correlations; each alpha's row is weighted by the pair counts.
+    """
+    alpha_arr = np.array([_check_alpha(a) for a in alphas], dtype=float)
+    unique, counts = _distinct_correlations(corr)
+    cop = gaussian_copula_cdf(alpha_arr[:, None], alpha_arr[:, None], unique)
+    values = (counts * cop).sum(axis=1) / int(counts.sum())
     return TailCurve(alphas=alpha_arr, lower=values, upper=values.copy())
 
 
@@ -198,7 +198,7 @@ def partition_windows(matrix: ReturnMatrix, window_days: int) -> list:
     if window_days < 1:
         raise ValueError("window_days must be at least 1")
     days = matrix.session_dates
-    unique_days = np.unique(days)
+    unique_days = _distinct_sorted(days)
     n_windows = unique_days.size // window_days
     if n_windows == 0:
         raise ValueError(

@@ -3,8 +3,9 @@
 Everything here is deliberately written on a different path from the library:
 pure-python loops and scans instead of vectorized rank arithmetic, adaptive
 quadrature of the bivariate normal (2-D over the explicit density, or 1-D
-over the conditional CDF) instead of the library's Owen's T closed form, and
-a row-at-a-time price parser that fills a dense assets x timestamps panel,
+over the conditional CDF) and Owen's T closed form (the kernel the library
+used before its Gauss-Legendre one) instead of the library's Gauss-Legendre
+rule, and a row-at-a-time price parser that fills a dense assets x timestamps panel,
 and a per-session previous-tick search over that panel, instead of the
 library's column-wise ingest into per-asset quote runs, and CSV writers that
 index one numpy scalar per cell and join the whole text in memory instead of
@@ -22,7 +23,7 @@ from types import SimpleNamespace
 
 import numpy as np
 from scipy.integrate import IntegrationWarning, dblquad, quad
-from scipy.special import ndtr, ndtri
+from scipy.special import ndtr, ndtri, owens_t
 
 from copuladyn.ingest import PriceDataError, ReturnMatrix
 
@@ -124,6 +125,59 @@ def bvn_cdf_quad(x, y, c):
             integrand, -40.0, upper, epsabs=1e-12, epsrel=1e-10, limit=200, points=points
         )
     return min(max(value, 0.0), 1.0)
+
+
+def bvn_cdf_owens_t(x, y, correlation):
+    """Bivariate normal CDF through Owen's T function, vectorised.
+
+    Owen's (1956) reduction to two Owen's T functions, with h = min(x, y) and
+    k = max(x, y) so the result is exactly symmetric in (x, y):
+
+        Phi2 = Phi(h)/2 + Phi(k)/2 - T(h, a_h) - T(k, a_k) - beta,
+        a_h = (k - c h) / (h sqrt(1 - c^2)),  a_k = (h - c k) / (k sqrt(1 - c^2)),
+
+    where beta = 1/2 when h < 0 <= k and 0 otherwise. At h = k = 0 the limit
+    1/4 + asin(c) / (2 pi) is used; c = +/-1 use the closed forms, and
+    arguments beyond +/-40 are truncated. Broadcasts; all-scalar input gives
+    a float.
+    """
+    c = np.asarray(correlation, dtype=float)
+    if not np.all((c >= -1.0) & (c <= 1.0)):
+        raise ValueError("correlation must lie in [-1, 1]")
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if np.isnan(x).any() or np.isnan(y).any():
+        raise ValueError("arguments must not be NaN")
+    # adding +0.0 turns -0.0 into +0.0, so a zero argument gets a = +/-inf with
+    # the sign of the other argument, and T(0, +/-inf) = +/-1/4
+    h = np.minimum(x, y) + 0.0
+    k = np.maximum(x, y) + 0.0
+    h, k, c = np.broadcast_arrays(h, k, c)
+    phi_h = ndtr(h)
+    phi_k = ndtr(k)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scale = np.sqrt((1.0 - c) * (1.0 + c))
+        a_h = (k - c * h) / (h * scale)
+        a_k = (h - c * k) / (k * scale)
+        owen = (
+            0.5 * phi_h
+            + 0.5 * phi_k
+            - owens_t(h, a_h)
+            - owens_t(k, a_k)
+            - np.where((h < 0.0) & (k >= 0.0), 0.5, 0.0)
+        )
+    out = np.select(
+        [c == 1.0, c == -1.0, h <= -40.0, k >= 40.0, (h == 0.0) & (k == 0.0)],
+        [
+            phi_h,
+            np.maximum(phi_h + phi_k - 1.0, 0.0),
+            0.0,
+            phi_h,
+            0.25 + np.arcsin(c) / (2.0 * math.pi),
+        ],
+        np.clip(owen, 0.0, 1.0),
+    )
+    return float(out) if out.ndim == 0 else out
 
 
 def parse_price_rows(reader, calendar):

@@ -23,6 +23,7 @@ from copuladyn import (
 )
 from oracles import (
     bvn_cdf_dblquad,
+    bvn_cdf_owens_t,
     bvn_cdf_quad,
     gaussian_copula_density,
     sample_bivariate_gaussian,
@@ -57,11 +58,17 @@ def test_cdf_origin_half_correlation_is_one_third():
     assert bivariate_normal_cdf(0.0, 0.0, 0.5) == pytest.approx(1.0 / 3.0, abs=1e-13)
 
 
+def _phi(x):
+    # the library's univariate CDF expression; scipy's ndtr differs in the last
+    # bit on many inputs (at -1.2, for one), so it cannot be an exact reference
+    return 0.5 * math.erfc(x * -math.sqrt(0.5))
+
+
 def test_cdf_degenerate_correlations():
     # c = 1: min of the margins; c = -1: the countermonotone floor
     for x, y in [(0.3, -0.7), (-1.2, -1.2), (2.0, 0.1)]:
-        assert bivariate_normal_cdf(x, y, 1.0) == min(ndtr(x), ndtr(y))
-        assert bivariate_normal_cdf(x, y, -1.0) == max(ndtr(x) + ndtr(y) - 1.0, 0.0)
+        assert bivariate_normal_cdf(x, y, 1.0) == min(_phi(x), _phi(y))
+        assert bivariate_normal_cdf(x, y, -1.0) == max(_phi(x) + _phi(y) - 1.0, 0.0)
 
 
 def test_cdf_symmetry_exact():
@@ -284,7 +291,7 @@ def test_write_difference_csv_permille():
 
 @pytest.mark.parametrize("m", [10, 20, 50])
 def test_grid_matches_quad_oracle(m):
-    # the Owen's T kernel against the 1-D conditional-CDF quadrature it replaced
+    # the kernel against the 1-D conditional-CDF quadrature
     z = [float(q) for q in std_normal_quantile(np.arange(1, m) / m)]
     for c in (-0.99, -0.5, 0.0, 0.3, 0.9, 0.99):
         grid = gaussian_grid(c, m)
@@ -319,7 +326,7 @@ def test_cdf_array_equals_scalar_calls_and_is_symmetric(rng):
 
 
 def test_cdf_with_a_zero_argument_matches_quad_oracle():
-    # at h = 0 or k = 0 Owen's a is infinite; a signed zero must not flip it
+    # a zero argument of either sign gives the same value
     for zero in (0.0, -0.0):
         for other in (-1.3, 0.7):
             for c in (-0.3, 0.6):
@@ -374,3 +381,38 @@ def test_cdf_near_countermonotone_matches_mpmath(x, y, expected):
     assert reference == pytest.approx(expected, abs=1e-15)
     assert bivariate_normal_cdf(x, y, -0.99999) == pytest.approx(reference, abs=1e-13)
     assert bivariate_normal_cdf(y, x, -0.99999) == pytest.approx(reference, abs=1e-13)
+
+
+def test_cdf_matches_owens_t_oracle(rng):
+    # the Gauss-Legendre kernel against the Owen's T closed form it replaced
+    n = 200_000
+    x = rng.uniform(-6.0, 6.0, size=n)
+    y = rng.uniform(-6.0, 6.0, size=n)
+    c = rng.uniform(-0.99999, 0.99999, size=n)
+    gap = np.abs(bivariate_normal_cdf(x, y, c) - bvn_cdf_owens_t(x, y, c))
+    assert gap.max() < 2e-15
+
+
+@pytest.mark.parametrize("m", [10, 50])
+def test_grid_matches_mpmath(m):
+    # both branches of the kernel (|c| < 0.925 and above) at nodes from the
+    # first to the last interior one, on and off the diagonal
+    z = std_normal_quantile(np.arange(1, m) / m)
+    picks = [1, m // 2, m - 1]
+    for c in (-0.95, 0.5, 0.95):
+        cumulative = gaussian_grid(c, m).cumulative
+        for a, i in enumerate(picks):
+            for j in picks[a:]:
+                reference = _bvn_mpmath(float(z[i - 1]), float(z[j - 1]), c)
+                assert abs(cumulative[i, j] - reference) < 1e-15, (c, i, j)
+
+
+def test_univariate_cdf_matches_mpmath():
+    # Phi read through the truncation k >= 40, where Phi2(x, 41; c) = Phi(x);
+    # relative error in the lower tail (scipy's ndtr reaches 1.98e-13 on this grid)
+    mp = pytest.importorskip("mpmath")
+    x = np.linspace(-37.0, 8.0, 901)
+    got = bivariate_normal_cdf(x, 41.0, 0.3)
+    with mp.workdps(40):
+        reference = np.array([float(mp.ncdf(mp.mpf(float(v)))) for v in x])
+    assert np.max(np.abs(got - reference) / reference) < 2.5e-13
