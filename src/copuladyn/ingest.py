@@ -7,6 +7,14 @@ dropped and counted; rows inside are kept as parsed, one time-ordered quote
 run per asset, so the panel grows with the row count and not with assets x
 timestamps.
 
+The file is read in blocks of ``_READ_BLOCK_CHARS`` characters. A plain block
+(no quote, no lone carriage return, exactly two commas on every line, no line
+over ``csv.field_size_limit()``) is parsed column-wise with whole-block calls.
+The first block that is not plain, or that holds a faulty row, goes with the
+rest of the stream to a row-at-a-time ``csv.reader`` loop, which handles
+quoted fields, records spanning lines and blank lines, and reports the first
+fault by its physical line number.
+
 Returns are arithmetic, r(t) = (P(t + dt) - P(t)) / P(t), computed on a fixed
 per-session endpoint grid (session open, open + dt, ...). Prices at endpoints
 resolve by previous tick within the session; no return ever spans a session
@@ -20,6 +28,7 @@ import datetime as dt
 import logging
 import math
 from dataclasses import dataclass, field
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -72,10 +81,7 @@ class TradingCalendar:
         return np.array(sorted(self.holidays), dtype="datetime64[D]")
 
     def is_trading_day(self, day) -> bool:
-        d = np.datetime64(day, "D")
-        return bool(_weekday(np.array([d]))[0] < 5) and d.item() not in {
-            np.datetime64(h, "D").item() for h in self.holidays
-        }
+        return bool(np.is_busday(np.datetime64(day, "D"), holidays=self._holiday_array()))
 
     def in_session_mask(self, timestamps: np.ndarray) -> np.ndarray:
         """Boolean mask of timestamps inside a trading session (bounds inclusive)."""
@@ -91,13 +97,8 @@ class TradingCalendar:
 
     def trading_days(self, start, count: int) -> np.ndarray:
         """First ``count`` trading days at or after ``start``."""
-        day = np.datetime64(start, "D")
-        out = []
-        while len(out) < count:
-            if self.is_trading_day(day):
-                out.append(day)
-            day += np.timedelta64(1, "D")
-        return np.array(out, dtype="datetime64[D]")
+        return np.busday_offset(np.datetime64(start, "D"), np.arange(count), roll="forward",
+                                holidays=self._holiday_array())
 
 
 def load_calendar(source) -> TradingCalendar:
@@ -216,10 +217,12 @@ class ReturnMatrix:
 
 
 _HEADER = ["timestamp", "symbol", "price"]
+# characters the column-wise parser reads at a time; its working memory scales with this
+_READ_BLOCK_CHARS = 1 << 18
 
 
 def load_prices(source, calendar: TradingCalendar) -> PricePanel:
-    """Parse a price CSV stream or path into a PricePanel.
+    """Parse a price CSV text stream or path into a PricePanel.
 
     Rows with timestamps outside the calendar's sessions are dropped and
     counted in ``excluded_count``. Malformed rows, non-positive prices, and
@@ -229,59 +232,44 @@ def load_prices(source, calendar: TradingCalendar) -> PricePanel:
     if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
         # utf-8-sig drops a leading byte-order mark, as Excel's "CSV UTF-8" writes
         with open(source, "r", encoding="utf-8-sig", newline="") as fh:
-            return _parse_price_rows(csv.reader(fh), calendar)
-    return _parse_price_rows(csv.reader(source), calendar)
+            return _parse_prices(fh, calendar)
+    return _parse_prices(source, calendar)
 
 
-def _parse_price_rows(reader, calendar: TradingCalendar) -> PricePanel:
+def _parse_prices(stream, calendar: TradingCalendar) -> PricePanel:
+    reader = csv.reader(stream)
     try:
         header = next(reader)
     except StopIteration:
         raise PriceDataError("empty input: missing header row") from None
+    except csv.Error as exc:
+        raise PriceDataError(f"line {reader.line_num}: {exc}") from None
     if [h.strip() for h in header] != _HEADER:
         raise PriceDataError(f"line 1: header must be {','.join(_HEADER)!r}")
 
     codes = {}  # symbol -> integer code, in order of first appearance
-    ts_texts, sym_codes, raw_px, lines = [], [], [], []
-
-    def fault(message):
-        # a bad timestamp on an earlier line, or on this one once appended, comes first
-        _parse_timestamps(ts_texts, lines)
-        return PriceDataError(message)
-
-    for row in reader:
-        if not row:
-            continue
-        # the physical line the record ends on; a quoted field may span lines
-        lineno = reader.line_num
-        if len(row) != 3:
-            raise fault(f"line {lineno}: expected 3 fields, got {len(row)}")
-        ts_text, symbol, price_text = (f.strip() for f in row)
-        if not symbol:
-            raise fault(f"line {lineno}: empty symbol")
-        ts_texts.append(ts_text)
-        lines.append(lineno)
-        try:
-            price = float(price_text)
-        except ValueError:
-            raise fault(f"line {lineno}: unparseable price {price_text!r}") from None
-        if not math.isfinite(price) or price <= 0.0:
-            raise fault(f"line {lineno}: price must be strictly positive, got {price_text}")
-        sym_codes.append(codes.setdefault(symbol, len(codes)))
-        raw_px.append(price)
-
-    if not ts_texts:
+    blocks = []  # (timestamps, codes, prices, line numbers) per block of rows
+    lineno = reader.line_num  # physical lines consumed so far
+    while lines := stream.readlines(_READ_BLOCK_CHARS):
+        block = _parse_plain_block(lines, lineno, codes)
+        if block is None:
+            # the row loop takes this block and the rest of the stream
+            blocks.append(_parse_price_rows(csv.reader(chain(lines, stream)), lineno, codes))
+            break
+        blocks.append(block)
+        lineno += len(lines)
+    if not sum(block[0].size for block in blocks):
         raise PriceDataError("input contains no data rows")
+    ts, code, px, linenos = (np.concatenate(column) for column in zip(*blocks))
+    del blocks
 
-    ts = _parse_timestamps(ts_texts, lines)
-    del ts_texts  # ~70 bytes a row; free them before the panel is allocated
     keep = calendar.in_session_mask(ts)
     excluded = int(np.count_nonzero(~keep))
     if excluded:
         logger.info("load_prices: excluded %d rows outside trading sessions", excluded)
     if not keep.any():
         raise PriceDataError("all rows fall outside trading sessions")
-    ts, code, px = ts[keep], np.array(sym_codes)[keep], np.array(raw_px)[keep]
+    ts, code, px = ts[keep], code[keep], px[keep]
 
     names = list(codes)
     symbols = sorted(names[c] for c in np.flatnonzero(np.bincount(code)).tolist())
@@ -295,10 +283,10 @@ def _parse_price_rows(reader, calendar: TradingCalendar) -> PricePanel:
     if regress.any():
         first = order[1:][regress].min()
         raise PriceDataError(
-            f"line {lines[np.flatnonzero(keep)[first]]}: timestamps for symbol "
+            f"line {linenos[np.flatnonzero(keep)[first]]}: timestamps for symbol "
             f"{names[code[first]]!r} must be strictly increasing"
         )
-    del sym_codes, raw_px, lines  # ~80 bytes a row; free them before the panel's checks
+    del code, linenos, keep  # 17 bytes a row; free them before the panel's checks
     return PricePanel(
         asset_ids=symbols,
         offsets=np.searchsorted(row, np.arange(len(symbols) + 1)),
@@ -307,6 +295,85 @@ def _parse_price_rows(reader, calendar: TradingCalendar) -> PricePanel:
         calendar=calendar,
         excluded_count=excluded,
     )
+
+
+def _parse_plain_block(lines, line_offset, codes):
+    """Columns of a block of plain lines, or None if the row loop must take the block.
+
+    In a plain block no line has a quote or a lone carriage return, every line
+    has exactly two commas and none is longer than the csv module's field
+    limit, so ``csv.reader`` would split each line at its commas and nothing
+    else. The block is also refused if any row fails a check; the row loop
+    then reports the first fault. ``line_offset`` physical lines precede it.
+    """
+    text = "".join(lines)
+    if "\r" in text:
+        text = text.replace("\r\n", "\n")
+    if ('"' in text or "\r" in text or max(map(len, lines)) > csv.field_size_limit()
+            or set(map(str.count, lines, repeat(","))) != {2}):
+        return None
+    n = len(lines)
+    fields = text.replace("\n", ",").split(",")
+    ts_text = list(map(str.strip, fields[0:3 * n:3]))
+    symbols = list(map(str.strip, fields[1:3 * n:3]))
+    price_text = list(map(str.strip, fields[2:3 * n:3]))
+    if "" in symbols:
+        return None
+    try:
+        px = np.fromiter(map(float, price_text), np.float64, n)
+        ts = np.array(ts_text, dtype="datetime64[s]")
+    except ValueError:
+        return None
+    if not (np.isfinite(px).all() and (px > 0.0).all()):
+        return None
+    for symbol in dict.fromkeys(symbols):
+        codes.setdefault(symbol, len(codes))
+    code = np.fromiter(map(codes.__getitem__, symbols), np.intp, n)
+    return ts, code, px, np.arange(line_offset + 1, line_offset + n + 1)
+
+
+def _parse_price_rows(reader, line_offset, codes):
+    """Columns of the rows ``reader`` yields, converted and checked one row at a time.
+
+    Handles what a plain block cannot: quoted fields, records that span lines,
+    blank lines, and rows with a fault. ``line_offset`` physical lines precede
+    the reader's first one.
+    """
+    ts_texts, sym_codes, raw_px, lines = [], [], [], []
+
+    def fault(message):
+        # a bad timestamp on an earlier line, or on this one once appended, comes first
+        _parse_timestamps(ts_texts, lines)
+        return PriceDataError(message)
+
+    try:
+        for row in reader:
+            if not row:
+                continue
+            # the physical line the record ends on; a quoted field may span lines
+            lineno = line_offset + reader.line_num
+            if len(row) != 3:
+                raise fault(f"line {lineno}: expected 3 fields, got {len(row)}")
+            ts_text, symbol, price_text = (f.strip() for f in row)
+            if not symbol:
+                raise fault(f"line {lineno}: empty symbol")
+            ts_texts.append(ts_text)
+            lines.append(lineno)
+            try:
+                price = float(price_text)
+            except ValueError:
+                raise fault(f"line {lineno}: unparseable price {price_text!r}") from None
+            if not math.isfinite(price) or price <= 0.0:
+                raise fault(f"line {lineno}: price must be strictly positive, got {price_text}")
+            sym_codes.append(codes.setdefault(symbol, len(codes)))
+            raw_px.append(price)
+    except csv.Error as exc:  # e.g. a field longer than csv.field_size_limit()
+        raise fault(f"line {line_offset + reader.line_num}: {exc}") from None
+
+    ts = _parse_timestamps(ts_texts, lines)
+    del ts_texts  # ~70 bytes a row; free them before the other columns are built
+    return (ts, np.array(sym_codes, dtype=np.intp), np.array(raw_px, dtype=np.float64),
+            np.array(lines, dtype=np.intp))
 
 
 def _parse_timestamps(texts, lines) -> np.ndarray:

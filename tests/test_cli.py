@@ -225,6 +225,16 @@ def test_input_errors_exit_3(tmp_path, price_file):
         p for p in out3.rglob("*") if p.is_file())
 
 
+def test_overlong_field_exits_3_naming_its_line(tmp_path):
+    # 200,000 characters is over the csv module's default field limit of 131,072
+    bad = tmp_path / "long.csv"
+    bad.write_text(f"timestamp,symbol,price\n2024-01-03T09:30:00,{'S' * 200_000},1.0\n")
+    proc = run_cli("copula", "--input", str(bad), "--out", str(tmp_path / "o"))
+    assert proc.returncode == 3
+    assert "input error: line 2: field larger than field limit" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_zero_variance_window_exits_3_naming_its_sessions(tmp_path):
     rows = ["timestamp,symbol,price"]
     for d, day in enumerate(["2024-01-03", "2024-01-04", "2024-01-05", "2024-01-08"]):

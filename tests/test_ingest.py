@@ -1,5 +1,6 @@
 """Price parsing, calendar filtering, and intraday return construction."""
 
+import csv
 import datetime as dt
 import io
 import tracemalloc
@@ -60,10 +61,40 @@ def test_holiday_excluded():
     assert cal.is_trading_day("2024-01-05")
 
 
+def trading_days_by_day(start, count, holidays):
+    """The first ``count`` weekdays at or after ``start`` that are not holidays, day by day."""
+    out, day = [], start
+    while len(out) < count:
+        if day.weekday() < 5 and day not in holidays:
+            out.append(day)
+        day += dt.timedelta(days=1)
+    return out
+
+
 def test_trading_days_skip_weekend_and_holiday():
     cal = TradingCalendar(holidays=frozenset({dt.date(2024, 1, 8)}))
     days = cal.trading_days("2024-01-05", 3)  # Friday start; Mon 8th is out
     assert [str(d) for d in days] == ["2024-01-05", "2024-01-09", "2024-01-10"]
+    holiday_sets = [
+        frozenset(),
+        frozenset({dt.date(2024, 1, 8)}),
+        # one on a Saturday, then Christmas and New Year's Day, one a year later
+        frozenset({dt.date(2024, 1, 13), dt.date(2024, 12, 25), dt.date(2025, 1, 1),
+                   dt.date(2025, 12, 25)}),
+    ]
+    # a Friday, a Saturday, and two days that are holidays in some sets
+    starts = [dt.date(2024, 1, 5), dt.date(2024, 1, 6), dt.date(2024, 1, 8),
+              dt.date(2024, 12, 25)]
+    for holidays in holiday_sets:
+        cal = TradingCalendar(holidays=holidays)
+        for start in starts:
+            for count in (0, 1, 3, 400):
+                days = cal.trading_days(np.datetime64(start), count)
+                assert days.dtype == np.dtype("datetime64[D]")
+                assert days.tolist() == trading_days_by_day(start, count, holidays)
+            for k in range(30):
+                day = start + dt.timedelta(days=k)
+                assert cal.is_trading_day(day) == (day.weekday() < 5 and day not in holidays)
 
 
 def test_load_calendar_text():
@@ -331,14 +362,14 @@ def test_panel_constructor_rejects_broken_invariants(changes):
         PricePanel(**panel_fields(**changes))
 
 
-def async_tape(n_symbols, rows, seed):
+def async_tape(n_symbols, rows, seed, sessions=2):
     """Asynchronous tape text: one quote a second at ``rows`` random in-session seconds
-    over two sessions, each from a random symbol of ``n_symbols``."""
+    over ``sessions`` sessions from 2024-01-03, each from a random symbol of ``n_symbols``."""
     rng = np.random.default_rng(seed)
-    seconds = np.sort(rng.choice(2 * 23_401, rows, replace=False))
+    seconds = np.sort(rng.choice(sessions * 23_401, rows, replace=False))
     day, sec = np.divmod(seconds, 23_401)
-    stamps = (np.datetime64("2024-01-03T09:30:00") + day * np.timedelta64(1, "D")
-              + sec * np.timedelta64(1, "s")).astype(str).tolist()
+    opens = CAL.trading_days("2024-01-03", sessions) + np.timedelta64(9 * 3600 + 1800, "s")
+    stamps = (opens[day] + sec * np.timedelta64(1, "s")).astype(str).tolist()
     symbols = rng.integers(n_symbols, size=rows).tolist()
     prices = np.exp(rng.normal(3.0, 0.1, rows)).tolist()
     return "timestamp,symbol,price\n" + "".join(
@@ -371,3 +402,30 @@ def test_pipeline_never_builds_the_dense_view(monkeypatch):
     monkeypatch.setattr(PricePanel, "timestamps", property(dense))
     matrix = compute_returns(load_prices(io.StringIO(async_tape(20, 2_000, seed=2)), CAL), 30)
     assert matrix.n_assets == 20
+
+
+def test_ingest_peak_memory_per_row():
+    rows = 120_000
+    stream = io.StringIO(async_tape(30, rows, seed=3, sessions=6))
+    tracemalloc.start()
+    try:
+        panel = load_prices(stream, CAL)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert panel.quote_ts.size == rows
+    # the parsed columns (timestamp, symbol code, price, line number) are 32
+    # bytes a row; per-row Python lists of the text would be about 160
+    assert peak < 128 * rows, peak / rows
+
+
+def test_tokeniser_errors_name_their_line():
+    too_long = "x" * (csv.field_size_limit() + 1)
+    with pytest.raises(PriceDataError, match=r"^line 1: field larger than field limit"):
+        load_prices(io.StringIO(f"{too_long},symbol,price\n2024-01-03T09:30:00,AAA,1.0\n"), CAL)
+    with pytest.raises(PriceDataError, match=r"^line 3: field larger than field limit"):
+        load_prices(csv_stream(["2024-01-03T09:30:00,AAA,1.0", f"2024-01-03T09:31:00,{too_long},1.0"]),
+                    CAL)
+    # a lone carriage return inside a line of a stream that does not split lines there
+    with pytest.raises(PriceDataError, match=r"^line 2: new-line character seen in unquoted field"):
+        load_prices(csv_stream(["2024-01-03T09:30:00,AAA,1.0\r2024-01-03T09:31:00,AAA,2.0"]), CAL)

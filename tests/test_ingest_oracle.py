@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from copuladyn import PriceDataError, PricePanel, TradingCalendar, compute_returns, load_prices
+from copuladyn import ingest
 from oracles import parse_price_rows, session_returns
 
 HOLIDAY = dt.date(2024, 1, 15)  # a Monday
@@ -21,6 +22,8 @@ CALENDARS = [
                     holidays=frozenset({HOLIDAY})),
 ]
 INTERVALS = (7, 30, 45, 60, 120, 240, 330)
+# the default read block, and one so small that blocks split every few lines
+BLOCK_CHARS = (ingest._READ_BLOCK_CHARS, 64)
 
 
 def outcome(fn, *args):
@@ -31,12 +34,15 @@ def outcome(fn, *args):
         return str(exc)
 
 
-def library_panel(text, calendar):
-    return outcome(load_prices, io.StringIO(text), calendar)
+# newline="" splits lines as load_prices opens a file: at "\n", "\r\n" and a lone "\r"
+def library_panel(text, calendar, block_chars=ingest._READ_BLOCK_CHARS):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ingest, "_READ_BLOCK_CHARS", block_chars)
+        return outcome(load_prices, io.StringIO(text, newline=""), calendar)
 
 
 def oracle_panel(text, calendar):
-    return outcome(parse_price_rows, csv.reader(io.StringIO(text)), calendar)
+    return outcome(parse_price_rows, csv.reader(io.StringIO(text, newline="")), calendar)
 
 
 def assert_same_panel(got, want):
@@ -64,13 +70,14 @@ def stamp(day, seconds):
     return f"{day}T{seconds // 3600:02d}:{seconds // 60 % 60:02d}:{seconds % 60:02d}"
 
 
-def tick_tape(seed, calendar):
+def tick_tape(seed, calendar, blanks=True):
     """Asynchronous tick tape as CSV text.
 
     Each symbol quotes at its own random seconds; some sessions a symbol misses
     its opening print or does not quote at all. Pre-open, post-close, weekend
     and holiday rows are mixed in at random places, out of time order, and
-    blank lines and padded fields are scattered through the file.
+    padded fields, and unless ``blanks`` is false blank lines, are scattered
+    through the file.
     """
     rng = np.random.default_rng(seed)
     open_s = calendar.open_time.hour * 3600 + calendar.open_time.minute * 60
@@ -100,7 +107,7 @@ def tick_tape(seed, calendar):
         rows.insert(int(rng.integers(len(rows) + 1)), row)
     lines = ["timestamp,symbol,price"]
     for row in rows:
-        if rng.random() < 0.05:
+        if rng.random() < 0.05 and blanks:
             lines.append("")
         pad = " " if rng.random() < 0.1 else ""
         lines.append(",".join(pad + field + pad for field in row))
@@ -110,9 +117,12 @@ def tick_tape(seed, calendar):
 @pytest.mark.parametrize("seed", range(8))
 def test_tick_tape_matches_row_oracle(seed):
     calendar = CALENDARS[seed % 2]
-    text = tick_tape(seed, calendar)
+    for blanks in (True, False):
+        text = tick_tape(seed, calendar, blanks)
+        want = oracle_panel(text, calendar)
+        for block_chars in BLOCK_CHARS:
+            assert_same_panel(library_panel(text, calendar, block_chars), want)
     panel = library_panel(text, calendar)
-    assert_same_panel(panel, oracle_panel(text, calendar))
     assert panel.excluded_count > 0
     for interval in INTERVALS:
         got = outcome(compute_returns, panel, interval)
@@ -173,11 +183,12 @@ def faulty_csv(draw):
 @settings(max_examples=300, deadline=None)
 def test_faulty_csv_matches_row_oracle(text):
     want = oracle_panel(text, CALENDARS[0])
-    got = library_panel(text, CALENDARS[0])
-    if isinstance(want, str):
-        assert got == want
-    else:
-        assert_same_panel(got, want)
+    for block_chars in BLOCK_CHARS:
+        got = library_panel(text, CALENDARS[0], block_chars)
+        if isinstance(want, str):
+            assert got == want
+        else:
+            assert_same_panel(got, want)
 
 
 def error_of(rows):
@@ -247,6 +258,118 @@ def test_line_numbers_count_physical_lines(rows, message):
     text = SPLIT_RECORD + rows
     assert library_panel(text, CALENDARS[0]) == message
     assert oracle_panel(text, CALENDARS[0]) == message
+
+
+def test_line_endings_match_row_oracle():
+    text = tick_tape(3, CALENDARS[1], blanks=False)
+    for variant in (text.replace("\n", "\r\n"), text.replace("\n", "\r"), text[:-1]):
+        want = oracle_panel(variant, CALENDARS[1])
+        assert not isinstance(want, str), want
+        for block_chars in BLOCK_CHARS:
+            assert_same_panel(library_panel(variant, CALENDARS[1], block_chars), want)
+
+
+def test_plain_input_never_reaches_the_row_loop(monkeypatch):
+    def row_loop(*args):
+        raise AssertionError("row loop used")
+
+    text = tick_tape(5, CALENDARS[1], blanks=False)
+    want = oracle_panel(text, CALENDARS[1])
+    monkeypatch.setattr(ingest, "_parse_price_rows", row_loop)
+    for variant in (text, text.replace("\n", "\r\n"), text[:-1]):
+        for block_chars in BLOCK_CHARS:
+            assert_same_panel(library_panel(variant, CALENDARS[1], block_chars), want)
+
+
+def test_fields_never_shift_between_lines():
+    # four fields then two: six in all, which would split into two valid rows
+    text = ("timestamp,symbol,price\n2024-01-03T09:30:00,AAA,1.0,2024-01-03T09:31:00\n"
+            "BBB,2.0\n")
+    for block_chars in BLOCK_CHARS:
+        assert library_panel(text, CALENDARS[0], block_chars) == (
+            "line 2: expected 3 fields, got 4")
+    assert oracle_panel(text, CALENDARS[0]) == "line 2: expected 3 fields, got 4"
+
+
+def test_quoted_fields_match_row_oracle():
+    text = ('timestamp,symbol,price\n2024-01-03T09:30:00,"AAA",1.0\n'
+            '2024-01-03T09:31:00,AAA,1.0\n2024-01-03T09:32:00,AAA,1.0\n'
+            '"2024-01-03T09:33:00",AAA,"2.0"\n2024-01-03T09:34:00,"A,""B""",3.0\n')
+    want = oracle_panel(text, CALENDARS[0])
+    assert want.asset_ids == ["A,\"B\"", "AAA"]
+    for block_chars in BLOCK_CHARS:
+        assert_same_panel(library_panel(text, CALENDARS[0], block_chars), want)
+
+
+HEADER_LINE = "timestamp,symbol,price\n"
+
+
+def good_lines(n):
+    """``n`` valid 30-character data lines: AAA, BBB and CCC in turn, one quote a second each."""
+    return [f"{stamp('2024-01-03', 9 * 3600 + 1800 + k // 3)},{SYMBOLS[k % 3]},100.0\n"
+            for k in range(n)]
+
+
+def block_starts(lines, block_chars):
+    """Physical line number of the first line of each block that load_prices reads."""
+    stream = io.StringIO(HEADER_LINE + "".join(lines), newline="")
+    stream.readline()
+    starts = [2]
+    while block := stream.readlines(block_chars):
+        starts.append(starts[-1] + len(block))
+    return starts[:-1]
+
+
+def compare_to_oracle(lines, block_chars):
+    text = HEADER_LINE + "".join(lines)
+    got = library_panel(text, CALENDARS[0], block_chars)
+    want = oracle_panel(text, CALENDARS[0])
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert_same_panel(got, want)
+    return got
+
+
+@pytest.mark.parametrize("block_chars", BLOCK_CHARS)
+@pytest.mark.parametrize("newline", ["\n", "\r\n"])
+def test_fault_on_first_line_of_second_block(block_chars, newline):
+    lines = [line.replace("\n", newline) for line in good_lines(2 * block_chars // 30 + 9)]
+    second = block_starts(lines, block_chars)[1]
+    lines[second - 2] = lines[second - 2].replace("100.0", "cheap")
+    assert compare_to_oracle(lines, block_chars) == f"line {second}: unparseable price 'cheap'"
+
+
+@pytest.mark.parametrize("block_chars", BLOCK_CHARS)
+@pytest.mark.parametrize("fault", [False, True])
+def test_quoted_record_across_a_block_boundary(block_chars, fault):
+    lines = good_lines(3 * block_chars // 30 + 9)
+    # the record's first physical line is the last line of the second block,
+    # and its second physical line starts the third block
+    start = block_starts(lines, block_chars)[2] - 1
+    ts_text, symbol, _ = lines[start - 2].split(",")
+    lines[start - 2:start - 1] = [f'{ts_text},"{symbol}{symbol}\n', f'{symbol}",100.0\n']
+    assert start + 1 in block_starts(lines, block_chars)
+    if fault:
+        lines[start + 2] = lines[start + 2].replace("100.0", "-1.00")
+        assert compare_to_oracle(lines, block_chars) == (
+            f"line {start + 4}: price must be strictly positive, got -1.00")
+    else:
+        assert f"{symbol}{symbol}\n{symbol}" in compare_to_oracle(lines, block_chars).asset_ids
+
+
+@pytest.mark.parametrize("block_chars", BLOCK_CHARS)
+@pytest.mark.parametrize("blank", [False, True])
+def test_regression_line_in_a_later_block(block_chars, blank):
+    lines = good_lines(4 * block_chars // 30 + 9)
+    starts = block_starts(lines, block_chars)
+    regress = starts[3] + 1
+    lines[regress - 2] = lines[0]  # AAA at the opening second again
+    if blank:  # the second block is not plain, so the row loop reads from there on
+        lines.insert(starts[1] - 2, "\n")
+        regress += 1
+    assert compare_to_oracle(lines, block_chars) == (
+        f"line {regress}: timestamps for symbol 'AAA' must be strictly increasing")
 
 
 def test_off_session_rows_do_not_regress():

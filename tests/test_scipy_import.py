@@ -1,7 +1,8 @@
 """No CLI command loads scipy, not even the ones with a Gaussian step.
 
 Runs in a fresh interpreter: this test process has scipy loaded already,
-through ``tests/oracles.py`` among others.
+through ``tests/oracles.py`` among others. ``numpy.ma`` (which a plain
+``np.unique`` imports) is watched too: importing the CLI must not load it.
 """
 
 import json
@@ -18,6 +19,7 @@ import copuladyn
 seen["import copuladyn"] = "scipy" in sys.modules
 from copuladyn.cli import main
 seen["import copuladyn.cli"] = "scipy" in sys.modules
+seen["import copuladyn.cli loads numpy.ma"] = "numpy.ma" in sys.modules
 prices = str(out / "data" / "prices.csv")
 runs = [
     ("synth", ["synth", "--assets", "3", "--length", "40", "--seed", "3",
@@ -44,6 +46,7 @@ def test_no_command_loads_scipy(tmp_path):
     assert seen == {
         "import copuladyn": False,
         "import copuladyn.cli": False,
+        "import copuladyn.cli loads numpy.ma": False,
         "synth": False,
         "copula": False,
         "taildep": False,
