@@ -9,9 +9,8 @@ trading-day windows.
 
 __version__ = "0.1.0"
 
-from . import copula, empirical, gaussian, ingest, synth, taildep
+from . import copula, gaussian, ingest, synth, taildep
 from .copula import *  # noqa: F401,F403
-from .empirical import *  # noqa: F401,F403
 from .gaussian import *  # noqa: F401,F403
 from .ingest import *  # noqa: F401,F403
 from .synth import *  # noqa: F401,F403
@@ -19,6 +18,6 @@ from .taildep import *  # noqa: F401,F403
 
 # each module's __all__ is the one declaration of its public names
 __all__ = ["__version__"]
-for _module in (copula, empirical, gaussian, ingest, synth, taildep):
+for _module in (copula, gaussian, ingest, synth, taildep):
     __all__ += _module.__all__
 del _module

@@ -1,7 +1,9 @@
 """Empirical copula estimation on quantile grids.
 
 The joint dependence of two return series is summarized on an m-by-m grid of
-marginal quantile bins. Bin i of a margin covers the half-open quantile
+marginal quantile bins. F is a margin's empirical CDF, F(x) = #{t : x_t <= x} / T,
+so tied values share the highest rank, and F^-1(u) = inf{x : F(x) >= u} is its
+generalized inverse. Bin i of a margin covers the half-open quantile
 interval (F^-1((i-1)/m), F^-1(i/m)]; an observation tied with a bin edge goes
 to the lowest-indexed bin whose upper edge contains it, and the lowest bin is
 closed below so it picks up the sample minimum. Cell (i, j) of the density
@@ -23,8 +25,6 @@ from dataclasses import dataclass
 from itertools import islice
 
 import numpy as np
-
-from .empirical import EmpiricalDistribution, quantile
 
 __all__ = [
     "CopulaGrid",
@@ -71,20 +71,27 @@ class CopulaGrid:
 def quantile_bins(series, resolution: int) -> np.ndarray:
     """Assign each observation to its marginal quantile bin.
 
-    Returns 0-based bin indices in [0, resolution). Observation x lands in the
-    first bin whose upper quantile edge F^-1(i/m) is >= x, which implements the
-    half-open interval convention with ties going to the lower-indexed bin and
-    the minimum included in the first bin.
+    Returns 0-based bin indices in [0, resolution). The upper edge of bin i is
+    F^-1(i/m): the k-th smallest observation for the least k whose float
+    level k/T is >= i/m. Observation x lands in the first bin whose edge is
+    >= x, which implements the half-open interval convention with ties going
+    to the lower-indexed bin and the minimum included in the first bin. The
+    top edge is the sample maximum, so no index reaches ``resolution``.
     """
     sample = np.asarray(series, dtype=float)
     if resolution < 2:
         raise ValueError("resolution must be at least 2")
-    dist = EmpiricalDistribution.from_sample(sample)
-    edges = quantile(dist, np.arange(1, resolution + 1) / resolution)
-    bins = np.searchsorted(edges, sample, side="left")
-    # the top edge is the sample maximum, so bins < resolution already; clamp
-    # guards against pathological float comparisons only
-    return np.minimum(bins, resolution - 1)
+    if sample.ndim != 1:
+        raise ValueError("sample must be one dimensional")
+    if sample.size == 0:
+        raise ValueError("sample must not be empty")
+    if not np.all(np.isfinite(sample)):
+        raise ValueError("sample values must be finite")
+    size = sample.size
+    levels = np.arange(1, size + 1) / size
+    ranks = np.searchsorted(levels, np.arange(1, resolution + 1) / resolution, side="left")
+    edges = np.sort(sample, kind="stable")[np.minimum(ranks, size - 1)]
+    return np.searchsorted(edges, sample, side="left")
 
 
 def _grid_from_counts(counts: np.ndarray, total: int, pair_count: int) -> CopulaGrid:

@@ -54,11 +54,6 @@ class CalendarError(ValueError):
     """Raised when a calendar config file cannot be parsed."""
 
 
-def _weekday(days: np.ndarray) -> np.ndarray:
-    # datetime64 epoch 1970-01-01 was a Thursday
-    return (days.astype(np.int64) + 3) % 7
-
-
 @dataclass(frozen=True)
 class TradingCalendar:
     """Trading session definition: open/close clock times, weekdays, holidays."""
@@ -70,6 +65,11 @@ class TradingCalendar:
     def __post_init__(self):
         if self.close_time <= self.open_time:
             raise CalendarError("session close must be after session open")
+
+    @property
+    def open_offset(self) -> np.timedelta64:
+        """Session open as seconds after midnight."""
+        return np.timedelta64(self.open_time.hour * 3600 + self.open_time.minute * 60, "s")
 
     @property
     def session_minutes(self) -> int:
@@ -87,13 +87,11 @@ class TradingCalendar:
         """Boolean mask of timestamps inside a trading session (bounds inclusive)."""
         ts = timestamps.astype("datetime64[s]")
         days = ts.astype("datetime64[D]")
-        seconds = (ts - days).astype("timedelta64[s]").astype(np.int64)
-        open_s = self.open_time.hour * 3600 + self.open_time.minute * 60
-        close_s = self.close_time.hour * 3600 + self.close_time.minute * 60
-        mask = (_weekday(days) < 5) & (seconds >= open_s) & (seconds <= close_s)
-        if self.holidays:
-            mask &= ~np.isin(days, self._holiday_array())
-        return mask
+        clock = ts - days
+        open_s = self.open_offset
+        close_s = open_s + np.timedelta64(self.session_minutes * 60, "s")
+        in_hours = (clock >= open_s) & (clock <= close_s)
+        return in_hours & np.is_busday(days, holidays=self._holiday_array())
 
     def trading_days(self, start, count: int) -> np.ndarray:
         """First ``count`` trading days at or after ``start``."""
@@ -324,7 +322,7 @@ def _parse_plain_block(lines, line_offset, codes):
         ts = np.array(ts_text, dtype="datetime64[s]")
     except ValueError:
         return None
-    if not (np.isfinite(px).all() and (px > 0.0).all()):
+    if not (np.isfinite(px).all() and (px > 0.0).all()) or np.isnat(ts).any():
         return None
     for symbol in dict.fromkeys(symbols):
         codes.setdefault(symbol, len(codes))
@@ -377,15 +375,20 @@ def _parse_price_rows(reader, line_offset, codes):
 
 
 def _parse_timestamps(texts, lines) -> np.ndarray:
+    """``texts`` as timestamps; the first empty, ``NaT`` or unparseable one fails with its line."""
     try:
-        return np.array(texts, dtype="datetime64[s]")
+        ts = np.array(texts, dtype="datetime64[s]")
     except ValueError:
+        ts = None
+    if ts is None or np.isnat(ts).any():
         for text, lineno in zip(texts, lines):
             try:
-                np.datetime64(text, "s")
+                bad = np.isnat(np.datetime64(text, "s"))
             except ValueError:
-                raise PriceDataError(f"line {lineno}: unparseable timestamp {text!r}") from None
-        raise
+                bad = True
+            if bad:
+                raise PriceDataError(f"line {lineno}: unparseable timestamp {text!r}")
+    return ts
 
 
 def _distinct_sorted(values: np.ndarray) -> np.ndarray:
@@ -416,12 +419,10 @@ def compute_returns(panel: PricePanel, interval: int) -> ReturnMatrix:
     per_session = session_minutes // interval
 
     days = _distinct_sorted(panel.quote_ts.astype("datetime64[D]"))
-    open_delta = np.timedelta64(
-        panel.calendar.open_time.hour * 3600 + panel.calendar.open_time.minute * 60, "s"
-    )
     step = np.timedelta64(interval * 60, "s")
     midnight = days.astype("datetime64[s]")[:, None]
-    endpoints = midnight + open_delta + np.arange(per_session + 1) * step  # sessions x endpoints
+    # sessions x endpoints
+    endpoints = midnight + panel.calendar.open_offset + np.arange(per_session + 1) * step
 
     grid = np.full((len(panel.asset_ids),) + endpoints.shape, np.nan)
     for row, lo, hi in zip(grid, panel.offsets[:-1].tolist(), panel.offsets[1:].tolist()):

@@ -67,11 +67,8 @@ def synthetic_timestamps(calendar: TradingCalendar, start, count: int, interval:
         raise ValueError("interval exceeds the trading session")
     n_days = -(-count // per_session)
     days = calendar.trading_days(start, n_days)
-    open_delta = np.timedelta64(
-        calendar.open_time.hour * 3600 + calendar.open_time.minute * 60, "s"
-    )
     step = np.timedelta64(interval * 60, "s")
-    offsets = open_delta + np.arange(1, per_session + 1) * step
+    offsets = calendar.open_offset + np.arange(1, per_session + 1) * step
     stamps = (days.astype("datetime64[s]")[:, None] + offsets[None, :]).ravel()[:count]
     dates = np.repeat(days, per_session)[:count]
     return stamps, dates
@@ -144,9 +141,7 @@ def write_price_csv(
     for d in matrix.session_dates:
         key = d.item()
         per_session[key] = per_session.get(key, 0) + 1
-    open_delta = np.timedelta64(
-        calendar.open_time.hour * 3600 + calendar.open_time.minute * 60, "s"
-    )
+    open_delta = calendar.open_offset
     step = np.timedelta64(matrix.interval * 60, "s")
 
     factors = 1.0 + scale * matrix.returns

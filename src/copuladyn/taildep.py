@@ -41,7 +41,6 @@ __all__ = [
     "tail_curve",
     "pearson_matrix",
     "mean_correlation",
-    "average_gaussian_tail",
     "gaussian_tail_curve",
     "partition_windows",
     "window_report",
@@ -169,11 +168,6 @@ def mean_correlation(corr: CorrelationMatrix) -> float:
         raise ValueError("need at least two assets")
     iu = np.triu_indices(k, 1)
     return float(corr.values[iu].mean())
-
-
-def average_gaussian_tail(corr: CorrelationMatrix, alpha: float) -> float:
-    """Mean over pairs of the Gaussian-implied tail Cop_c(alpha, alpha)."""
-    return float(gaussian_tail_curve(corr, [alpha]).lower[0])
 
 
 def gaussian_tail_curve(corr: CorrelationMatrix, alphas) -> TailCurve:

@@ -1,13 +1,17 @@
 """Independent reference implementations used to freeze expected test values.
 
 Everything here is deliberately written on a different path from the library:
-pure-python loops and scans instead of vectorized rank arithmetic, adaptive
+pure-python loops and scans instead of vectorized rank arithmetic, an ECDF
+object with a quantile function (``EmpiricalDistribution``, ``ecdf`` and
+``quantile``) whose edges bin exactly as ``quantile_bins`` does, adaptive
 quadrature of the bivariate normal (2-D over the explicit density, or 1-D
 over the conditional CDF) and Owen's T closed form (the kernel the library
 used before its Gauss-Legendre one) instead of the library's Gauss-Legendre
 rule, and a row-at-a-time price parser that fills a dense assets x timestamps panel,
 and a per-session previous-tick search over that panel, instead of the
-library's column-wise ingest into per-asset quote runs, and CSV writers that
+library's column-wise ingest into per-asset quote runs, a session mask that
+counts weekdays from the epoch and removes holidays in a separate pass instead
+of the library's ``np.is_busday``, and CSV writers that
 index one numpy scalar per cell and join the whole text in memory instead of
 the library's streamed writers over plain Python floats.
 
@@ -19,6 +23,7 @@ the elementwise rank transform.
 
 import math
 import warnings
+from dataclasses import dataclass, field
 from types import SimpleNamespace
 
 import numpy as np
@@ -44,6 +49,80 @@ def scan_quantile(sample, u):
         if count / t >= u:
             return v
     return values[-1]
+
+
+@dataclass(frozen=True)
+class EmpiricalDistribution:
+    """Sorted view of a one dimensional sample with its ECDF levels.
+
+    Attributes
+    ----------
+    sorted_sample : ndarray
+        The sample in non-decreasing order.
+    levels : ndarray
+        ECDF plateau heights ``k / T`` for ``k = 1 .. T``; ``levels[k]`` is the
+        ECDF evaluated at ``sorted_sample[k]``.
+
+    Instances are immutable and safe to share across threads.
+    """
+
+    sorted_sample: np.ndarray
+    levels: np.ndarray = field(repr=False)
+
+    @classmethod
+    def from_sample(cls, series) -> "EmpiricalDistribution":
+        sample = np.asarray(series, dtype=float)
+        if sample.ndim != 1:
+            raise ValueError("sample must be one dimensional")
+        if sample.size == 0:
+            raise ValueError("sample must not be empty")
+        if not np.all(np.isfinite(sample)):
+            raise ValueError("sample values must be finite")
+        size = sample.size
+        # stable, so equal values (0.0 and -0.0) keep their input order
+        return cls(
+            sorted_sample=np.sort(sample, kind="stable"),
+            levels=np.arange(1, size + 1) / size,
+        )
+
+    @property
+    def size(self) -> int:
+        return self.sorted_sample.size
+
+
+def ecdf(dist: EmpiricalDistribution, x):
+    """Evaluate the empirical CDF at ``x`` (scalar or array).
+
+    Returns #{t : sample[t] <= x} / T, the max-rank convention for ties.
+    """
+    pos = np.searchsorted(dist.sorted_sample, x, side="right")
+    out = pos / dist.size
+    if np.isscalar(x):
+        return float(out)
+    return out
+
+
+def quantile(dist: EmpiricalDistribution, u):
+    """Generalized inverse of the ECDF at ``u`` in [0, 1] (scalar or array).
+
+    For 0 < u <= 1 returns the smallest sample value whose ECDF is >= u.
+    At u = 0 the defining set is empty and the sample minimum is returned,
+    keeping the function total and monotone on [0, 1].
+
+    The comparison is done against the stored ECDF levels k/T with the same
+    float semantics used by :func:`ecdf`, so ``ecdf(dist, quantile(dist, u)) >= u``
+    holds exactly.
+    """
+    u_arr = np.asarray(u, dtype=float)
+    if not np.all(np.isfinite(u_arr)) or np.any(u_arr < 0.0) or np.any(u_arr > 1.0):
+        raise ValueError("quantile level must lie in [0, 1]")
+    idx = np.searchsorted(dist.levels, u_arr, side="left")
+    # levels[-1] == 1.0, so idx can only reach size for u > 1; clamp defensively
+    idx = np.minimum(idx, dist.size - 1)
+    out = dist.sorted_sample[idx]
+    if np.isscalar(u):
+        return float(out)
+    return out
 
 
 def loop_cumulative(r1, r2, u, v):
@@ -216,7 +295,9 @@ def parse_price_rows(reader, calendar):
         try:
             ts = np.datetime64(ts_text, "s")
         except ValueError:
-            raise PriceDataError(f"line {lineno}: unparseable timestamp {ts_text!r}") from None
+            ts = np.datetime64("NaT")
+        if np.isnat(ts):  # numpy reads "" and "NaT" as NaT, which is no timestamp
+            raise PriceDataError(f"line {lineno}: unparseable timestamp {ts_text!r}")
         try:
             price = float(price_text)
         except ValueError:
@@ -262,6 +343,25 @@ def parse_price_rows(reader, calendar):
         calendar=calendar,
         excluded_count=excluded,
     )
+
+
+def weekday_session_mask(calendar, timestamps):
+    """In-session mask from a weekday count and a separate holiday pass.
+
+    A day is a weekday when its day count since 1970-01-01 (a Thursday), plus
+    three, is below five modulo seven; holidays are then removed with
+    ``np.isin``. Clock bounds are inclusive, in whole minutes of the day.
+    """
+    ts = timestamps.astype("datetime64[s]")
+    days = ts.astype("datetime64[D]")
+    seconds = (ts - days).astype("timedelta64[s]").astype(np.int64)
+    open_s = calendar.open_time.hour * 3600 + calendar.open_time.minute * 60
+    close_s = calendar.close_time.hour * 3600 + calendar.close_time.minute * 60
+    weekday = (days.astype(np.int64) + 3) % 7
+    mask = (weekday < 5) & (seconds >= open_s) & (seconds <= close_s)
+    if calendar.holidays:
+        mask &= ~np.isin(days, np.array(sorted(calendar.holidays), dtype="datetime64[D]"))
+    return mask
 
 
 def session_returns(panel, interval):

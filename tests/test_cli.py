@@ -235,6 +235,16 @@ def test_overlong_field_exits_3_naming_its_line(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+def test_nat_timestamp_exits_3_naming_its_line(tmp_path):
+    bad = tmp_path / "nat.csv"
+    bad.write_text("timestamp,symbol,price\n2024-01-03T09:30:00,AAA,1.0\n"
+                   "NaT,AAA,2.0\n2024-01-03T09:31:00,AAA,3.0\n")
+    proc = run_cli("copula", "--input", str(bad), "--out", str(tmp_path / "o"))
+    assert proc.returncode == 3
+    assert "input error: line 3: unparseable timestamp 'NaT'" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_zero_variance_window_exits_3_naming_its_sessions(tmp_path):
     rows = ["timestamp,symbol,price"]
     for d, day in enumerate(["2024-01-03", "2024-01-04", "2024-01-05", "2024-01-08"]):

@@ -1,18 +1,24 @@
-"""ECDF / quantile behaviour, and the rank-transform reference in oracles.py."""
+"""The ECDF / quantile reference in oracles.py, and quantile_bins against it."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from copuladyn import EmpiricalDistribution, ecdf, quantile
-from oracles import rank_transform, scan_quantile
+from copuladyn import quantile_bins
+from oracles import EmpiricalDistribution, ecdf, quantile, rank_transform, scan_quantile
 
 finite_floats = st.floats(
     min_value=-1e9, max_value=1e9, allow_nan=False, allow_infinity=False
 )
 samples = st.lists(finite_floats, min_size=1, max_size=60)
 levels = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
+# few distinct values, so draws are full of ties, signed zeros and constant runs
+tie_values = st.sampled_from([-2.5, -0.0, 0.0, 1e-300, 1.0, 3.0])
+tied_samples = st.one_of(
+    st.lists(st.one_of(tie_values, finite_floats), min_size=1, max_size=60),
+    st.builds(lambda v, n: [v] * n, st.one_of(tie_values, finite_floats), st.integers(1, 40)),
+)
 
 
 def test_quantile_small_example():
@@ -120,3 +126,21 @@ def test_rank_invariance_under_monotone_map(rng):
     x = rng.normal(size=300)
     assert np.array_equal(rank_transform(x), rank_transform(np.exp(x)))
     assert np.array_equal(rank_transform(x), rank_transform(x ** 3 + x))
+
+
+# T a multiple of m (levels hit i/m exactly), T < m, ties across an edge, signed zeros
+@example([3.0, 1.0, 2.0, 4.0], 2)
+@example([5.0, 5.0, 1.0], 10)
+@example([1.0, 2.0, 2.0, 2.0, 5.0, 6.0], 3)
+@example([0.0, -0.0, 0.0, 1.0, -0.0, 2.0], 3)
+@example([7.0] * 9, 4)
+@given(tied_samples, st.integers(min_value=2, max_value=80))
+@settings(max_examples=300, deadline=None)
+def test_quantile_bins_match_oracle_edges(sample, m):
+    """Bit for bit: each observation's bin is where it sorts among the quantile edges i/m."""
+    x = np.asarray(sample, dtype=float)
+    edges = quantile(EmpiricalDistribution.from_sample(x), np.arange(1, m + 1) / m)
+    expect = np.searchsorted(edges, x, side="left")
+    got = quantile_bins(x, m)
+    assert got.dtype == expect.dtype
+    assert np.array_equal(got, expect)

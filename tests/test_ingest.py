@@ -17,6 +17,7 @@ from copuladyn import (
     load_calendar,
     load_prices,
 )
+from oracles import weekday_session_mask
 
 CAL = TradingCalendar()
 
@@ -59,6 +60,37 @@ def test_holiday_excluded():
     assert cal.in_session_mask(ts).tolist() == [False, True]
     assert not cal.is_trading_day("2024-01-04")
     assert cal.is_trading_day("2024-01-05")
+
+
+# a holiday on a Monday, one on a Saturday, and one on each side of 1970-01-01
+MASK_HOLIDAYS = frozenset({dt.date(2024, 1, 15), dt.date(2024, 1, 13), dt.date(1969, 12, 31),
+                           dt.date(1970, 1, 2)})
+
+
+@pytest.mark.parametrize("calendar", [
+    TradingCalendar(),
+    TradingCalendar(holidays=MASK_HOLIDAYS),
+    TradingCalendar(open_time=dt.time(10, 15), close_time=dt.time(13, 45), holidays=MASK_HOLIDAYS),
+], ids=["no-holidays", "holidays", "short-session"])
+def test_in_session_mask_matches_weekday_reference(calendar):
+    days = np.arange("1969-01-01", "2031-01-01", dtype="datetime64[D]").astype("datetime64[s]")
+    open_s = calendar.open_time.hour * 3600 + calendar.open_time.minute * 60
+    close_s = calendar.close_time.hour * 3600 + calendar.close_time.minute * 60
+    # every day of 1969-2030 at midnight, around both bounds, midday and the last second
+    clock = np.array([0, open_s - 1, open_s, open_s + 1, 12 * 3600 + 1,
+                      close_s - 1, close_s, close_s + 1, 86399])
+    rng = np.random.default_rng(7)
+    ts = np.concatenate([
+        (days[:, None] + clock.astype("timedelta64[s]")).ravel(),
+        days[0] + rng.integers(0, 62 * 365 * 86400, 50_000).astype("timedelta64[s]"),
+    ])
+    got = calendar.in_session_mask(ts)
+    assert got.dtype == bool
+    assert np.array_equal(got, weekday_session_mask(calendar, ts))
+    at_midday = np.array([f"{day}T12:00:00" for day in ("2024-01-15", "2024-01-16", "1969-12-31",
+                                                        "1970-01-02")], dtype="datetime64[s]")
+    expect = [not calendar.holidays, True, not calendar.holidays, not calendar.holidays]
+    assert calendar.in_session_mask(at_midday).tolist() == expect
 
 
 def trading_days_by_day(start, count, holidays):

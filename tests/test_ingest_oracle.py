@@ -145,7 +145,9 @@ def test_returns_asset_without_quotes_matches_oracle():
 
 
 SYMBOLS = ("AAA", "BBB", "CCC")
-BAD_TIMESTAMPS = ("yesterday", "2024-13-01T10:00:00", "2024-01-03T25:00:00", "2024-1-3", "10:00")
+# numpy reads "" and "NaT" as the NaT value; neither is a timestamp
+BAD_TIMESTAMPS = ("yesterday", "2024-13-01T10:00:00", "2024-01-03T25:00:00", "2024-1-3", "10:00",
+                  "", "NaT")
 BAD_PRICES = ("cheap", "", "1.2.3", "0", "-0.0", "-3.5", "nan", "inf", "-inf")
 
 
@@ -338,6 +340,18 @@ def test_fault_on_first_line_of_second_block(block_chars, newline):
     second = block_starts(lines, block_chars)[1]
     lines[second - 2] = lines[second - 2].replace("100.0", "cheap")
     assert compare_to_oracle(lines, block_chars) == f"line {second}: unparseable price 'cheap'"
+
+
+@pytest.mark.parametrize("block_chars", BLOCK_CHARS)
+def test_empty_and_nat_timestamps_fail_with_their_line(block_chars):
+    lines = [",AAA,1.0\n", "NaT,AAA,2.0\n", GOOD + "\n", "2024-01-03T09:31:00,AAA,3.0\n"]
+    assert compare_to_oracle(lines, block_chars) == "line 2: unparseable timestamp ''"
+    # the first bad row opens the second block, after a block of valid rows
+    lines = good_lines(2 * block_chars // 30 + 9)
+    second = block_starts(lines, block_chars)[1]
+    lines[second - 2] = " NaT ,AAA,100.0\n"
+    lines[second] = ",AAA,100.0\n"
+    assert compare_to_oracle(lines, block_chars) == f"line {second}: unparseable timestamp 'NaT'"
 
 
 @pytest.mark.parametrize("block_chars", BLOCK_CHARS)

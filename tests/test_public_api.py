@@ -3,6 +3,7 @@
 import ast
 import importlib
 import importlib.util
+import re
 from pathlib import Path
 
 import copuladyn
@@ -11,8 +12,6 @@ ROOT = Path(__file__).resolve().parents[1]
 
 PUBLIC = {
     "__version__",
-    # empirical
-    "EmpiricalDistribution", "ecdf", "quantile",
     # copula
     "CopulaGrid", "quantile_bins", "empirical_copula_density",
     "average_pairwise_density", "interpolate_cumulative", "write_grid_csv",
@@ -28,7 +27,7 @@ PUBLIC = {
     # taildep
     "CorrelationMatrix", "TailCurve", "WindowReport", "lower_tail", "upper_tail",
     "upper_tail_survival", "tail_curve", "pearson_matrix", "mean_correlation",
-    "average_gaussian_tail", "gaussian_tail_curve", "partition_windows",
+    "gaussian_tail_curve", "partition_windows",
     "window_report", "windowed_reports", "write_relation_csv", "write_tail_curve_csv",
 }
 
@@ -69,3 +68,15 @@ def test_traced_names_exist():
         mod = importlib.import_module(module)
         for name in names:
             assert callable(getattr(mod, name, None)), f"{module}.{name}"
+
+
+def test_library_tour_lists_the_reexported_modules():
+    package = ROOT / "src" / "copuladyn"
+    tree = ast.parse((package / "__init__.py").read_text())
+    reexported = {node.module for node in ast.walk(tree)
+                  if isinstance(node, ast.ImportFrom) and node.level == 1
+                  and [alias.name for alias in node.names] == ["*"]}
+    assert reexported and all((package / f"{name}.py").is_file() for name in reexported)
+    tour = (ROOT / "README.md").read_text().split("\n## Library tour\n", 1)[1].split("\n## ", 1)[0]
+    listed = re.findall(r"^- `copuladyn\.(\w+)`", tour, flags=re.MULTILINE)
+    assert sorted(listed) == sorted(reexported)

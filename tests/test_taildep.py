@@ -8,7 +8,6 @@ import pytest
 from copuladyn import (
     CorrelationMatrix,
     SynthSpec,
-    average_gaussian_tail,
     empirical_copula_density,
     gaussian_copula_cdf,
     gaussian_tail_curve,
@@ -132,25 +131,29 @@ def test_mean_correlation_explicit():
     assert mean_correlation(corr) == pytest.approx(0.5, abs=1e-15)
 
 
-def test_average_gaussian_tail_matches_dblquad_mean():
+def gaussian_tail_at(corr, alpha):
+    return gaussian_tail_curve(corr, [alpha]).lower[0]
+
+
+def test_gaussian_tail_curve_matches_dblquad_mean():
     corr = tri_corr(0.2, 0.5, 0.8)
     # frozen mean of the 2-D quadrature oracle over c in {0.2, 0.5, 0.8}
-    assert average_gaussian_tail(corr, 0.1) == pytest.approx(
+    assert gaussian_tail_at(corr, 0.1) == pytest.approx(
         0.03528017166122672, abs=5e-10)
-    assert average_gaussian_tail(corr, 0.25) == pytest.approx(
+    assert gaussian_tail_at(corr, 0.25) == pytest.approx(
         0.12434473308316885, abs=5e-10)
 
 
-def test_average_gaussian_tail_equals_explicit_mean():
+def test_gaussian_tail_curve_equals_explicit_mean():
     corr = tri_corr(0.1, 0.3, 0.6)
     expect = np.mean([gaussian_copula_cdf(0.04, 0.04, c) for c in (0.1, 0.3, 0.6)])
-    assert average_gaussian_tail(corr, 0.04) == pytest.approx(expect, abs=1e-14)
+    assert gaussian_tail_at(corr, 0.04) == pytest.approx(expect, abs=1e-14)
 
 
-def test_average_gaussian_tail_rounding_memoization():
+def test_gaussian_tail_curve_rounding_memoization():
     base = tri_corr(0.2, 0.5, 0.8)
     wobble = tri_corr(0.2000004, 0.5, 0.8)
-    assert average_gaussian_tail(wobble, 0.1) == average_gaussian_tail(
+    assert gaussian_tail_at(wobble, 0.1) == gaussian_tail_at(
         base, 0.1)
 
 
