@@ -42,6 +42,8 @@ EXIT_NUMERIC = 4
 _DT_CHOICES = (30, 60, 120, 240)
 _DEFAULT_ALPHAS = (0.02, 0.04, 0.1, 0.25)
 _GENERATOR_NAME = "numpy default_rng (PCG64)"
+_CALENDAR_HELP = ("calendar config file: open=HH:MM and close=HH:MM in whole minutes with no "
+                  "UTC offset, then holiday dates (default 09:30-16:00 weekdays)")
 
 
 @dataclass
@@ -76,7 +78,7 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p, needs_input=True):
         if needs_input:
             p.add_argument("--input", required=True, help="price CSV (timestamp,symbol,price)")
-        p.add_argument("--calendar", help="calendar config file (default 09:30-16:00 weekdays)")
+        p.add_argument("--calendar", help=_CALENDAR_HELP)
         p.add_argument("--dt", type=int, choices=_DT_CHOICES, default=30,
                        help="return interval in minutes")
         p.add_argument("--grid", type=int, default=50, help="quantile grid resolution (>= 2)")
@@ -112,7 +114,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_syn.add_argument("--length", type=int, default=1000, help="returns per asset")
     p_syn.add_argument("--seed", type=int, required=True)
     p_syn.add_argument("--start-date", default="2007-01-02", help="first trading day (ISO date)")
-    p_syn.add_argument("--calendar", help="calendar config file")
+    p_syn.add_argument("--calendar", help=_CALENDAR_HELP)
     p_syn.add_argument("--dt", type=int, choices=_DT_CHOICES, default=30)
     p_syn.add_argument("--out", required=True, help="output directory")
 

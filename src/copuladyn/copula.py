@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice
 
 import numpy as np
 
@@ -206,26 +206,35 @@ def write_grid_csv(grid: CopulaGrid, destination, permille: bool = False) -> Non
     that corner. With ``permille=True`` an extra ``density_permille`` column
     holds the cell mass scaled by 1000.
     """
-    m = grid.resolution
-    density = _float_list(grid.density)
-    cumulative = _float_list(grid.cumulative)
+    density = np.asarray(grid.density, dtype=float)
+    columns = [
+        *_cell_columns(grid.resolution),
+        _reprs(density),
+        _reprs(np.asarray(grid.cumulative, dtype=float)[1:, 1:]),
+    ]
     header = "i,j,u_hi,v_hi,density,cumulative"
     if permille:
         header += ",density_permille"
+        columns.append(_reprs(density * 1000.0))
+    _write_csv(destination, header, [columns])
 
-    def lines():
-        yield header
-        for i in range(1, m + 1):
-            u_hi = i / m
-            dens_row, cum_row = density[i - 1], cumulative[i]
-            for j in range(1, m + 1):
-                dens = dens_row[j - 1]
-                row = f"{i},{j},{u_hi!r},{j / m!r},{dens!r},{cum_row[j]!r}"
-                if permille:
-                    row += f",{dens * 1000.0!r}"
-                yield row
 
-    _write_lines(destination, lines())
+def _cell_columns(m: int) -> list:
+    """The ``i,j,u_hi,v_hi`` columns of an m x m grid's cells in row-major order."""
+    index = [str(i) for i in range(1, m + 1)]
+    hi = [repr(i / m) for i in range(1, m + 1)]
+    return [[text for text in index for _ in range(m)], index * m,
+            [text for text in hi for _ in range(m)], hi * m]
+
+
+def _write_csv(destination, header: str, blocks) -> None:
+    """Write ``header``, then the rows of each block in turn.
+
+    A block is a sequence of equally long columns of ``str``; row r of a block
+    joins the r-th entry of each column with commas.
+    """
+    rows = chain.from_iterable(map(",".join, zip(*columns)) for columns in blocks)
+    _write_lines(destination, chain((header,), rows))
 
 
 def _write_lines(destination, lines) -> None:
@@ -247,6 +256,7 @@ def _write_lines(destination, lines) -> None:
         destination.write("\n".join(block) + "\n")
 
 
-def _float_list(values) -> list:
-    """``values`` as (nested) lists of Python floats, whatever its numeric dtype."""
-    return np.asarray(values, dtype=float).tolist()
+def _reprs(values) -> list:
+    """The ``repr`` of each entry of ``values`` as a Python float, in C order."""
+    return list(map(repr, np.asarray(values, dtype=float).ravel().tolist()))
+

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .copula import CopulaGrid, _float_list, _write_lines
+from .copula import CopulaGrid, _cell_columns, _reprs, _write_csv
 
 __all__ = [
     "DifferenceGrid",
@@ -375,15 +375,6 @@ def write_difference_csv(diff: DifferenceGrid, destination) -> None:
     Cell values are scaled by 1000 (per-mille), matching the reporting scale
     of the difference analysis.
     """
-    m = diff.resolution
-    values = _float_list(diff.values)
-
-    def lines():
-        yield "i,j,u_hi,v_hi,d_permille"
-        for i in range(1, m + 1):
-            u_hi = i / m
-            row = values[i - 1]
-            for j in range(1, m + 1):
-                yield f"{i},{j},{u_hi!r},{j / m!r},{row[j - 1] * 1000.0!r}"
-
-    _write_lines(destination, lines())
+    permille = _reprs(np.asarray(diff.values, dtype=float) * 1000.0)
+    _write_csv(destination, "i,j,u_hi,v_hi,d_permille",
+               [[*_cell_columns(diff.resolution), permille]])

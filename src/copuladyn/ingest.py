@@ -8,12 +8,13 @@ run per asset, so the panel grows with the row count and not with assets x
 timestamps.
 
 The file is read in blocks of ``_READ_BLOCK_CHARS`` characters. A plain block
-(no quote, no lone carriage return, exactly two commas on every line, no line
-over ``csv.field_size_limit()``) is parsed column-wise with whole-block calls.
-The first block that is not plain, or that holds a faulty row, goes with the
-rest of the stream to a row-at-a-time ``csv.reader`` loop, which handles
-quoted fields, records spanning lines and blank lines, and reports the first
-fault by its physical line number.
+(no quote, no lone carriage return, exactly two commas on every line that is
+not empty, no line over ``csv.field_size_limit()``) is parsed column-wise
+with whole-block calls; it skips empty lines, as ``csv.reader`` does, and a
+line of spaces is not empty. The first block that is not plain, or that
+holds a faulty row, goes with the rest of the stream to a row-at-a-time
+``csv.reader`` loop, which handles quoted fields and records spanning lines,
+and reports the first fault by its physical line number.
 
 Returns are arithmetic, r(t) = (P(t + dt) - P(t)) / P(t), computed on a fixed
 per-session endpoint grid (session open, open + dt, ...). Prices at endpoints
@@ -63,6 +64,8 @@ class TradingCalendar:
     holidays: frozenset = frozenset()
 
     def __post_init__(self):
+        for clock in (self.open_time, self.close_time):
+            _check_clock(clock)
         if self.close_time <= self.open_time:
             raise CalendarError("session close must be after session open")
 
@@ -99,8 +102,21 @@ class TradingCalendar:
                                 holidays=self._holiday_array())
 
 
+def _check_clock(clock: dt.time) -> dt.time:
+    """``clock``, if it is a whole minute with no UTC offset; sessions are counted in minutes."""
+    if clock.second or clock.microsecond or clock.tzinfo is not None:
+        raise CalendarError(
+            f"session time {clock.isoformat()} must be a whole minute (HH:MM) with no UTC offset"
+        )
+    return clock
+
+
 def load_calendar(source) -> TradingCalendar:
-    """Parse a calendar config: ``open=HH:MM``, ``close=HH:MM``, holiday dates one per line."""
+    """Parse a calendar config: ``open=HH:MM``, ``close=HH:MM``, holiday dates one per line.
+
+    Session times are whole minutes with no UTC offset; any other time fails
+    with its line.
+    """
     if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
         with open(source, "r", encoding="utf-8-sig") as fh:
             lines = fh.readlines()
@@ -115,11 +131,13 @@ def load_calendar(source) -> TradingCalendar:
             continue
         try:
             if line.startswith("open="):
-                open_time = dt.time.fromisoformat(line.split("=", 1)[1])
+                open_time = _check_clock(dt.time.fromisoformat(line.split("=", 1)[1]))
             elif line.startswith("close="):
-                close_time = dt.time.fromisoformat(line.split("=", 1)[1])
+                close_time = _check_clock(dt.time.fromisoformat(line.split("=", 1)[1]))
             else:
                 holidays.add(dt.date.fromisoformat(line))
+        except CalendarError as exc:
+            raise CalendarError(f"calendar config line {lineno}: {line!r}: {exc}") from None
         except ValueError as exc:
             raise CalendarError(f"calendar config line {lineno}: {line!r}") from exc
     return TradingCalendar(open_time=open_time, close_time=close_time, holidays=frozenset(holidays))
@@ -217,6 +235,7 @@ class ReturnMatrix:
 _HEADER = ["timestamp", "symbol", "price"]
 # characters the column-wise parser reads at a time; its working memory scales with this
 _READ_BLOCK_CHARS = 1 << 18
+_EMPTY_LINES = ("\n", "\r\n")
 
 
 def load_prices(source, calendar: TradingCalendar) -> PricePanel:
@@ -303,12 +322,20 @@ def _parse_plain_block(lines, line_offset, codes):
     limit, so ``csv.reader`` would split each line at its commas and nothing
     else. The block is also refused if any row fails a check; the row loop
     then reports the first fault. ``line_offset`` physical lines precede it.
+    Empty lines (``"\n"`` or ``"\r\n"``), for which ``csv.reader`` yields no
+    row, are skipped; the other lines keep their physical line numbers.
     """
+    linenos = None  # physical line numbers, once a skipped line breaks the run
+    commas = set(map(str.count, lines, repeat(",")))
+    if commas == {0, 2}:
+        linenos = [n for n, line in enumerate(lines, line_offset + 1) if line not in _EMPTY_LINES]
+        lines = [line for line in lines if line not in _EMPTY_LINES]
+        commas = set(map(str.count, lines, repeat(",")))
     text = "".join(lines)
     if "\r" in text:
         text = text.replace("\r\n", "\n")
     if ('"' in text or "\r" in text or max(map(len, lines)) > csv.field_size_limit()
-            or set(map(str.count, lines, repeat(","))) != {2}):
+            or commas != {2}):
         return None
     n = len(lines)
     fields = text.replace("\n", ",").split(",")
@@ -327,7 +354,9 @@ def _parse_plain_block(lines, line_offset, codes):
     for symbol in dict.fromkeys(symbols):
         codes.setdefault(symbol, len(codes))
     code = np.fromiter(map(codes.__getitem__, symbols), np.intp, n)
-    return ts, code, px, np.arange(line_offset + 1, line_offset + n + 1)
+    if linenos is None:
+        return ts, code, px, np.arange(line_offset + 1, line_offset + n + 1)
+    return ts, code, px, np.array(linenos, dtype=np.intp)
 
 
 def _parse_price_rows(reader, line_offset, codes):

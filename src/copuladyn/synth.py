@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .copula import _write_lines
+from .copula import _reprs, _write_csv
 from .ingest import ReturnMatrix, TradingCalendar
 
 __all__ = [
@@ -93,8 +93,9 @@ def sample_panel(
         c = spec.correlation
         if c >= 0.0:
             common = rng.standard_normal(t)
-            noise = rng.standard_normal((k, t))
-            data = math.sqrt(c) * common[None, :] + math.sqrt(1.0 - c) * noise
+            data = rng.standard_normal((k, t))
+            data *= math.sqrt(1.0 - c)
+            data += math.sqrt(c) * common
         else:
             target = np.full((k, k), c)
             np.fill_diagonal(target, 1.0)
@@ -144,31 +145,28 @@ def write_price_csv(
     open_delta = calendar.open_offset
     step = np.timedelta64(matrix.interval * 60, "s")
 
-    factors = 1.0 + scale * matrix.returns
-    if np.any(factors <= 0.0):
-        raise ValueError("scale too large: price path would cross zero")
     k = matrix.n_assets
     starts = base_price * (1.0 + np.arange(k, dtype=float) / 10.0)
     paths = np.empty((k, matrix.n_observations + 1))
     paths[:, 0] = starts
-    np.cumprod(factors, axis=1, out=paths[:, 1:])
-    paths[:, 1:] *= starts[:, None]
-
-    columns = paths.T.tolist()  # columns[c][a]: price of asset a at path column c
+    factors = paths[:, 1:]  # 1 + scale * r, then its running product, built in place
+    np.multiply(matrix.returns, scale, out=factors)
+    factors += 1.0
+    if np.any(factors <= 0.0):
+        raise ValueError("scale too large: price path would cross zero")
+    np.cumprod(factors, axis=1, out=factors)
+    factors *= starts[:, None]
     names = list(matrix.asset_ids)
 
-    def lines():
-        yield "timestamp,symbol,price"
+    def sessions():
         col = 0
         for day in sorted(per_session):
             n_cols = per_session[day]
             day64 = np.datetime64(day, "D").astype("datetime64[s]")
             endpoints = day64 + open_delta + np.arange(n_cols + 1) * step
-            # endpoint e of this session corresponds to path column col + e
-            stamps = endpoints.astype(str).tolist()
-            for iso, prices in zip(stamps, columns[col : col + n_cols + 1]):
-                for name, price in zip(names, prices):
-                    yield f"{iso},{name},{price!r}"
+            # endpoint e of this session is path column col + e; rows go endpoint by endpoint
+            stamps = [iso for iso in endpoints.astype(str).tolist() for _ in names]
+            yield stamps, names * (n_cols + 1), _reprs(paths[:, col : col + n_cols + 1].T)
             col += n_cols
 
-    _write_lines(destination, lines())
+    _write_csv(destination, "timestamp,symbol,price", sessions())

@@ -23,8 +23,8 @@ import numpy as np
 
 from .copula import (
     CopulaGrid,
-    _float_list,
-    _write_lines,
+    _reprs,
+    _write_csv,
     average_pairwise_density,
     interpolate_cumulative,
 )
@@ -263,31 +263,18 @@ def write_relation_csv(reports, destination) -> None:
     Columns: ``window_start,window_end,mean_corr,alpha,lambda_lower,``
     ``lambda_upper,lambda_gauss``.
     """
-
-    def lines():
-        yield "window_start,window_end,mean_corr,alpha,lambda_lower,lambda_upper,lambda_gauss"
-        for rep in reports:
-            start, end = rep.window_start.isoformat(), rep.window_end.isoformat()
-            span = f"{start},{end},{rep.mean_correlation!r}"
-            for alpha, lower, upper, gauss in zip(
-                _float_list(rep.tail.alphas),
-                _float_list(rep.tail.lower),
-                _float_list(rep.tail.upper),
-                _float_list(rep.gaussian_tail.lower),
-            ):
-                yield f"{span},{alpha!r},{lower!r},{upper!r},{gauss!r}"
-
-    _write_lines(destination, lines())
+    blocks = (
+        [[f"{rep.window_start.isoformat()},{rep.window_end.isoformat()},"
+          f"{rep.mean_correlation!r}"] * rep.tail.alphas.size]
+        + [_reprs(values) for values in (rep.tail.alphas, rep.tail.lower, rep.tail.upper,
+                                         rep.gaussian_tail.lower)]
+        for rep in reports
+    )
+    header = "window_start,window_end,mean_corr,alpha,lambda_lower,lambda_upper,lambda_gauss"
+    _write_csv(destination, header, blocks)
 
 
 def write_tail_curve_csv(curve: TailCurve, destination) -> None:
     """Tail curve as CSV rows ``alpha,lambda_lower,lambda_upper``."""
-
-    def lines():
-        yield "alpha,lambda_lower,lambda_upper"
-        for alpha, lower, upper in zip(
-            _float_list(curve.alphas), _float_list(curve.lower), _float_list(curve.upper)
-        ):
-            yield f"{alpha!r},{lower!r},{upper!r}"
-
-    _write_lines(destination, lines())
+    columns = [_reprs(curve.alphas), _reprs(curve.lower), _reprs(curve.upper)]
+    _write_csv(destination, "alpha,lambda_lower,lambda_upper", [columns])

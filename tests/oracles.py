@@ -11,9 +11,10 @@ rule, and a row-at-a-time price parser that fills a dense assets x timestamps pa
 and a per-session previous-tick search over that panel, instead of the
 library's column-wise ingest into per-asset quote runs, a session mask that
 counts weekdays from the epoch and removes holidays in a separate pass instead
-of the library's ``np.is_busday``, and CSV writers that
-index one numpy scalar per cell and join the whole text in memory instead of
-the library's streamed writers over plain Python floats.
+of the library's ``np.is_busday``, CSV writers that format one row at a
+time and join the whole text in memory instead of the library's streamed
+writers over string columns, and a Gaussian panel sampler that builds its
+result from two temporaries instead of scaling the noise array in place.
 
 Three helpers at the end are not alternative paths but test references and
 data that the library no longer ships: the Gaussian copula density (the
@@ -483,6 +484,55 @@ def grid_csv_text(grid, permille=False):
                 row += f",{dens * 1000.0!r}"
             lines.append(row)
     return "\n".join(lines) + "\n"
+
+
+def difference_csv_text(diff):
+    """Text of ``gaussian.write_difference_csv``, by a cell loop over Python floats."""
+    m = diff.resolution
+    values = np.asarray(diff.values, dtype=float).tolist()
+    lines = ["i,j,u_hi,v_hi,d_permille"]
+    for i in range(1, m + 1):
+        u_hi = i / m
+        row = values[i - 1]
+        for j in range(1, m + 1):
+            lines.append(f"{i},{j},{u_hi!r},{j / m!r},{row[j - 1] * 1000.0!r}")
+    return "\n".join(lines) + "\n"
+
+
+def relation_csv_text(reports):
+    """Text of ``taildep.write_relation_csv``, by a loop over (window, alpha) rows."""
+    lines = ["window_start,window_end,mean_corr,alpha,lambda_lower,lambda_upper,lambda_gauss"]
+    for rep in reports:
+        start, end = rep.window_start.isoformat(), rep.window_end.isoformat()
+        span = f"{start},{end},{rep.mean_correlation!r}"
+        for alpha, lower, upper, gauss in zip(
+            np.asarray(rep.tail.alphas, dtype=float).tolist(),
+            np.asarray(rep.tail.lower, dtype=float).tolist(),
+            np.asarray(rep.tail.upper, dtype=float).tolist(),
+            np.asarray(rep.gaussian_tail.lower, dtype=float).tolist(),
+        ):
+            lines.append(f"{span},{alpha!r},{lower!r},{upper!r},{gauss!r}")
+    return "\n".join(lines) + "\n"
+
+
+def tail_curve_csv_text(curve):
+    """Text of ``taildep.write_tail_curve_csv``, by a loop over alpha rows."""
+    lines = ["alpha,lambda_lower,lambda_upper"]
+    for alpha, lower, upper in zip(curve.alphas, curve.lower, curve.upper):
+        lines.append(f"{float(alpha)!r},{float(lower)!r},{float(upper)!r}")
+    return "\n".join(lines) + "\n"
+
+
+def equicorrelated_gaussian(k, t, c, seed):
+    """The K x T panel ``synth.sample_panel`` draws for the gaussian kind with c >= 0.
+
+    One common factor plus idiosyncratic noise, drawn in that order and
+    combined into a fresh array from two K x T temporaries.
+    """
+    rng = np.random.default_rng(seed)
+    common = rng.standard_normal(t)
+    noise = rng.standard_normal((k, t))
+    return math.sqrt(c) * common[None, :] + math.sqrt(1.0 - c) * noise
 
 
 def gaussian_copula_density(u, v, correlation: float):

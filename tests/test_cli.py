@@ -245,6 +245,23 @@ def test_nat_timestamp_exits_3_naming_its_line(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("config,lineno", [
+    ("open=09:30:40\nclose=16:00:20\n", 1),  # seconds were dropped without a word
+    ("# one hour ahead of UTC\nopen=09:30+01:00\n", 2),  # crashed comparing the times
+    ("open=09:30:10\nclose=09:30:50\n", 1),  # a session under a minute
+])
+def test_calendar_time_off_the_minute_exits_3_naming_its_line(tmp_path, price_file, config,
+                                                              lineno):
+    cal = tmp_path / "session.cal"
+    cal.write_text(config)
+    proc = run_cli("taildep", "--input", str(price_file), "--calendar", str(cal),
+                   "--out", str(tmp_path / "o"))
+    assert proc.returncode == 3
+    assert f"input error: calendar config line {lineno}: " in proc.stderr
+    assert "whole minute (HH:MM) with no UTC offset" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_zero_variance_window_exits_3_naming_its_sessions(tmp_path):
     rows = ["timestamp,symbol,price"]
     for d, day in enumerate(["2024-01-03", "2024-01-04", "2024-01-05", "2024-01-08"]):

@@ -171,6 +171,18 @@ def test_calendar_rejects_inverted_session():
         TradingCalendar(open_time=dt.time(16, 0), close_time=dt.time(9, 30))
 
 
+@pytest.mark.parametrize("clock", [
+    dt.time(9, 30, 40),
+    dt.time(9, 30, 0, 1),
+    dt.time(9, 30, tzinfo=dt.timezone(dt.timedelta(hours=1))),
+])
+def test_calendar_rejects_times_off_the_minute(clock):
+    with pytest.raises(CalendarError, match="whole minute"):
+        TradingCalendar(open_time=clock)
+    with pytest.raises(CalendarError, match="whole minute"):
+        TradingCalendar(close_time=clock.replace(hour=16))
+
+
 def test_load_prices_basic_panel():
     panel = load_prices(csv_stream([
         "2024-01-03T09:30:00,BBB,50.0",

@@ -271,16 +271,33 @@ def test_line_endings_match_row_oracle():
             assert_same_panel(library_panel(variant, CALENDARS[1], block_chars), want)
 
 
-def test_plain_input_never_reaches_the_row_loop(monkeypatch):
-    def row_loop(*args):
-        raise AssertionError("row loop used")
+def row_loop(*args):
+    raise AssertionError("row loop used")
 
+
+def test_plain_input_never_reaches_the_row_loop(monkeypatch):
     text = tick_tape(5, CALENDARS[1], blanks=False)
     want = oracle_panel(text, CALENDARS[1])
     monkeypatch.setattr(ingest, "_parse_price_rows", row_loop)
     for variant in (text, text.replace("\n", "\r\n"), text[:-1]):
         for block_chars in BLOCK_CHARS:
             assert_same_panel(library_panel(variant, CALENDARS[1], block_chars), want)
+
+
+@pytest.mark.parametrize("block_chars", BLOCK_CHARS)
+@pytest.mark.parametrize("newline", ["\n", "\r\n"])
+def test_empty_line_keeps_a_block_plain(monkeypatch, block_chars, newline):
+    lines = tick_tape(5, CALENDARS[1], blanks=False).splitlines(keepends=True)
+    text = "".join(lines[:2] + ["\n"] + lines[2:]).replace("\n", newline)
+    want = oracle_panel(text, CALENDARS[1])
+    with monkeypatch.context() as mp:
+        mp.setattr(ingest, "_parse_price_rows", row_loop)
+        assert_same_panel(library_panel(text, CALENDARS[1], block_chars), want)
+    # a line of spaces is a record of one field, not an empty line
+    spaces = "".join(lines[:2] + ["   \n"] + lines[2:]).replace("\n", newline)
+    assert library_panel(spaces, CALENDARS[1], block_chars) == (
+        "line 3: expected 3 fields, got 1")
+    assert oracle_panel(spaces, CALENDARS[1]) == "line 3: expected 3 fields, got 1"
 
 
 def test_fields_never_shift_between_lines():
@@ -374,16 +391,39 @@ def test_quoted_record_across_a_block_boundary(block_chars, fault):
 
 @pytest.mark.parametrize("block_chars", BLOCK_CHARS)
 @pytest.mark.parametrize("blank", [False, True])
-def test_regression_line_in_a_later_block(block_chars, blank):
+def test_regression_line_in_a_later_block(monkeypatch, block_chars, blank):
     lines = good_lines(4 * block_chars // 30 + 9)
     starts = block_starts(lines, block_chars)
     regress = starts[3] + 1
     lines[regress - 2] = lines[0]  # AAA at the opening second again
-    if blank:  # the second block is not plain, so the row loop reads from there on
+    if blank:  # an empty line in the second block shifts the line numbers after it
         lines.insert(starts[1] - 2, "\n")
         regress += 1
+    monkeypatch.setattr(ingest, "_parse_price_rows", row_loop)
     assert compare_to_oracle(lines, block_chars) == (
         f"line {regress}: timestamps for symbol 'AAA' must be strictly increasing")
+
+
+@pytest.mark.parametrize("block_chars", BLOCK_CHARS)
+def test_regression_line_after_the_row_loop_takes_over(monkeypatch, block_chars):
+    lines = good_lines(4 * block_chars // 30 + 9)
+    starts = block_starts(lines, block_chars)
+    regress = starts[3] + 1
+    lines[regress - 2] = lines[0]  # AAA at the opening second again
+    # a quoted field makes the second block not plain, so the row loop reads from there on
+    ts_text, symbol, price = lines[starts[1] - 2].split(",")
+    lines[starts[1] - 2] = f'{ts_text},"{symbol}",{price}'
+    offsets = []
+
+    def counted_row_loop(reader, line_offset, codes):
+        offsets.append(line_offset)
+        return parse_rows(reader, line_offset, codes)
+
+    parse_rows = ingest._parse_price_rows
+    monkeypatch.setattr(ingest, "_parse_price_rows", counted_row_loop)
+    assert compare_to_oracle(lines, block_chars) == (
+        f"line {regress}: timestamps for symbol 'AAA' must be strictly increasing")
+    assert offsets == [starts[1] - 1]  # the header and the first block precede it
 
 
 def test_off_session_rows_do_not_regress():

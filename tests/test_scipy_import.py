@@ -2,7 +2,8 @@
 
 Runs in a fresh interpreter: this test process has scipy loaded already,
 through ``tests/oracles.py`` among others. ``numpy.ma`` (which a plain
-``np.unique`` imports) is watched too: importing the CLI must not load it.
+``np.unique`` imports) is watched too: neither importing the CLI nor running
+any command may load it.
 """
 
 import json
@@ -34,6 +35,7 @@ for name, argv in runs:
     if main(argv) != 0:
         raise SystemExit(f"{name} failed")
     seen[name] = "scipy" in sys.modules
+    seen[name + " loads numpy.ma"] = "numpy.ma" in sys.modules
 print(json.dumps(seen))
 """
 
@@ -48,8 +50,13 @@ def test_no_command_loads_scipy(tmp_path):
         "import copuladyn.cli": False,
         "import copuladyn.cli loads numpy.ma": False,
         "synth": False,
+        "synth loads numpy.ma": False,
         "copula": False,
+        "copula loads numpy.ma": False,
         "taildep": False,
+        "taildep loads numpy.ma": False,
         "diff": False,
+        "diff loads numpy.ma": False,
         "dynamics": False,
+        "dynamics loads numpy.ma": False,
     }

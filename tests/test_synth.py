@@ -1,6 +1,7 @@
 """Synthetic panels: determinism, dependence targets, price-file roundtrip."""
 
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,7 +16,12 @@ from copuladyn import (
     synthetic_timestamps,
     write_price_csv,
 )
-from oracles import loop_cumulative, rank_transform, sample_bivariate_gaussian
+from oracles import (
+    equicorrelated_gaussian,
+    loop_cumulative,
+    rank_transform,
+    sample_bivariate_gaussian,
+)
 
 CAL = TradingCalendar()
 
@@ -31,6 +37,33 @@ def test_spec_validation():
         SynthSpec(kind="gaussian", assets=2, length=10, seed=0, correlation=1.5)
     with pytest.raises(ValueError):
         SynthSpec(kind="countermonotone", assets=3, length=10, seed=0)
+
+
+@pytest.mark.parametrize("k,t,c,seed", [
+    (2, 1, 0.0, 0),
+    (3, 17, 0.0, 4),
+    (5, 400, 0.3, 1),
+    (12, 250, 0.95, 7),
+    (4, 60, 1.0, 2),
+])
+def test_gaussian_panel_matches_two_temporary_oracle(k, t, c, seed):
+    got = sample_panel(SynthSpec("gaussian", k, t, seed, c)).returns
+    want = equicorrelated_gaussian(k, t, c, seed)
+    assert np.array_equal(got, want)
+    assert got.tobytes() == want.tobytes()  # bit for bit, signed zeros included
+
+
+def test_sample_panel_peak_memory_per_element():
+    k, t = 20, 6500
+    sample_panel(SynthSpec("gaussian", 2, 10, 0, 0.3))  # one-off allocations of a first call
+    tracemalloc.start()
+    try:
+        sample_panel(SynthSpec("gaussian", k, t, 1, 0.3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the panel is 8 bytes an element; two K x T temporaries would add 16 more
+    assert peak < 12 * k * t, peak / (k * t)
 
 
 def test_same_seed_is_bit_identical():

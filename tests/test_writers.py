@@ -2,10 +2,17 @@
 
 import datetime as dt
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
-from oracles import grid_csv_text, price_csv_text
+from oracles import (
+    difference_csv_text,
+    grid_csv_text,
+    price_csv_text,
+    relation_csv_text,
+    tail_curve_csv_text,
+)
 
 from copuladyn import copula
 from copuladyn.copula import (
@@ -14,9 +21,18 @@ from copuladyn.copula import (
     empirical_copula_density,
     write_grid_csv,
 )
-from copuladyn.gaussian import gaussian_grid
+from copuladyn.gaussian import DifferenceGrid, difference_map, gaussian_grid, write_difference_csv
 from copuladyn.ingest import TradingCalendar
 from copuladyn.synth import SynthSpec, sample_panel, write_price_csv
+from copuladyn.taildep import (
+    TailCurve,
+    WindowReport,
+    pearson_matrix,
+    tail_curve,
+    windowed_reports,
+    write_relation_csv,
+    write_tail_curve_csv,
+)
 
 CAL = TradingCalendar()
 SHORT_CAL = TradingCalendar(
@@ -78,6 +94,13 @@ def _grids():
             cumulative=np.array([[0.0, 0.0, 0.0], [0.0, 1e-300, 2.5e-7], [0.0, 0.5, 1.0]]),
             sample_count=0,
         ),
+        # 0.0 == -0.0, so a memo keyed on the float would print both alike
+        "signed-zeros": CopulaGrid(
+            resolution=2,
+            density=np.array([[0.0, -0.0], [-0.0, 0.0]]),
+            cumulative=np.array([[0.0, 0.0, 0.0], [0.0, -0.0, 0.0], [0.0, 0.0, -0.0]]),
+            sample_count=0,
+        ),
         # an integer-valued grid still prints floats ("1.0", not "1")
         "integer-dtype": CopulaGrid(
             resolution=2,
@@ -102,7 +125,90 @@ def test_grid_cases_cover_exponents_and_exact_zeros():
     texts = [grid_csv_text(g, permille=True) for g in _grids().values()]
     assert any("e-" in t for t in texts)
     assert any(",0.0," in t for t in texts)
+    assert any(",-0.0," in t for t in texts)
     assert all(t.splitlines()[0].endswith(",density_permille") for t in texts)
+
+
+def _differences():
+    panel = sample_panel(SynthSpec("gaussian", 6, 260, 9, 0.4))
+    return {
+        "pairwise": difference_map(average_pairwise_density(panel, 10), pearson_matrix(panel)),
+        # d_permille holds 0.0 and -0.0, and values that print in exponent form
+        "hand-made": DifferenceGrid(
+            resolution=3,
+            values=np.array([[0.0, -0.0, 1e-310], [-0.0, 0.0, -2.5e-7], [5e-324, 0.0, -0.0]]),
+        ),
+        "integer-dtype": DifferenceGrid(resolution=2, values=np.array([[1, 0], [0, -1]])),
+    }
+
+
+@pytest.mark.parametrize("destination", ["path", "stream"])
+@pytest.mark.parametrize("name", sorted(_differences()))
+def test_difference_csv_matches_oracle(tmp_path, name, destination):
+    diff = _differences()[name]
+    text = written(lambda dest: write_difference_csv(diff, dest), destination, tmp_path)
+    assert text == difference_csv_text(diff)
+
+
+def test_difference_cases_cover_signed_zeros():
+    text = difference_csv_text(_differences()["hand-made"])
+    assert ",0.0\n" in text and ",-0.0\n" in text
+
+
+def _tail_curves():
+    grid = average_pairwise_density(sample_panel(SynthSpec("gaussian", 5, 300, 4, 0.6)), 20)
+    return {
+        "pairwise": tail_curve(grid, [0.05, 0.1, 0.25, 0.5]),
+        "survival": tail_curve(grid, [0.05, 0.5], upper_convention="survival"),
+        "hand-made": TailCurve(alphas=np.array([1e-5, 0.5]), lower=np.array([0.0, -0.0]),
+                               upper=np.array([5e-324, 1.0])),
+    }
+
+
+@pytest.mark.parametrize("destination", ["path", "stream"])
+@pytest.mark.parametrize("name", sorted(_tail_curves()))
+def test_tail_curve_csv_matches_oracle(tmp_path, name, destination):
+    curve = _tail_curves()[name]
+    text = written(lambda dest: write_tail_curve_csv(curve, dest), destination, tmp_path)
+    assert text == tail_curve_csv_text(curve)
+
+
+def _report_lists():
+    panel = sample_panel(SynthSpec("gaussian", 4, 130, 11, 0.5))
+    tiny = TailCurve(alphas=np.array([0.02, 0.5]), lower=np.array([-0.0, 0.0]),
+                     upper=np.array([1e-300, 1.0]))
+    return {
+        "windows": windowed_reports(panel, 3, 5, [0.02, 0.1, 0.25]),
+        "survival": windowed_reports(panel, 5, 4, [0.5], upper_convention="survival"),
+        "hand-made": [WindowReport(window_start=dt.date(2007, 1, 2), window_end=dt.date(2007, 1, 3),
+                                   mean_correlation=-0.0, tail=tiny, gaussian_tail=tiny,
+                                   sample_count=26)],
+        "none": [],
+    }
+
+
+@pytest.mark.parametrize("destination", ["path", "stream"])
+@pytest.mark.parametrize("name", sorted(_report_lists()))
+def test_relation_csv_matches_oracle(tmp_path, name, destination):
+    reports = _report_lists()[name]
+    text = written(lambda dest: write_relation_csv(reports, dest), destination, tmp_path)
+    assert text == relation_csv_text(reports)
+
+
+def test_price_csv_peak_memory_per_row(tmp_path):
+    mat = sample_panel(SynthSpec("gaussian", 20, 6500, 1, 0.3))
+    target = tmp_path / "prices.csv"
+    write_price_csv(sample_panel(SynthSpec("gaussian", 2, 30, 1, 0.3)), CAL, target)  # warm up
+    tracemalloc.start()
+    try:
+        write_price_csv(mat, CAL, target)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    rows = target.read_bytes().count(b"\n") - 1
+    assert rows == 20 * (6500 + 500)  # 500 sessions of 13 returns, 14 endpoints each
+    # the price paths take 8 bytes a row; Python floats for the whole panel would add 32
+    assert peak < 24 * rows, peak / rows
 
 
 @pytest.mark.parametrize("destination", ["path", "stream"])
