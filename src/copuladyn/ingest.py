@@ -11,10 +11,11 @@ The file is read in blocks of ``_READ_BLOCK_CHARS`` characters. A plain block
 (no quote, no lone carriage return, exactly two commas on every line that is
 not empty, no line over ``csv.field_size_limit()``) is parsed column-wise
 with whole-block calls; it skips empty lines, as ``csv.reader`` does, and a
-line of spaces is not empty. The first block that is not plain, or that
-holds a faulty row, goes with the rest of the stream to a row-at-a-time
-``csv.reader`` loop, which handles quoted fields and records spanning lines,
-and reports the first fault by its physical line number.
+line of spaces is not empty. A block that is not plain, or that holds a
+faulty row, goes to a row-at-a-time ``csv.reader`` loop, which handles quoted
+fields and records spanning lines, and reports the first fault by its
+physical line number. The loop stops at the first record boundary at or after
+the end of that block, and the next block is tried column-wise again.
 
 Returns are arithmetic, r(t) = (P(t + dt) - P(t)) / P(t), computed on a fixed
 per-session endpoint grid (session open, open + dt, ...). Prices at endpoints
@@ -270,11 +271,14 @@ def _parse_prices(stream, calendar: TradingCalendar) -> PricePanel:
     while lines := stream.readlines(_READ_BLOCK_CHARS):
         block = _parse_plain_block(lines, lineno, codes)
         if block is None:
-            # the row loop takes this block and the rest of the stream
-            blocks.append(_parse_price_rows(csv.reader(chain(lines, stream)), lineno, codes))
-            break
+            # the row loop takes this block, and the rest of a record that spans
+            # past its end; the block parser then tries the next block
+            reader = csv.reader(chain(lines, stream))
+            block = _parse_price_rows(reader, lineno, codes, len(lines))
+            lineno += reader.line_num
+        else:
+            lineno += len(lines)
         blocks.append(block)
-        lineno += len(lines)
     if not sum(block[0].size for block in blocks):
         raise PriceDataError("input contains no data rows")
     ts, code, px, linenos = (np.concatenate(column) for column in zip(*blocks))
@@ -359,12 +363,14 @@ def _parse_plain_block(lines, line_offset, codes):
     return ts, code, px, np.array(linenos, dtype=np.intp)
 
 
-def _parse_price_rows(reader, line_offset, codes):
+def _parse_price_rows(reader, line_offset, codes, stop_line):
     """Columns of the rows ``reader`` yields, converted and checked one row at a time.
 
     Handles what a plain block cannot: quoted fields, records that span lines,
     blank lines, and rows with a fault. ``line_offset`` physical lines precede
-    the reader's first one.
+    the reader's first one. Reading stops at the first record boundary at or
+    after the reader's physical line ``stop_line``, so a record that spans
+    past that line is read whole and nothing after it is consumed.
     """
     ts_texts, sym_codes, raw_px, lines = [], [], [], []
 
@@ -375,25 +381,27 @@ def _parse_price_rows(reader, line_offset, codes):
 
     try:
         for row in reader:
-            if not row:
-                continue
-            # the physical line the record ends on; a quoted field may span lines
-            lineno = line_offset + reader.line_num
-            if len(row) != 3:
-                raise fault(f"line {lineno}: expected 3 fields, got {len(row)}")
-            ts_text, symbol, price_text = (f.strip() for f in row)
-            if not symbol:
-                raise fault(f"line {lineno}: empty symbol")
-            ts_texts.append(ts_text)
-            lines.append(lineno)
-            try:
-                price = float(price_text)
-            except ValueError:
-                raise fault(f"line {lineno}: unparseable price {price_text!r}") from None
-            if not math.isfinite(price) or price <= 0.0:
-                raise fault(f"line {lineno}: price must be strictly positive, got {price_text}")
-            sym_codes.append(codes.setdefault(symbol, len(codes)))
-            raw_px.append(price)
+            if row:  # an empty line gives no row
+                # the physical line the record ends on; a quoted field may span lines
+                lineno = line_offset + reader.line_num
+                if len(row) != 3:
+                    raise fault(f"line {lineno}: expected 3 fields, got {len(row)}")
+                ts_text, symbol, price_text = (f.strip() for f in row)
+                if not symbol:
+                    raise fault(f"line {lineno}: empty symbol")
+                ts_texts.append(ts_text)
+                lines.append(lineno)
+                try:
+                    price = float(price_text)
+                except ValueError:
+                    raise fault(f"line {lineno}: unparseable price {price_text!r}") from None
+                if not math.isfinite(price) or price <= 0.0:
+                    raise fault(
+                        f"line {lineno}: price must be strictly positive, got {price_text}")
+                sym_codes.append(codes.setdefault(symbol, len(codes)))
+                raw_px.append(price)
+            if reader.line_num >= stop_line:
+                break
     except csv.Error as exc:  # e.g. a field longer than csv.field_size_limit()
         raise fault(f"line {line_offset + reader.line_num}: {exc}") from None
 

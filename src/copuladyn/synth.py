@@ -5,16 +5,24 @@ determines the output, which is part of the test contract. Equicorrelated
 Gaussian panels use a single common factor plus idiosyncratic noise for c >= 0
 (exact population correlation c between every pair); mildly negative
 equicorrelation falls back to a Cholesky factor of the equicorrelation matrix.
+
+``write_price_csv`` formats a panel of at least ``_PARALLEL_MIN_ROWS`` output
+rows in forked worker processes, one per CPU this process may use (so
+``taskset`` limits them), when there are two or more such CPUs and no other
+thread runs. The bytes it writes do not depend on the number of workers.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
+from collections import deque
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
-from .copula import _reprs, _write_csv
 from .ingest import ReturnMatrix, TradingCalendar
 
 __all__ = [
@@ -26,6 +34,11 @@ __all__ = [
 
 _KINDS = ("gaussian", "independent", "comonotone", "countermonotone")
 _DEFAULT_START = "2007-01-02"
+# output rows from which write_price_csv formats in worker processes; on 2 vCPUs
+# the pool won steadily only from about 210,000 rows, and lost below 105,000
+_PARALLEL_MIN_ROWS = 200_000
+# rows a chunk of whole sessions for the worker processes reaches before it is closed
+_CHUNK_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -136,13 +149,24 @@ def write_price_csv(
     ranks and no overnight artifacts. If the panel ends mid-session, ingestion
     extends that session with the last price carried flat (zero returns).
     ``scale`` is checked before ``destination`` is opened, so a rejected call
-    leaves an existing file as it was; the rows are then streamed.
+    leaves an existing file as it was and starts no process.
+
+    The rows are formatted in chunks of consecutive sessions and written in
+    order. A panel of at least ``_PARALLEL_MIN_ROWS`` rows has its chunks, of
+    about ``_CHUNK_ROWS`` rows, formatted by forked worker processes, one per
+    usable CPU, when more than one CPU is usable, no other thread runs and the
+    platform can fork; otherwise this process formats one session at a time.
+    The bytes are the same either way.
     """
     per_session = {}
     for d in matrix.session_dates:
         key = d.item()
         per_session[key] = per_session.get(key, 0) + 1
-    open_delta = calendar.open_offset
+    days = sorted(per_session)
+    opens = (np.array(days, dtype="datetime64[D]").astype("datetime64[s]")
+             + calendar.open_offset)
+    # session s covers path columns cols[s] to cols[s + 1]: its endpoints
+    cols = np.concatenate(([0], np.cumsum([per_session[day] for day in days], dtype=np.intp)))
     step = np.timedelta64(matrix.interval * 60, "s")
 
     k = matrix.n_assets
@@ -156,17 +180,107 @@ def write_price_csv(
         raise ValueError("scale too large: price path would cross zero")
     np.cumprod(factors, axis=1, out=factors)
     factors *= starts[:, None]
-    names = list(matrix.asset_ids)
 
-    def sessions():
-        col = 0
-        for day in sorted(per_session):
-            n_cols = per_session[day]
-            day64 = np.datetime64(day, "D").astype("datetime64[s]")
-            endpoints = day64 + open_delta + np.arange(n_cols + 1) * step
-            # endpoint e of this session is path column col + e; rows go endpoint by endpoint
-            stamps = [iso for iso in endpoints.astype(str).tolist() for _ in names]
-            yield stamps, names * (n_cols + 1), _reprs(paths[:, col : col + n_cols + 1].T)
-            col += n_cols
+    inputs = (paths, list(matrix.asset_ids), opens, cols, step)
+    session_rows = ((np.diff(cols) + 1) * k).tolist()
+    chunks = _chunks(session_rows)
+    workers = _worker_count(sum(session_rows), len(chunks))
+    if not workers:
+        # one session a chunk: this process then holds one session's strings at a time
+        sessions = [(s, s + 1) for s in range(len(session_rows))]
+        _write_texts(destination, map(_format_chunk, repeat(inputs), sessions))
+        return
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
 
-    _write_csv(destination, "timestamp,symbol,price", sessions())
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                             initializer=_inherit, initargs=(inputs,)) as pool:
+        _write_texts(destination, _in_order(pool, chunks, 2 * workers))
+
+
+def _chunks(session_rows: list) -> list:
+    """(first, stop) ranges of consecutive sessions, each but the last of at least
+    ``_CHUNK_ROWS`` rows."""
+    chunks, first, rows = [], 0, 0
+    for s, n in enumerate(session_rows):
+        rows += n
+        if rows >= _CHUNK_ROWS:
+            chunks.append((first, s + 1))
+            first, rows = s + 1, 0
+    if rows:
+        chunks.append((first, len(session_rows)))
+    return chunks
+
+
+def _format_chunk(inputs, bounds) -> str:
+    """The CSV rows of the sessions in ``range(*bounds)``, each ending in a newline.
+
+    Session s has one endpoint per path column from ``cols[s]`` to
+    ``cols[s + 1]``, the e-th stamped ``opens[s] + e * step``; rows go endpoint
+    by endpoint, one per asset.
+    """
+    paths, names, opens, cols, step = inputs
+    first, stop = bounds
+    widths = cols[first + 1:stop + 1] - cols[first:stop] + 1  # endpoints per session
+    within = np.arange(widths.sum()) - np.repeat(np.cumsum(widths) - widths, widths)
+    columns = np.repeat(cols[first:stop], widths) + within
+    stamps = (np.repeat(opens[first:stop], widths) + within * step).astype(str).tolist()
+    # each price's repr is dropped as soon as its row is joined
+    prices = map(repr, paths.T[columns].ravel().tolist())
+    rows = zip([iso for iso in stamps for _ in names], names * len(stamps), prices)
+    return "\n".join(map(",".join, rows)) + "\n"
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _worker_count(rows: int, n_chunks: int) -> int:
+    """Worker processes to format ``n_chunks`` chunks of ``rows`` rows in all;
+    0 to format them in this process."""
+    workers = min(_usable_cpus(), n_chunks)
+    # a fork could copy a lock that another thread holds, so no other thread may run
+    if rows < _PARALLEL_MIN_ROWS or workers < 2 or threading.active_count() > 1:
+        return 0
+    import multiprocessing
+
+    # forked workers inherit the price paths; other start methods would
+    # pickle them or re-import numpy in every worker
+    return workers if "fork" in multiprocessing.get_all_start_methods() else 0
+
+
+_inherited = None  # a worker's formatting inputs, set by _inherit when it starts
+
+
+def _inherit(inputs) -> None:
+    global _inherited
+    _inherited = inputs
+
+
+def _format_inherited(bounds) -> str:
+    return _format_chunk(_inherited, bounds)
+
+
+def _in_order(pool, chunks, depth):
+    """The texts of ``chunks`` from ``pool``'s workers in order, at most ``depth`` in flight."""
+    pending = deque()
+    for bounds in chunks:
+        if len(pending) == depth:
+            yield pending.popleft().result()
+        pending.append(pool.submit(_format_inherited, bounds))
+    while pending:
+        yield pending.popleft().result()
+
+
+def _write_texts(destination, texts) -> None:
+    """Write the header, then each text, to a path (truncating it) or an open text stream."""
+    if isinstance(destination, (str, bytes)) or hasattr(destination, "__fspath__"):
+        with open(destination, "w", newline="") as fh:
+            _write_texts(fh, texts)
+        return
+    destination.write("timestamp,symbol,price\n")
+    for text in texts:
+        destination.write(text)

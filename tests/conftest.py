@@ -1,3 +1,4 @@
+import multiprocessing
 import os
 import sys
 from pathlib import Path
@@ -22,3 +23,10 @@ os.environ["PYTHONPATH"] = os.pathsep.join(
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture(autouse=True)
+def no_stray_processes():
+    """Fail a test that leaves a child process of this one running."""
+    yield
+    assert not multiprocessing.active_children()

@@ -371,22 +371,81 @@ def test_empty_and_nat_timestamps_fail_with_their_line(block_chars):
     assert compare_to_oracle(lines, block_chars) == f"line {second}: unparseable timestamp 'NaT'"
 
 
+def parsers_used(monkeypatch):
+    """A list that records ("plain" or "rows", first physical line) for each block
+    that the block parser accepts or the row loop reads."""
+    used = []
+
+    def plain_block(lines, line_offset, codes):
+        block = plain(lines, line_offset, codes)
+        if block is not None:
+            used.append(("plain", line_offset + 1))
+        return block
+
+    def row_loop(reader, line_offset, codes, stop_line):
+        used.append(("rows", line_offset + 1))
+        return rows(reader, line_offset, codes, stop_line)
+
+    plain, rows = ingest._parse_plain_block, ingest._parse_price_rows
+    monkeypatch.setattr(ingest, "_parse_plain_block", plain_block)
+    monkeypatch.setattr(ingest, "_parse_price_rows", row_loop)
+    return used
+
+
 @pytest.mark.parametrize("block_chars", BLOCK_CHARS)
 @pytest.mark.parametrize("fault", [False, True])
-def test_quoted_record_across_a_block_boundary(block_chars, fault):
+def test_quoted_record_across_a_block_boundary(monkeypatch, block_chars, fault):
     lines = good_lines(3 * block_chars // 30 + 9)
     # the record's first physical line is the last line of the second block,
     # and its second physical line starts the third block
-    start = block_starts(lines, block_chars)[2] - 1
+    second, third = block_starts(lines, block_chars)[1:3]
+    start = third - 1
     ts_text, symbol, _ = lines[start - 2].split(",")
     lines[start - 2:start - 1] = [f'{ts_text},"{symbol}{symbol}\n', f'{symbol}",100.0\n']
     assert start + 1 in block_starts(lines, block_chars)
+    used = parsers_used(monkeypatch)
     if fault:
         lines[start + 2] = lines[start + 2].replace("100.0", "-1.00")
         assert compare_to_oracle(lines, block_chars) == (
             f"line {start + 4}: price must be strictly positive, got -1.00")
     else:
         assert f"{symbol}{symbol}\n{symbol}" in compare_to_oracle(lines, block_chars).asset_ids
+    # the row loop reads the record whole; the block parser takes over after it
+    assert used[:3] == [("plain", 2), ("rows", second), ("rows" if fault else "plain", start + 2)]
+
+
+@pytest.mark.parametrize("block_chars", BLOCK_CHARS)
+@pytest.mark.parametrize("fault", [None, "price", "regression"])
+def test_quoted_line_3_hands_back_to_the_block_parser(tmp_path, monkeypatch, block_chars,
+                                                       fault):
+    lines = good_lines(4 * block_chars // 30 + 9)
+    starts = block_starts(lines, block_chars)
+    ts_text, rest = lines[1].split(",", 1)
+    lines[1] = f'"{ts_text}",{rest}'  # physical line 3
+    if fault == "price":  # in the third block, which is plain up to that line
+        lines[starts[2]] = lines[starts[2]].replace("100.0", "0.000")
+    elif fault == "regression":
+        lines[starts[3]] = lines[0]  # AAA at the opening second again
+    used = parsers_used(monkeypatch)
+    got = compare_to_oracle(lines, block_chars)
+    if fault == "price":
+        assert got == f"line {starts[2] + 2}: price must be strictly positive, got 0.000"
+        assert used == [("rows", 2), ("plain", starts[1]), ("rows", starts[2])]
+        return
+    if fault == "regression":
+        assert got == (f"line {starts[3] + 2}: timestamps for symbol 'AAA' must be "
+                       "strictly increasing")
+    # only the first block goes to the row loop, which stops at its end
+    assert used == [("rows", 2), *(("plain", n) for n in starts[1:])]
+    # from a file as well, where the row loop iterates the stream that blocks are read from
+    path = tmp_path / "prices.csv"
+    path.write_text(HEADER_LINE + "".join(lines))
+    monkeypatch.setattr(ingest, "_READ_BLOCK_CHARS", block_chars)
+    from_file = outcome(load_prices, path, CALENDARS[0])
+    if fault:
+        assert from_file == got
+    else:
+        assert_same_panel(from_file, got)
 
 
 @pytest.mark.parametrize("block_chars", BLOCK_CHARS)
@@ -415,9 +474,9 @@ def test_regression_line_after_the_row_loop_takes_over(monkeypatch, block_chars)
     lines[starts[1] - 2] = f'{ts_text},"{symbol}",{price}'
     offsets = []
 
-    def counted_row_loop(reader, line_offset, codes):
+    def counted_row_loop(reader, line_offset, codes, stop_line):
         offsets.append(line_offset)
-        return parse_rows(reader, line_offset, codes)
+        return parse_rows(reader, line_offset, codes, stop_line)
 
     parse_rows = ingest._parse_price_rows
     monkeypatch.setattr(ingest, "_parse_price_rows", counted_row_loop)

@@ -2,7 +2,11 @@
 
 import datetime as dt
 import io
+import multiprocessing
+import os
+import threading
 import tracemalloc
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -14,7 +18,7 @@ from oracles import (
     tail_curve_csv_text,
 )
 
-from copuladyn import copula
+from copuladyn import copula, synth
 from copuladyn.copula import (
     CopulaGrid,
     average_pairwise_density,
@@ -195,33 +199,74 @@ def test_relation_csv_matches_oracle(tmp_path, name, destination):
     assert text == relation_csv_text(reports)
 
 
-def test_price_csv_peak_memory_per_row(tmp_path):
+def use_pool(monkeypatch, cpus):
+    """Let ``write_price_csv`` see ``cpus`` usable CPUs and no minimum size for its pool.
+
+    Returns the list that collects the worker count of each call, 0 for one
+    formatted in this process.
+    """
+    counts = []
+
+    def worker_count(rows, n_chunks):
+        counts.append(real(rows, n_chunks))
+        return counts[-1]
+
+    real = synth._worker_count
+    monkeypatch.setattr(synth, "_PARALLEL_MIN_ROWS", 0)
+    monkeypatch.setattr(synth, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(synth, "_worker_count", worker_count)
+    return counts
+
+
+def test_price_csv_peak_memory_per_row(tmp_path, monkeypatch):
     mat = sample_panel(SynthSpec("gaussian", 20, 6500, 1, 0.3))
     target = tmp_path / "prices.csv"
-    write_price_csv(sample_panel(SynthSpec("gaussian", 2, 30, 1, 0.3)), CAL, target)  # warm up
-    tracemalloc.start()
-    try:
-        write_price_csv(mat, CAL, target)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    rows = target.read_bytes().count(b"\n") - 1
-    assert rows == 20 * (6500 + 500)  # 500 sessions of 13 returns, 14 endpoints each
-    # the price paths take 8 bytes a row; Python floats for the whole panel would add 32
-    assert peak < 24 * rows, peak / rows
+    # both paths, looped so that the test id stays: in this process, then in 2 workers
+    for cpus in (1, 2):
+        with monkeypatch.context() as mp:
+            counts = use_pool(mp, cpus)
+            write_price_csv(mat, CAL, target)  # warm up, the pool modules' imports included
+            tracemalloc.start()
+            try:
+                write_price_csv(mat, CAL, target)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert counts == [0 if cpus == 1 else 2] * 2
+        rows = target.read_bytes().count(b"\n") - 1
+        assert rows == 20 * (6500 + 500)  # 500 sessions of 13 returns, 14 endpoints each
+        # the price paths take 8 bytes a row; Python floats for the whole panel would
+        # add 32. tracemalloc sees only this process, where the workers' texts arrive
+        assert peak < 24 * rows, (cpus, peak / rows)
 
 
-@pytest.mark.parametrize("destination", ["path", "stream"])
+# (destination, usable CPUs for write_price_csv's pool or None for the default
+# settings); the ids of the default cases are those of the destination alone
+POOL_CASES = [(dest, None) for dest in ("path", "stream")] + [
+    (dest, cpus) for cpus in (1, 2, 3) for dest in ("path", "stream")]
+
+
+@pytest.mark.parametrize("destination,cpus", POOL_CASES,
+                         ids=[d if c is None else f"{d}-cpus{c}" for d, c in POOL_CASES])
 @pytest.mark.parametrize("extra", [-1, 0, 1])  # line count = block + extra
-def test_writers_at_block_boundaries(tmp_path, monkeypatch, destination, extra):
-    mat = sample_panel(SynthSpec("gaussian", 3, 30, 12, 0.2))
+def test_writers_at_block_boundaries(tmp_path, monkeypatch, destination, extra, cpus):
+    # nine sessions of 13 returns (42 rows each), then a partial one of 4 (15 rows)
+    mat = sample_panel(SynthSpec("gaussian", 3, 13 * 9 + 4, 12, 0.2))
     grid = gaussian_grid(0.3, 5)
     price_lines = price_csv_text(mat, CAL).count("\n")
     grid_lines = grid_csv_text(grid, permille=True).count("\n")
+    if cpus:
+        counts = use_pool(monkeypatch, cpus)
+        # a chunk closes once it reaches a whole session's rows + extra: ten
+        # one-session chunks, or at +1 five of two sessions; either is more
+        # than the four chunks that two workers keep in flight
+        monkeypatch.setattr(synth, "_CHUNK_ROWS", 3 * 14 + extra)
 
     monkeypatch.setattr(copula, "_WRITE_BLOCK_LINES", price_lines - extra)
     text = written(lambda dest: write_price_csv(mat, CAL, dest), destination, tmp_path)
     assert text == price_csv_text(mat, CAL)
+    if cpus:
+        assert counts == [cpus if cpus > 1 else 0]
 
     monkeypatch.setattr(copula, "_WRITE_BLOCK_LINES", grid_lines - extra)
     text = written(lambda dest: write_grid_csv(grid, dest, permille=True), destination, tmp_path)
@@ -270,3 +315,71 @@ def test_price_csv_validates_scale_before_opening(tmp_path):
         write_price_csv(mat, CAL, target, scale=10.0)
     assert target.read_bytes() == b"timestamp,symbol,price\nkeep,me,1.0\n"
 
+
+def test_price_csv_rejects_scale_before_opening_or_forking(tmp_path, monkeypatch):
+    def no_fork():
+        raise AssertionError("a process was started")
+
+    use_pool(monkeypatch, 2)
+    monkeypatch.setattr(synth, "_CHUNK_ROWS", 1)
+    monkeypatch.setattr(os, "fork", no_fork)
+    mat = sample_panel(SynthSpec("gaussian", 2, 100, 1, 0.0))
+    # opening a file in a missing directory would raise FileNotFoundError instead
+    with pytest.raises(ValueError, match="scale"):
+        write_price_csv(mat, CAL, tmp_path / "missing" / "prices.csv", scale=10.0)
+
+
+@pytest.mark.parametrize("destination", ["path", "stream"])
+def test_price_csv_worker_error_reaches_the_caller(tmp_path, monkeypatch, destination):
+    def failing(inputs, bounds):
+        if bounds[0] == 2:
+            raise ValueError(f"chunk from session {bounds[0]} failed")
+        return format_chunk(inputs, bounds)
+
+    format_chunk = synth._format_chunk
+    counts = use_pool(monkeypatch, 2)
+    monkeypatch.setattr(synth, "_CHUNK_ROWS", 1)  # one chunk per session
+    monkeypatch.setattr(synth, "_format_chunk", failing)
+    mat = sample_panel(SynthSpec("gaussian", 3, 13 * 6, 1, 0.2))
+    with pytest.raises(ValueError, match="chunk from session 2 failed"):
+        written(lambda dest: write_price_csv(mat, CAL, dest), destination, tmp_path)
+    assert counts == [2]
+
+
+def test_pool_keeps_a_bounded_number_of_chunks_in_flight():
+    submitted = []
+
+    class Pool:
+        def submit(self, fn, bounds):
+            submitted.append(bounds)
+            future = Future()
+            future.set_result(str(bounds))
+            return future
+
+    chunks = [(n, n + 1) for n in range(10)]
+    for n, text in enumerate(synth._in_order(Pool(), chunks, 4)):
+        assert text == str(chunks[n])
+        # chunk n is written while chunks n + 1 to n + 3 are still queued or running
+        assert len(submitted) == min(n + 4, len(chunks))
+
+
+@pytest.mark.parametrize("reason", ["another thread runs", "no fork start method"])
+def test_price_csv_formats_in_process_when_it_cannot_fork(monkeypatch, reason):
+    counts = use_pool(monkeypatch, 2)
+    monkeypatch.setattr(synth, "_CHUNK_ROWS", 1)
+    mat = sample_panel(SynthSpec("gaussian", 3, 13 * 6, 1, 0.2))
+    release = threading.Event()
+    other = threading.Thread(target=release.wait, args=(10,))
+    if reason == "another thread runs":
+        other.start()
+    else:
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    try:
+        text = written(lambda dest: write_price_csv(mat, CAL, dest), "stream", None)
+    finally:
+        release.set()
+        if other.ident is not None:
+            other.join(10)
+    assert not other.is_alive()
+    assert counts == [0]
+    assert text == price_csv_text(mat, CAL)
