@@ -7,6 +7,12 @@ Every run writes a JSON manifest recording the resolved config, SHA-256
 digests of the inputs, and the library version; reruns with identical config
 and inputs are byte-identical. Exit codes: 0 success, 2 usage error, 3 input
 parse error, 4 numerical failure.
+
+The argument parser is the only description of a command's options. The
+manifest's ``config`` records every option of the command except ``--out``
+and ``--threads``, under its argparse name, with ``dt`` recorded as
+``dt_minutes`` and a missing ``--calendar`` as the default calendar's text;
+``synth`` also records its random generator.
 """
 
 from __future__ import annotations
@@ -15,7 +21,6 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -42,30 +47,9 @@ EXIT_NUMERIC = 4
 _DT_CHOICES = (30, 60, 120, 240)
 _DEFAULT_ALPHAS = (0.02, 0.04, 0.1, 0.25)
 _GENERATOR_NAME = "numpy default_rng (PCG64)"
+_DEFAULT_CALENDAR = "default (09:30-16:00, weekdays)"
 _CALENDAR_HELP = ("calendar config file: open=HH:MM and close=HH:MM in whole minutes with no "
                   "UTC offset, then holiday dates (default 09:30-16:00 weekdays)")
-
-
-@dataclass
-class RunConfig:
-    """Resolved parameters of one CLI run."""
-
-    command: str
-    input_path: str | None = None
-    calendar_path: str | None = None
-    dt: int = 30
-    grid: int = 50
-    alphas: tuple = _DEFAULT_ALPHAS
-    window_days: int = 10
-    out_dir: str = "."
-    seed: int | None = None
-    upper_tail_convention: str = "literal"
-    permille: bool = False
-    kind: str = "gaussian"
-    corr: float = 0.5
-    assets: int = 10
-    length: int = 1000
-    start_date: str = "2007-01-02"
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -121,11 +105,9 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args, parser) -> RunConfig:
-    cfg = RunConfig(command=args.command)
-    cfg.calendar_path = getattr(args, "calendar", None)
-    cfg.out_dir = args.out
-    cfg.dt = getattr(args, "dt", 30)
+def _check(args, parser) -> None:
+    """Exit 2 through ``parser.error`` on a value the parser let through; the
+    analysis commands get their default alphas here."""
     if args.command == "synth":
         if args.assets < 2:
             parser.error("--assets must be at least 2")
@@ -145,28 +127,15 @@ def _config_from_args(args, parser) -> RunConfig:
             start = np.datetime64("NaT")
         if np.isnat(start):  # numpy also parses "NaT" and "" as not-a-time
             parser.error(f"--start-date {args.start_date!r} is not an ISO date")
-        cfg.seed = args.seed
-        cfg.kind = args.kind
-        cfg.corr = args.corr
-        cfg.assets = args.assets
-        cfg.length = args.length
-        cfg.start_date = args.start_date
-        return cfg
-    cfg.input_path = args.input
-    cfg.grid = args.grid
-    if cfg.grid < 2:
+        return
+    if args.grid < 2:
         parser.error("--grid must be at least 2")
-    alphas = tuple(args.alphas) if args.alphas else _DEFAULT_ALPHAS
-    for a in alphas:
+    args.alphas = args.alphas or list(_DEFAULT_ALPHAS)
+    for a in args.alphas:
         if not 0.0 < a <= 0.5:
             parser.error(f"--alpha {a} outside (0, 0.5]")
-    cfg.alphas = alphas
-    cfg.upper_tail_convention = args.upper_tail_convention
-    cfg.permille = getattr(args, "permille", False)
-    cfg.window_days = getattr(args, "window_days", 10)
-    if cfg.window_days < 1:
+    if getattr(args, "window_days", 1) < 1:
         parser.error("--window-days must be at least 1")
-    return cfg
 
 
 def _sha256(path: str) -> str:
@@ -177,132 +146,86 @@ def _sha256(path: str) -> str:
     return digest.hexdigest()
 
 
-class _Run:
-    """Tracks files written by one command so failures leave no partial output."""
+def _manifest(args, out_dir: Path, written: list) -> str:
+    """The manifest text of a run that wrote the files ``written`` under ``out_dir``."""
+    config = {key: value for key, value in vars(args).items()
+              if key not in ("command", "out", "threads", "dt", "calendar")}
+    config.update(dt_minutes=args.dt, calendar=args.calendar or _DEFAULT_CALENDAR)
+    if args.command == "synth":
+        config["generator"] = _GENERATOR_NAME
+    inputs = [name for name in (getattr(args, "input", None), args.calendar) if name]
+    payload = {
+        "command": args.command,
+        "version": __version__,
+        "config": config,
+        "inputs": {name: _sha256(name) for name in inputs},
+        "outputs": sorted(str(p.relative_to(out_dir)) for p in written),
+    }
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
-    def __init__(self, out_dir: str):
-        self.out_dir = Path(out_dir)
-        self.written: list[Path] = []
 
-    def path(self, *parts) -> Path:
-        target = self.out_dir.joinpath(*parts)
+def run(args) -> int:
+    """Execute one parsed and checked command; returns the process exit status.
+
+    On failure every file the run has written is removed.
+    """
+    out_dir = Path(args.out)
+    written: list[Path] = []
+
+    def path(*parts) -> Path:
+        target = out_dir.joinpath(*parts)
         target.parent.mkdir(parents=True, exist_ok=True)
-        self.written.append(target)
+        written.append(target)
         return target
 
-    def cleanup(self) -> None:
-        for target in self.written:
-            try:
-                target.unlink()
-            except OSError:
-                pass
-
-    def manifest(self, cfg: RunConfig, inputs: list, extra: dict | None = None) -> None:
-        payload = {
-            "command": cfg.command,
-            "version": __version__,
-            "config": {
-                "calendar": cfg.calendar_path or "default (09:30-16:00, weekdays)",
-                "dt_minutes": cfg.dt,
-            },
-            "inputs": {name: _sha256(name) for name in inputs},
-            "outputs": sorted(str(p.relative_to(self.out_dir)) for p in self.written),
-        }
-        if cfg.command == "synth":
-            payload["config"].update(
-                kind=cfg.kind,
-                corr=cfg.corr,
-                assets=cfg.assets,
-                length=cfg.length,
-                seed=cfg.seed,
-                start_date=cfg.start_date,
-                generator=_GENERATOR_NAME,
-            )
-        else:
-            payload["config"].update(
-                input=cfg.input_path,
-                grid=cfg.grid,
-                alphas=list(cfg.alphas),
-                upper_tail_convention=cfg.upper_tail_convention,
-            )
-            if cfg.command == "dynamics":
-                payload["config"]["window_days"] = cfg.window_days
-            if cfg.command == "copula":
-                payload["config"]["permille"] = cfg.permille
-        if extra:
-            payload.update(extra)
-        target = self.path("manifest.json")
-        target.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
-def run(cfg: RunConfig) -> int:
-    """Execute a resolved config; returns the process exit status."""
-    runner = _Run(cfg.out_dir)
     try:
-        calendar = load_calendar(cfg.calendar_path) if cfg.calendar_path else TradingCalendar()
-        if cfg.command == "synth":
-            spec = SynthSpec(
-                kind=cfg.kind,
-                assets=cfg.assets,
-                length=cfg.length,
-                seed=cfg.seed,
-                correlation=cfg.corr,
-            )
-            panel = sample_panel(spec, calendar=calendar, start=cfg.start_date, interval=cfg.dt)
-            write_price_csv(panel, calendar, runner.path("prices.csv"))
-            runner.manifest(cfg, inputs=[cfg.calendar_path] if cfg.calendar_path else [])
-            return EXIT_OK
-
-        matrix = compute_returns(load_prices(cfg.input_path, calendar), cfg.dt)
-        inputs = [cfg.input_path] + ([cfg.calendar_path] if cfg.calendar_path else [])
-
-        if cfg.command == "copula":
-            grid = average_pairwise_density(matrix, cfg.grid)
-            write_grid_csv(grid, runner.path("grid.csv"), permille=cfg.permille)
-            runner.manifest(cfg, inputs=inputs)
-        elif cfg.command == "diff":
-            grid = average_pairwise_density(matrix, cfg.grid)
-            corr = pearson_matrix(matrix)
-            diff = difference_map(grid, corr)
-            write_difference_csv(diff, runner.path("difference.csv"))
-            runner.manifest(cfg, inputs=inputs)
-        elif cfg.command == "taildep":
-            grid = average_pairwise_density(matrix, cfg.grid)
-            curve = tail_curve(grid, cfg.alphas, upper_convention=cfg.upper_tail_convention)
-            write_tail_curve_csv(curve, runner.path("tail_curve.csv"))
-            runner.manifest(cfg, inputs=inputs)
-        elif cfg.command == "dynamics":
-            reports = windowed_reports(
-                matrix,
-                cfg.window_days,
-                cfg.grid,
-                cfg.alphas,
-                upper_convention=cfg.upper_tail_convention,
-            )
+        calendar = load_calendar(args.calendar) if args.calendar else TradingCalendar()
+        if args.command == "synth":
+            spec = SynthSpec(kind=args.kind, assets=args.assets, length=args.length,
+                             seed=args.seed, correlation=args.corr)
+            panel = sample_panel(spec, calendar=calendar, start=args.start_date, interval=args.dt)
+            write_price_csv(panel, calendar, path("prices.csv"))
+        elif args.command == "dynamics":
+            matrix = compute_returns(load_prices(args.input, calendar), args.dt)
+            reports = windowed_reports(matrix, args.window_days, args.grid, args.alphas,
+                                       upper_convention=args.upper_tail_convention)
             for idx, rep in enumerate(reports, start=1):
-                write_grid_csv(rep.grid, runner.path("windows", f"window_{idx:04d}.csv"))
-            write_relation_csv(reports, runner.path("relation.csv"))
-            runner.manifest(cfg, inputs=inputs)
-        else:  # unreachable behind argparse choices
-            raise AssertionError(cfg.command)
+                write_grid_csv(rep.grid, path("windows", f"window_{idx:04d}.csv"))
+            write_relation_csv(reports, path("relation.csv"))
+        else:
+            matrix = compute_returns(load_prices(args.input, calendar), args.dt)
+            grid = average_pairwise_density(matrix, args.grid)
+            if args.command == "copula":
+                write_grid_csv(grid, path("grid.csv"), permille=args.permille)
+            elif args.command == "diff":
+                diff = difference_map(grid, pearson_matrix(matrix))
+                write_difference_csv(diff, path("difference.csv"))
+            else:
+                curve = tail_curve(grid, args.alphas, upper_convention=args.upper_tail_convention)
+                write_tail_curve_csv(curve, path("tail_curve.csv"))
+        text = _manifest(args, out_dir, written)
+        path("manifest.json").write_text(text)
         return EXIT_OK
     except ArithmeticError as exc:
-        runner.cleanup()
-        print(f"copuladyn: numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+        failure, code = f"numerical failure: {exc}", EXIT_NUMERIC
     except (OSError, ValueError) as exc:
         # PriceDataError and CalendarError are ValueErrors; so are data-shape
         # problems like a panel shorter than one window
-        runner.cleanup()
-        print(f"copuladyn: input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        failure, code = f"input error: {exc}", EXIT_INPUT
+    for target in written:
+        try:
+            target.unlink()
+        except OSError:
+            pass
+    print(f"copuladyn: {failure}", file=sys.stderr)
+    return code
 
 
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    cfg = _config_from_args(args, parser)
-    return run(cfg)
+    _check(args, parser)
+    return run(args)
 
 
 if __name__ == "__main__":

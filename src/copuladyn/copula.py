@@ -245,15 +245,27 @@ def _write_lines(destination, lines) -> None:
     whole text. The bytes written are always those of
     ``"\\n".join(lines) + "\\n"``, so an empty iterable writes one newline.
     """
+    _write_texts(destination, _line_blocks(iter(lines)))
+
+
+def _line_blocks(rows):
+    # the first block is yielded even when empty, as a lone newline
+    yield "\n".join(islice(rows, _WRITE_BLOCK_LINES)) + "\n"
+    while block := list(islice(rows, _WRITE_BLOCK_LINES)):
+        yield "\n".join(block) + "\n"
+
+
+def _write_texts(destination, texts) -> None:
+    """Write each text in turn to a path (truncating it) or to an open text stream.
+
+    A path is opened before the first text is taken from ``texts``.
+    """
     if isinstance(destination, (str, bytes)) or hasattr(destination, "__fspath__"):
         with open(destination, "w", newline="") as fh:
-            _write_lines(fh, lines)
+            _write_texts(fh, texts)
         return
-    rows = iter(lines)
-    # the first block is written even when empty, as a lone newline
-    destination.write("\n".join(islice(rows, _WRITE_BLOCK_LINES)) + "\n")
-    while block := list(islice(rows, _WRITE_BLOCK_LINES)):
-        destination.write("\n".join(block) + "\n")
+    for text in texts:
+        destination.write(text)
 
 
 def _reprs(values) -> list:

@@ -19,11 +19,12 @@ import os
 import threading
 from collections import deque
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, repeat
 
 import numpy as np
 
-from .ingest import ReturnMatrix, TradingCalendar
+from .copula import _write_texts
+from .ingest import _HEADER, ReturnMatrix, TradingCalendar
 
 __all__ = [
     "SynthSpec",
@@ -181,6 +182,7 @@ def write_price_csv(
     np.cumprod(factors, axis=1, out=factors)
     factors *= starts[:, None]
 
+    header = ",".join(_HEADER) + "\n"
     inputs = (paths, list(matrix.asset_ids), opens, cols, step)
     session_rows = ((np.diff(cols) + 1) * k).tolist()
     chunks = _chunks(session_rows)
@@ -188,14 +190,14 @@ def write_price_csv(
     if not workers:
         # one session a chunk: this process then holds one session's strings at a time
         sessions = [(s, s + 1) for s in range(len(session_rows))]
-        _write_texts(destination, map(_format_chunk, repeat(inputs), sessions))
+        _write_texts(destination, chain([header], map(_format_chunk, repeat(inputs), sessions)))
         return
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
                              initializer=_inherit, initargs=(inputs,)) as pool:
-        _write_texts(destination, _in_order(pool, chunks, 2 * workers))
+        _write_texts(destination, chain([header], _in_order(pool, chunks, 2 * workers)))
 
 
 def _chunks(session_rows: list) -> list:
@@ -273,14 +275,3 @@ def _in_order(pool, chunks, depth):
         pending.append(pool.submit(_format_inherited, bounds))
     while pending:
         yield pending.popleft().result()
-
-
-def _write_texts(destination, texts) -> None:
-    """Write the header, then each text, to a path (truncating it) or an open text stream."""
-    if isinstance(destination, (str, bytes)) or hasattr(destination, "__fspath__"):
-        with open(destination, "w", newline="") as fh:
-            _write_texts(fh, texts)
-        return
-    destination.write("timestamp,symbol,price\n")
-    for text in texts:
-        destination.write(text)

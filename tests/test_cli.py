@@ -170,6 +170,63 @@ def test_dynamics_threads_byte_identical(tmp_path):
     assert payloads[0] == payloads[1]
 
 
+DEFAULT_CALENDAR = "default (09:30-16:00, weekdays)"
+DEFAULT_ALPHAS = [0.02, 0.04, 0.1, 0.25]
+
+
+def test_manifest_config_of_each_command(tmp_path, price_file):
+    cal = tmp_path / "session.cal"
+    cal.write_text("open=09:30\nclose=16:00\n2011-03-04\n")
+    inp = str(price_file)
+    analysis = {"calendar": DEFAULT_CALENDAR, "dt_minutes": 30, "input": inp, "grid": 6,
+                "alphas": DEFAULT_ALPHAS, "upper_tail_convention": "literal"}
+    cases = [
+        (["copula", "--input", inp, "--grid", "6", "--permille"],
+         dict(analysis, permille=True), [inp]),
+        # --threads is accepted and ignored, so the manifest does not record it
+        (["diff", "--input", inp, "--grid", "6", "--threads", "3"], analysis, [inp]),
+        (["taildep", "--input", inp, "--grid", "6", "--alpha", "0.1", "--alpha", "0.25",
+          "--upper-tail-convention", "survival", "--calendar", str(cal)],
+         dict(analysis, alphas=[0.1, 0.25], upper_tail_convention="survival",
+              calendar=str(cal)), [inp, str(cal)]),
+        (["dynamics", "--input", inp, "--grid", "4", "--window-days", "5", "--dt", "60"],
+         dict(analysis, grid=4, dt_minutes=60, window_days=5), [inp]),
+        (["synth", "--kind", "countermonotone", "--assets", "2", "--length", "26",
+          "--seed", "3", "--start-date", "2011-03-01"],
+         {"calendar": DEFAULT_CALENDAR, "dt_minutes": 30, "kind": "countermonotone",
+          "corr": 0.5, "assets": 2, "length": 26, "seed": 3, "start_date": "2011-03-01",
+          "generator": "numpy default_rng (PCG64)"}, []),
+    ]
+    for k, (argv, config, inputs) in enumerate(cases):
+        out = tmp_path / f"m{k}"
+        assert cli.main([*argv, "--out", str(out)]) == cli.EXIT_OK, argv
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["command"] == argv[0]
+        assert manifest["config"] == config, argv
+        assert sorted(manifest["inputs"]) == sorted(inputs), argv
+
+
+@pytest.mark.parametrize("error,code,message", [
+    (OSError, cli.EXIT_INPUT, "copuladyn: input error: disk gave out"),
+    (ArithmeticError, cli.EXIT_NUMERIC, "copuladyn: numerical failure: disk gave out"),
+])
+def test_failure_after_a_partial_write_leaves_no_file(tmp_path, price_file, monkeypatch, capsys,
+                                                      error, code, message):
+    out = tmp_path / "dyn"
+    on_disk = []
+
+    def fail(*_a, **_k):
+        on_disk.extend(p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file())
+        raise error("disk gave out")
+
+    monkeypatch.setattr(cli, "write_relation_csv", fail)
+    assert cli.main(["dynamics", "--input", str(price_file), "--grid", "4",
+                     "--window-days", "5", "--out", str(out)]) == code
+    assert sorted(on_disk) == ["windows/window_0001.csv", "windows/window_0002.csv"]
+    assert capsys.readouterr().err.strip() == message
+    assert not any(p.is_file() for p in out.rglob("*"))
+
+
 def test_usage_errors_exit_2(tmp_path, price_file):
     checks = [
         ("copula", "--input", str(price_file), "--grid", "1", "--out", str(tmp_path / "x1")),
@@ -286,9 +343,8 @@ def test_numeric_failures_exit_4(tmp_path, price_file, monkeypatch):
         raise ArithmeticError("quadrature did not converge")
 
     monkeypatch.setattr(cli, "average_pairwise_density", boom)
-    cfg = cli.RunConfig(command="copula", input_path=str(price_file),
-                        out_dir=str(tmp_path / "num"), grid=8)
-    assert cli.run(cfg) == cli.EXIT_NUMERIC
+    assert cli.main(["copula", "--input", str(price_file), "--grid", "8",
+                     "--out", str(tmp_path / "num")]) == cli.EXIT_NUMERIC
     target = tmp_path / "num"
     assert not target.exists() or not any(
         p for p in target.rglob("*") if p.is_file())

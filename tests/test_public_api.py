@@ -7,6 +7,7 @@ import re
 from pathlib import Path
 
 import copuladyn
+from copuladyn import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -58,16 +59,48 @@ def test_benchmark_and_demo_imports_resolve():
     assert found > 0
 
 
-def test_traced_names_exist():
-    # the benchmark's tracer patches these names in place from outside the package
+def _load_tracer():
     spec = importlib.util.spec_from_file_location("_perfbench_tracer", ROOT / "perfbench" / "tracer.py")
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
+    return tracer
+
+
+def test_traced_names_exist():
+    # the benchmark's tracer patches these names in place from outside the package
+    tracer = _load_tracer()
     assert tracer.TRACED
     for module, names in tracer.TRACED.items():
         mod = importlib.import_module(module)
         for name in names:
             assert callable(getattr(mod, name, None)), f"{module}.{name}"
+
+
+def test_cli_calls_each_traced_name_through_its_module(tmp_path, monkeypatch):
+    # the tracer sees a call only if cli looks the name up in its own globals at
+    # call time: main must call run, and run the library functions, by name
+    calls = dict.fromkeys(_load_tracer().TRACED["copuladyn.cli"], 0)
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(cli, name, counted(name, getattr(cli, name)))
+    prices = str(tmp_path / "synth" / "prices.csv")
+    commands = [
+        ["synth", "--assets", "3", "--length", "26", "--seed", "2"],
+        ["copula", "--input", prices, "--grid", "4"],
+        ["diff", "--input", prices, "--grid", "4"],
+        ["taildep", "--input", prices, "--grid", "4"],
+        ["dynamics", "--input", prices, "--grid", "4", "--window-days", "1"],
+    ]
+    for argv in commands:
+        assert cli.main([*argv, "--out", str(tmp_path / argv[0])]) == cli.EXIT_OK, argv
+    assert calls["run"] == len(commands)
+    assert [name for name, n in calls.items() if n == 0] == []
 
 
 def test_library_tour_lists_the_reexported_modules():

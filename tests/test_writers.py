@@ -248,12 +248,13 @@ POOL_CASES = [(dest, None) for dest in ("path", "stream")] + [
 
 @pytest.mark.parametrize("destination,cpus", POOL_CASES,
                          ids=[d if c is None else f"{d}-cpus{c}" for d, c in POOL_CASES])
-@pytest.mark.parametrize("extra", [-1, 0, 1])  # line count = block + extra
+# prices, in the pool cases: a chunk closes at one session's rows + extra (the
+# pool's _CHUNK_ROWS boundary); grid: line count = write block + extra
+@pytest.mark.parametrize("extra", [-1, 0, 1])
 def test_writers_at_block_boundaries(tmp_path, monkeypatch, destination, extra, cpus):
     # nine sessions of 13 returns (42 rows each), then a partial one of 4 (15 rows)
     mat = sample_panel(SynthSpec("gaussian", 3, 13 * 9 + 4, 12, 0.2))
     grid = gaussian_grid(0.3, 5)
-    price_lines = price_csv_text(mat, CAL).count("\n")
     grid_lines = grid_csv_text(grid, permille=True).count("\n")
     if cpus:
         counts = use_pool(monkeypatch, cpus)
@@ -262,7 +263,6 @@ def test_writers_at_block_boundaries(tmp_path, monkeypatch, destination, extra, 
         # than the four chunks that two workers keep in flight
         monkeypatch.setattr(synth, "_CHUNK_ROWS", 3 * 14 + extra)
 
-    monkeypatch.setattr(copula, "_WRITE_BLOCK_LINES", price_lines - extra)
     text = written(lambda dest: write_price_csv(mat, CAL, dest), destination, tmp_path)
     assert text == price_csv_text(mat, CAL)
     if cpus:
