@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import chain
 
 import numpy as np
 
@@ -34,10 +34,6 @@ __all__ = [
     "interpolate_cumulative",
     "write_grid_csv",
 ]
-
-# lines per write() call of the CSV writers; bounds the text held in memory
-_WRITE_BLOCK_LINES = 4096
-
 
 @dataclass(frozen=True)
 class CopulaGrid:
@@ -207,52 +203,37 @@ def write_grid_csv(grid: CopulaGrid, destination, permille: bool = False) -> Non
     holds the cell mass scaled by 1000.
     """
     density = np.asarray(grid.density, dtype=float)
-    columns = [
-        *_cell_columns(grid.resolution),
-        _reprs(density),
-        _reprs(np.asarray(grid.cumulative, dtype=float)[1:, 1:]),
-    ]
+    values = [density, np.asarray(grid.cumulative, dtype=float)[1:, 1:]]
     header = "i,j,u_hi,v_hi,density,cumulative"
     if permille:
         header += ",density_permille"
-        columns.append(_reprs(density * 1000.0))
-    _write_csv(destination, header, [columns])
+        values.append(density * 1000.0)
+    _write_cells(destination, header, values)
 
 
-def _cell_columns(m: int) -> list:
-    """The ``i,j,u_hi,v_hi`` columns of an m x m grid's cells in row-major order."""
+def _write_cells(destination, header: str, values) -> None:
+    """Write the cells of m x m grids as CSV rows ``i,j,u_hi,v_hi`` then one value per grid.
+
+    Cells go in row-major order, one grid row (m lines) per ``write()``.
+    """
+    m = values[0].shape[0]
     index = [str(i) for i in range(1, m + 1)]
     hi = [repr(i / m) for i in range(1, m + 1)]
-    return [[text for text in index for _ in range(m)], index * m,
-            [text for text in hi for _ in range(m)], hi * m]
+    blocks = ([[index[r]] * m, index, [hi[r]] * m, hi, *(_reprs(grid[r]) for grid in values)]
+              for r in range(m))
+    _write_csv(destination, header, blocks)
+
+
+def _rows_text(columns) -> str:
+    """The CSV text of equally long ``str`` columns: row r joins the r-th entry of each
+    column with commas, and every row ends in a newline (no rows give ``""``)."""
+    return "\n".join([*map(",".join, zip(*columns)), ""])
 
 
 def _write_csv(destination, header: str, blocks) -> None:
-    """Write ``header``, then the rows of each block in turn.
-
-    A block is a sequence of equally long columns of ``str``; row r of a block
-    joins the r-th entry of each column with commas.
-    """
-    rows = chain.from_iterable(map(",".join, zip(*columns)) for columns in blocks)
-    _write_lines(destination, chain((header,), rows))
-
-
-def _write_lines(destination, lines) -> None:
-    """Write newline-terminated lines to a path (truncating it) or to an open text stream.
-
-    ``lines`` may be any iterable, a generator included; it is consumed and
-    written ``_WRITE_BLOCK_LINES`` lines at a time, so no writer holds its
-    whole text. The bytes written are always those of
-    ``"\\n".join(lines) + "\\n"``, so an empty iterable writes one newline.
-    """
-    _write_texts(destination, _line_blocks(iter(lines)))
-
-
-def _line_blocks(rows):
-    # the first block is yielded even when empty, as a lone newline
-    yield "\n".join(islice(rows, _WRITE_BLOCK_LINES)) + "\n"
-    while block := list(islice(rows, _WRITE_BLOCK_LINES)):
-        yield "\n".join(block) + "\n"
+    """Write ``header``, then the rows of each block of columns in turn, one block per
+    ``write()``."""
+    _write_texts(destination, chain([header + "\n"], map(_rows_text, blocks)))
 
 
 def _write_texts(destination, texts) -> None:

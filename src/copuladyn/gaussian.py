@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .copula import CopulaGrid, _cell_columns, _reprs, _write_csv
+from .copula import CopulaGrid, _write_cells
 
 __all__ = [
     "DifferenceGrid",
@@ -375,6 +375,5 @@ def write_difference_csv(diff: DifferenceGrid, destination) -> None:
     Cell values are scaled by 1000 (per-mille), matching the reporting scale
     of the difference analysis.
     """
-    permille = _reprs(np.asarray(diff.values, dtype=float) * 1000.0)
-    _write_csv(destination, "i,j,u_hi,v_hi,d_permille",
-               [[*_cell_columns(diff.resolution), permille]])
+    _write_cells(destination, "i,j,u_hi,v_hi,d_permille",
+                 [np.asarray(diff.values, dtype=float) * 1000.0])

@@ -84,9 +84,6 @@ class TradingCalendar:
     def _holiday_array(self) -> np.ndarray:
         return np.array(sorted(self.holidays), dtype="datetime64[D]")
 
-    def is_trading_day(self, day) -> bool:
-        return bool(np.is_busday(np.datetime64(day, "D"), holidays=self._holiday_array()))
-
     def in_session_mask(self, timestamps: np.ndarray) -> np.ndarray:
         """Boolean mask of timestamps inside a trading session (bounds inclusive)."""
         ts = timestamps.astype("datetime64[s]")

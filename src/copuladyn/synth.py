@@ -23,7 +23,7 @@ from itertools import chain, repeat
 
 import numpy as np
 
-from .copula import _write_texts
+from .copula import _rows_text, _write_texts
 from .ingest import _HEADER, ReturnMatrix, TradingCalendar
 
 __all__ = [
@@ -149,8 +149,9 @@ def write_price_csv(
     unchanged, so re-ingesting reproduces the scaled returns with the same
     ranks and no overnight artifacts. If the panel ends mid-session, ingestion
     extends that session with the last price carried flat (zero returns).
-    ``scale`` is checked before ``destination`` is opened, so a rejected call
-    leaves an existing file as it was and starts no process.
+    Every price must come out finite and positive, as ``load_prices``
+    requires; this is checked before ``destination`` is opened, so a rejected
+    call leaves an existing file as it was and starts no process.
 
     The rows are formatted in chunks of consecutive sessions and written in
     order. A panel of at least ``_PARALLEL_MIN_ROWS`` rows has its chunks, of
@@ -159,28 +160,33 @@ def write_price_csv(
     platform can fork; otherwise this process formats one session at a time.
     The bytes are the same either way.
     """
-    per_session = {}
-    for d in matrix.session_dates:
-        key = d.item()
-        per_session[key] = per_session.get(key, 0) + 1
-    days = sorted(per_session)
-    opens = (np.array(days, dtype="datetime64[D]").astype("datetime64[s]")
-             + calendar.open_offset)
+    if not (math.isfinite(base_price) and base_price > 0.0):
+        raise ValueError(f"base_price must be finite and positive, got {base_price!r}")
+    if not math.isfinite(scale):
+        raise ValueError(f"scale must be finite, got {scale!r}")
+    # a NaN fails both comparisons
+    if not (-math.inf < matrix.returns.min() and matrix.returns.max() < math.inf):
+        raise ValueError("returns must be finite")
+    days, counts = np.unique(matrix.session_dates.astype("datetime64[D]"), return_counts=True)
+    opens = days.astype("datetime64[s]") + calendar.open_offset
     # session s covers path columns cols[s] to cols[s + 1]: its endpoints
-    cols = np.concatenate(([0], np.cumsum([per_session[day] for day in days], dtype=np.intp)))
+    cols = np.concatenate(([0], np.cumsum(counts, dtype=np.intp)))
     step = np.timedelta64(matrix.interval * 60, "s")
 
     k = matrix.n_assets
-    starts = base_price * (1.0 + np.arange(k, dtype=float) / 10.0)
     paths = np.empty((k, matrix.n_observations + 1))
-    paths[:, 0] = starts
     factors = paths[:, 1:]  # 1 + scale * r, then its running product, built in place
-    np.multiply(matrix.returns, scale, out=factors)
-    factors += 1.0
-    if np.any(factors <= 0.0):
-        raise ValueError("scale too large: price path would cross zero")
-    np.cumprod(factors, axis=1, out=factors)
-    factors *= starts[:, None]
+    with np.errstate(over="ignore"):  # a price past the float range is refused below
+        starts = base_price * (1.0 + np.arange(k, dtype=float) / 10.0)
+        paths[:, 0] = starts
+        np.multiply(matrix.returns, scale, out=factors)
+        factors += 1.0
+        if factors.min() <= 0.0:
+            raise ValueError("scale too large: price path would cross zero")
+        np.cumprod(factors, axis=1, out=factors)
+        factors *= starts[:, None]
+    if not (paths.min() > 0.0 and paths.max() < math.inf):
+        raise ValueError("price path overflows or underflows: a price would be 0 or inf")
 
     header = ",".join(_HEADER) + "\n"
     inputs = (paths, list(matrix.asset_ids), opens, cols, step)
@@ -229,8 +235,7 @@ def _format_chunk(inputs, bounds) -> str:
     stamps = (np.repeat(opens[first:stop], widths) + within * step).astype(str).tolist()
     # each price's repr is dropped as soon as its row is joined
     prices = map(repr, paths.T[columns].ravel().tolist())
-    rows = zip([iso for iso in stamps for _ in names], names * len(stamps), prices)
-    return "\n".join(map(",".join, rows)) + "\n"
+    return _rows_text([[iso for iso in stamps for _ in names], names * len(stamps), prices])
 
 
 def _usable_cpus() -> int:

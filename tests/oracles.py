@@ -16,10 +16,11 @@ time and join the whole text in memory instead of the library's streamed
 writers over string columns, and a Gaussian panel sampler that builds its
 result from two temporaries instead of scaling the noise array in place.
 
-Three helpers at the end are not alternative paths but test references and
-data that the library no longer ships: the Gaussian copula density (the
-integrand of a 2-D quadrature check), a seeded bivariate normal sampler, and
-the elementwise rank transform.
+Four helpers at the end are not alternative paths but test references and
+data that the library does not ship: the Gaussian copula density (the
+integrand of a 2-D quadrature check), a seeded bivariate normal sampler, the
+elementwise rank transform, and a seeded Student t panel sampler, whose
+copula has the lower tail dependence a Gaussian one lacks.
 """
 
 import math
@@ -593,3 +594,20 @@ def rank_transform(series) -> np.ndarray:
         raise ValueError("series values must be finite")
     ordered = np.sort(sample)
     return np.searchsorted(ordered, sample, side="right") / sample.size
+
+
+def student_t_panel(k: int, t: int, rho: float, nu: float, seed: int) -> np.ndarray:
+    """K x T draws of an equicorrelated multivariate Student t with shape rho and nu
+    degrees of freedom.
+
+    Column t is Z_t * sqrt(nu / W_t): Z_t holds K normals with correlation rho
+    (one common factor plus noise), and the chi-square draw W_t with nu degrees
+    of freedom is shared by all assets. Each pair then has the t copula with
+    (rho, nu); for nu > 2 its Pearson correlation is rho.
+    """
+    if not 0.0 <= rho <= 1.0:
+        raise ValueError("rho must lie in [0, 1]")
+    rng = np.random.default_rng(seed)
+    normals = math.sqrt(rho) * rng.standard_normal(t)
+    normals = normals + math.sqrt(1.0 - rho) * rng.standard_normal((k, t))
+    return normals * np.sqrt(nu / rng.chisquare(nu, t))

@@ -58,8 +58,6 @@ def test_holiday_excluded():
     cal = TradingCalendar(holidays=frozenset({dt.date(2024, 1, 4)}))
     ts = np.array(["2024-01-04T12:00:00", "2024-01-05T12:00:00"], dtype="datetime64[s]")
     assert cal.in_session_mask(ts).tolist() == [False, True]
-    assert not cal.is_trading_day("2024-01-04")
-    assert cal.is_trading_day("2024-01-05")
 
 
 # a holiday on a Monday, one on a Saturday, and one on each side of 1970-01-01
@@ -124,9 +122,10 @@ def test_trading_days_skip_weekend_and_holiday():
                 days = cal.trading_days(np.datetime64(start), count)
                 assert days.dtype == np.dtype("datetime64[D]")
                 assert days.tolist() == trading_days_by_day(start, count, holidays)
-            for k in range(30):
-                day = start + dt.timedelta(days=k)
-                assert cal.is_trading_day(day) == (day.weekday() < 5 and day not in holidays)
+            days = [start + dt.timedelta(days=k) for k in range(30)]
+            midday = np.array([f"{day}T12:00:00" for day in days], dtype="datetime64[s]")
+            assert cal.in_session_mask(midday).tolist() == [
+                day.weekday() < 5 and day not in holidays for day in days]
 
 
 def test_load_calendar_text():

@@ -86,7 +86,7 @@ def tick_tape(seed, calendar, blanks=True):
     quotes = []  # (timestamp text, symbol, price text)
     off_session = []
     for day in DAYS:
-        trading = calendar.is_trading_day(day)
+        trading = np.is_busday(day, holidays=sorted(calendar.holidays))
         for sym in symbols:
             if trading and rng.random() < 0.15:
                 continue  # no quote in this session

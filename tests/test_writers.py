@@ -6,7 +6,9 @@ import multiprocessing
 import os
 import threading
 import tracemalloc
+import warnings
 from concurrent.futures import Future
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -248,14 +250,13 @@ POOL_CASES = [(dest, None) for dest in ("path", "stream")] + [
 
 @pytest.mark.parametrize("destination,cpus", POOL_CASES,
                          ids=[d if c is None else f"{d}-cpus{c}" for d, c in POOL_CASES])
-# prices, in the pool cases: a chunk closes at one session's rows + extra (the
-# pool's _CHUNK_ROWS boundary); grid: line count = write block + extra
+# in the pool cases a chunk closes at one session's rows + extra (the pool's
+# _CHUNK_ROWS boundary)
 @pytest.mark.parametrize("extra", [-1, 0, 1])
 def test_writers_at_block_boundaries(tmp_path, monkeypatch, destination, extra, cpus):
     # nine sessions of 13 returns (42 rows each), then a partial one of 4 (15 rows)
     mat = sample_panel(SynthSpec("gaussian", 3, 13 * 9 + 4, 12, 0.2))
     grid = gaussian_grid(0.3, 5)
-    grid_lines = grid_csv_text(grid, permille=True).count("\n")
     if cpus:
         counts = use_pool(monkeypatch, cpus)
         # a chunk closes once it reaches a whole session's rows + extra: ten
@@ -268,7 +269,6 @@ def test_writers_at_block_boundaries(tmp_path, monkeypatch, destination, extra, 
     if cpus:
         assert counts == [cpus if cpus > 1 else 0]
 
-    monkeypatch.setattr(copula, "_WRITE_BLOCK_LINES", grid_lines - extra)
     text = written(lambda dest: write_grid_csv(grid, dest, permille=True), destination, tmp_path)
     assert text == grid_csv_text(grid, permille=True)
 
@@ -283,50 +283,93 @@ class _RecordingStream(io.StringIO):
         return super().write(text)
 
 
-# line counts as (blocks, extra lines): 0, 1, block - 1, block, block + 1, 2 blocks + 1
-COUNTS = [(0, 0), (0, 1), (1, -1), (1, 0), (1, 1), (2, 1)]
-
-
-@pytest.mark.parametrize("destination", ["path", "stream"])
-@pytest.mark.parametrize("blocks,extra", COUNTS)
-def test_write_lines_equals_join(tmp_path, destination, blocks, extra):
-    n = blocks * copula._WRITE_BLOCK_LINES + extra
-    lines = [f"row {k},{k * 0.5!r}" for k in range(n)]
-    text = written(lambda dest: copula._write_lines(dest, iter(lines)), destination, tmp_path)
-    assert text == "\n".join(lines) + "\n"
-
-
-@pytest.mark.parametrize("blocks,extra", COUNTS)
-def test_write_lines_streams_in_blocks(blocks, extra):
-    block = copula._WRITE_BLOCK_LINES
-    n = blocks * block + extra
+@pytest.mark.parametrize("name", ["grid", "grid-permille", "difference"])
+def test_grid_writers_write_one_grid_row_at_a_time(name):
+    m = 7
+    grid = gaussian_grid(0.4, m)
+    writers = {
+        "grid": lambda dest: write_grid_csv(grid, dest),
+        "grid-permille": lambda dest: write_grid_csv(grid, dest, permille=True),
+        "difference": lambda dest: write_difference_csv(
+            DifferenceGrid(resolution=m, values=grid.density - 1.0 / m**2), dest),
+    }
     stream = _RecordingStream()
-    copula._write_lines(stream, (str(k) for k in range(n)))
-    assert len(stream.calls) == max(1, -(-n // block))
-    assert max(call.count("\n") for call in stream.calls) <= block
-    assert stream.getvalue() == "\n".join(str(k) for k in range(n)) + "\n"
+    writers[name](stream)
+    header, *rows = stream.calls
+    assert header.count("\n") == 1 and header.endswith("\n")
+    assert len(rows) == m
+    for i, text in enumerate(rows, start=1):
+        assert text.count("\n") == m and text.endswith("\n")
+        assert [line.split(",")[:2] for line in text.splitlines()] == [
+            [str(i), str(j)] for j in range(1, m + 1)]
+
+
+def test_relation_writer_writes_one_report_at_a_time():
+    reports = _report_lists()["windows"]
+    stream = _RecordingStream()
+    write_relation_csv(reports, stream)
+    header, *texts = stream.calls
+    assert header.startswith("window_start,") and header.count("\n") == 1
+    assert len(texts) == len(reports) > 1
+    for rep, text in zip(reports, texts):
+        assert text.count("\n") == rep.tail.alphas.size
+        assert all(line.startswith(rep.window_start.isoformat() + ",")
+                   for line in text.splitlines())
+    assert stream.getvalue() == relation_csv_text(reports)
+
+
+def test_rows_text_ends_every_row_in_a_newline():
+    assert copula._rows_text([[], []]) == ""
+    assert copula._rows_text([["a"], ["1"]]) == "a,1\n"
+    assert copula._rows_text([["a", "b"], ["1", "2"], iter("xy")]) == "a,1,x\nb,2,y\n"
+
+
+def _refused_price_calls():
+    """(panel, ``write_price_csv`` keywords, message) of calls that would write a price
+    ``load_prices`` refuses: one that is 0, negative, NaN or infinite."""
+    mat = sample_panel(SynthSpec("gaussian", 2, 100, 1, 0.0))
+    nan_return = mat.returns.copy()
+    nan_return[1, 50] = np.nan
+    tenfold, tenth = np.full_like(mat.returns, 9.0), np.full_like(mat.returns, -0.9)
+    return [
+        (mat, {"scale": 10.0}, "scale too large"),
+        (mat, {"scale": float("nan")}, "scale must be finite"),
+        (mat, {"scale": float("inf")}, "scale must be finite"),
+        (mat, {"base_price": -5.0}, "base_price must be finite and positive"),
+        (mat, {"base_price": 0.0}, "base_price must be finite and positive"),
+        (mat, {"base_price": float("inf")}, "base_price must be finite and positive"),
+        (mat, {"base_price": float("nan")}, "base_price must be finite and positive"),
+        (replace(mat, returns=nan_return), {}, "returns must be finite"),
+        # 100 factors of 10 or of 0.1 take a price past the float range either way
+        (replace(mat, returns=tenfold), {"scale": 1.0, "base_price": 1e300}, "overflows"),
+        (replace(mat, returns=tenth), {"scale": 1.0, "base_price": 1e-300}, "underflows"),
+    ]
 
 
 def test_price_csv_validates_scale_before_opening(tmp_path):
-    mat = sample_panel(SynthSpec("gaussian", 2, 100, 1, 0.0))
     target = tmp_path / "prices.csv"
     target.write_bytes(b"timestamp,symbol,price\nkeep,me,1.0\n")
-    with pytest.raises(ValueError, match="scale"):
-        write_price_csv(mat, CAL, target, scale=10.0)
-    assert target.read_bytes() == b"timestamp,symbol,price\nkeep,me,1.0\n"
+    for mat, kw, message in _refused_price_calls():
+        with warnings.catch_warnings(), pytest.raises(ValueError, match=message):
+            warnings.simplefilter("error")  # refused without a numpy warning first
+            write_price_csv(mat, CAL, target, **kw)
+        assert target.read_bytes() == b"timestamp,symbol,price\nkeep,me,1.0\n"
 
 
 def test_price_csv_rejects_scale_before_opening_or_forking(tmp_path, monkeypatch):
     def no_fork():
         raise AssertionError("a process was started")
 
-    use_pool(monkeypatch, 2)
+    counts = use_pool(monkeypatch, 2)
     monkeypatch.setattr(synth, "_CHUNK_ROWS", 1)
     monkeypatch.setattr(os, "fork", no_fork)
-    mat = sample_panel(SynthSpec("gaussian", 2, 100, 1, 0.0))
-    # opening a file in a missing directory would raise FileNotFoundError instead
-    with pytest.raises(ValueError, match="scale"):
-        write_price_csv(mat, CAL, tmp_path / "missing" / "prices.csv", scale=10.0)
+    for mat, kw, message in _refused_price_calls():
+        # opening a file in a missing directory would raise FileNotFoundError instead
+        with pytest.raises(ValueError, match=message):
+            write_price_csv(mat, CAL, tmp_path / "missing" / "prices.csv", **kw)
+    assert counts == []
+    # the same panel with valid settings would take the pool
+    assert synth._worker_count(10_000, 100) == 2
 
 
 @pytest.mark.parametrize("destination", ["path", "stream"])
