@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .copula import average_pairwise_density, write_grid_csv
+from .copula import average_pairwise_density, write_grid_csv, write_grid_csvs
 from .gaussian import difference_map, write_difference_csv
 from .ingest import TradingCalendar, compute_returns, load_calendar, load_prices
 from .synth import SynthSpec, sample_panel, write_price_csv
@@ -167,13 +167,16 @@ def _manifest(args, out_dir: Path, written: list) -> str:
 def run(args) -> int:
     """Execute one parsed and checked command; returns the process exit status.
 
-    On failure every file the run has written is removed.
+    On failure every file the run has written is removed, then every directory
+    it made that is left empty.
     """
     out_dir = Path(args.out)
     written: list[Path] = []
+    made: list[Path] = []  # in the order made, so each parent before its children
 
     def path(*parts) -> Path:
         target = out_dir.joinpath(*parts)
+        made.extend(reversed([d for d in target.parents if not d.exists()]))
         target.parent.mkdir(parents=True, exist_ok=True)
         written.append(target)
         return target
@@ -189,8 +192,9 @@ def run(args) -> int:
             matrix = compute_returns(load_prices(args.input, calendar), args.dt)
             reports = windowed_reports(matrix, args.window_days, args.grid, args.alphas,
                                        upper_convention=args.upper_tail_convention)
-            for idx, rep in enumerate(reports, start=1):
-                write_grid_csv(rep.grid, path("windows", f"window_{idx:04d}.csv"))
+            # lazily, so a failed run records (and unlinks) only the windows it reached
+            write_grid_csvs((rep.grid for rep in reports), (
+                path("windows", f"window_{idx:04d}.csv") for idx in range(1, len(reports) + 1)))
             write_relation_csv(reports, path("relation.csv"))
         else:
             matrix = compute_returns(load_prices(args.input, calendar), args.dt)
@@ -212,9 +216,9 @@ def run(args) -> int:
         # PriceDataError and CalendarError are ValueErrors; so are data-shape
         # problems like a panel shorter than one window
         failure, code = f"input error: {exc}", EXIT_INPUT
-    for target in written:
+    for remove in [*(p.unlink for p in written), *(d.rmdir for d in reversed(made))]:
         try:
-            target.unlink()
+            remove()
         except OSError:
             pass
     print(f"copuladyn: {failure}", file=sys.stderr)

@@ -33,7 +33,12 @@ __all__ = [
     "average_pairwise_density",
     "interpolate_cumulative",
     "write_grid_csv",
+    "write_grid_csvs",
 ]
+
+# entries kept by the value-text table of one CSV writing call (about 2 MiB);
+# values beyond it are formatted each time they occur
+_REPR_TABLE_CAP = 1 << 14
 
 @dataclass(frozen=True)
 class CopulaGrid:
@@ -202,16 +207,25 @@ def write_grid_csv(grid: CopulaGrid, destination, permille: bool = False) -> Non
     that corner. With ``permille=True`` an extra ``density_permille`` column
     holds the cell mass scaled by 1000.
     """
-    density = np.asarray(grid.density, dtype=float)
-    values = [density, np.asarray(grid.cumulative, dtype=float)[1:, 1:]]
-    header = "i,j,u_hi,v_hi,density,cumulative"
-    if permille:
-        header += ",density_permille"
-        values.append(density * 1000.0)
-    _write_cells(destination, header, values)
+    write_grid_csvs([grid], [destination], permille)
 
 
-def _write_cells(destination, header: str, values) -> None:
+def write_grid_csvs(grids, destinations, permille: bool = False) -> None:
+    """Write each grid to its destination (a path or an open text stream) as
+    ``write_grid_csv`` does, with one ``_reprs`` table for all of them: a value
+    that recurs across grids, as equal-length windows' counts do, is formatted once.
+    """
+    header = "i,j,u_hi,v_hi,density,cumulative" + (",density_permille" if permille else "")
+    table: dict = {}
+    for grid, destination in zip(grids, destinations, strict=True):
+        density = np.asarray(grid.density, dtype=float)
+        values = [density, np.asarray(grid.cumulative, dtype=float)[1:, 1:]]
+        if permille:
+            values.append(density * 1000.0)
+        _write_cells(destination, header, values, table)
+
+
+def _write_cells(destination, header: str, values, table: dict) -> None:
     """Write the cells of m x m grids as CSV rows ``i,j,u_hi,v_hi`` then one value per grid.
 
     Cells go in row-major order, one grid row (m lines) per ``write()``.
@@ -219,8 +233,8 @@ def _write_cells(destination, header: str, values) -> None:
     m = values[0].shape[0]
     index = [str(i) for i in range(1, m + 1)]
     hi = [repr(i / m) for i in range(1, m + 1)]
-    blocks = ([[index[r]] * m, index, [hi[r]] * m, hi, *(_reprs(grid[r]) for grid in values)]
-              for r in range(m))
+    blocks = ([[index[r]] * m, index, [hi[r]] * m, hi,
+               *(_reprs(grid[r], table) for grid in values)] for r in range(m))
     _write_csv(destination, header, blocks)
 
 
@@ -249,7 +263,20 @@ def _write_texts(destination, texts) -> None:
         destination.write(text)
 
 
-def _reprs(values) -> list:
-    """The ``repr`` of each entry of ``values`` as a Python float, in C order."""
-    return list(map(repr, np.asarray(values, dtype=float).ravel().tolist()))
+def _reprs(values, table: dict) -> list:
+    """The ``repr`` of each entry of ``values`` as a Python float, in C order.
 
+    ``table`` keeps each text under its float64 bits (so ``0.0`` and ``-0.0``
+    stay apart) until it holds ``_REPR_TABLE_CAP`` entries.
+    """
+    flat = np.asarray(values, dtype=float).ravel()
+    get = table.get
+    texts = []
+    for key, value in zip(flat.view(np.int64).tolist(), flat.tolist()):
+        text = get(key)
+        if text is None:
+            text = repr(value)
+            if len(table) < _REPR_TABLE_CAP:
+                table[key] = text
+        texts.append(text)
+    return texts

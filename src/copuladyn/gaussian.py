@@ -42,6 +42,9 @@ __all__ = [
 _TAIL_LIMIT = 40.0
 # correlations are rounded to this many decimals before the Gaussian baseline
 _CORR_DECIMALS = 3
+# grid cells the Gaussian baseline evaluates at once: blocks of this // (m+1)^2
+# distinct correlations, 4332 at m = 10 (rounding allows 2001, so one block)
+_BASELINE_BLOCK_CELLS = 1 << 19
 # from this |c| on, Genz's high-correlation expansion replaces the arcsine rule
 _HIGH_CORRELATION = 0.925
 # 20-point Gauss-Legendre rule on [0, 1]: nodes (1 -/+ x_i) / 2 in pairs, and
@@ -328,22 +331,32 @@ def _distinct_correlations(corr) -> tuple[np.ndarray, np.ndarray]:
 def average_gaussian_density(corr, resolution: int) -> CopulaGrid:
     """Mean Gaussian copula grid over all pairs of a correlation matrix.
 
-    One ``gaussian_copula_cdf`` call fills the grids of every distinct rounded
-    correlation (``_distinct_correlations``); each is weighted by its pair
-    count, summed in the sorted order of the correlations.
+    ``gaussian_copula_cdf`` fills the grids of the distinct rounded correlations
+    (``_distinct_correlations``) ``_BASELINE_BLOCK_CELLS`` cells at a time; each
+    grid is weighted by its pair count and added in the sorted order of the correlations.
     """
     unique, counts = _distinct_correlations(corr)
-    cumulative = _node_cumulative(unique[:, None, None], resolution)
-    density = _cell_masses(cumulative)
-    # weighted in place: at paper scale each stack is n_corr x (m+1)^2 floats
-    weights = counts[:, None, None]
-    density *= weights
-    cumulative *= weights
+    m = int(resolution)
+    if m < 2:
+        raise ValueError("resolution must be at least 2")
+    step = max(1, _BASELINE_BLOCK_CELLS // (m + 1) ** 2)
+    density_sum = np.zeros((m, m))
+    cumulative_sum = np.zeros((m + 1, m + 1))
+    for start in range(0, unique.size, step):
+        cumulative = _node_cumulative(unique[start:start + step, None, None], m)
+        density = _cell_masses(cumulative)
+        weights = counts[start:start + step, None, None]
+        density *= weights
+        cumulative *= weights
+        # one grid at a time onto zeros, as ``sum(axis=0)`` adds up a stack
+        for d, c in zip(density, cumulative):
+            density_sum += d
+            cumulative_sum += c
     n_pairs = int(counts.sum())
     return CopulaGrid(
-        resolution=cumulative.shape[-1] - 1,
-        density=density.sum(axis=0) / n_pairs,
-        cumulative=cumulative.sum(axis=0) / n_pairs,
+        resolution=m,
+        density=density_sum / n_pairs,
+        cumulative=cumulative_sum / n_pairs,
         sample_count=0,
         pair_count=n_pairs,
     )
@@ -376,4 +389,4 @@ def write_difference_csv(diff: DifferenceGrid, destination) -> None:
     of the difference analysis.
     """
     _write_cells(destination, "i,j,u_hi,v_hi,d_permille",
-                 [np.asarray(diff.values, dtype=float) * 1000.0])
+                 [np.asarray(diff.values, dtype=float) * 1000.0], {})

@@ -263,11 +263,12 @@ def write_relation_csv(reports, destination) -> None:
     Columns: ``window_start,window_end,mean_corr,alpha,lambda_lower,``
     ``lambda_upper,lambda_gauss``.
     """
+    table: dict = {}
     blocks = (
         [[f"{rep.window_start.isoformat()},{rep.window_end.isoformat()},"
           f"{rep.mean_correlation!r}"] * rep.tail.alphas.size]
-        + [_reprs(values) for values in (rep.tail.alphas, rep.tail.lower, rep.tail.upper,
-                                         rep.gaussian_tail.lower)]
+        + [_reprs(values, table) for values in (rep.tail.alphas, rep.tail.lower,
+                                                rep.tail.upper, rep.gaussian_tail.lower)]
         for rep in reports
     )
     header = "window_start,window_end,mean_corr,alpha,lambda_lower,lambda_upper,lambda_gauss"
@@ -276,5 +277,6 @@ def write_relation_csv(reports, destination) -> None:
 
 def write_tail_curve_csv(curve: TailCurve, destination) -> None:
     """Tail curve as CSV rows ``alpha,lambda_lower,lambda_upper``."""
-    columns = [_reprs(curve.alphas), _reprs(curve.lower), _reprs(curve.upper)]
+    table: dict = {}
+    columns = [_reprs(values, table) for values in (curve.alphas, curve.lower, curve.upper)]
     _write_csv(destination, "alpha,lambda_lower,lambda_upper", [columns])

@@ -13,8 +13,10 @@ library's column-wise ingest into per-asset quote runs, a session mask that
 counts weekdays from the epoch and removes holidays in a separate pass instead
 of the library's ``np.is_busday``, CSV writers that format one row at a
 time and join the whole text in memory instead of the library's streamed
-writers over string columns, and a Gaussian panel sampler that builds its
-result from two temporaries instead of scaling the noise array in place.
+writers over string columns, a Gaussian panel sampler that builds its
+result from two temporaries instead of scaling the noise array in place, and
+a mean Gaussian grid that evaluates every distinct correlation in one call
+and sums the stack instead of the library's blocks.
 
 Four helpers at the end are not alternative paths but test references and
 data that the library does not ship: the Gaussian copula density (the
@@ -32,6 +34,7 @@ import numpy as np
 from scipy.integrate import IntegrationWarning, dblquad, quad
 from scipy.special import ndtr, ndtri, owens_t
 
+from copuladyn import gaussian
 from copuladyn.ingest import PriceDataError, ReturnMatrix
 
 QUAD_LOW = -8.5  # univariate tail mass below this is ~1e-17
@@ -534,6 +537,18 @@ def equicorrelated_gaussian(k, t, c, seed):
     common = rng.standard_normal(t)
     noise = rng.standard_normal((k, t))
     return math.sqrt(c) * common[None, :] + math.sqrt(1.0 - c) * noise
+
+
+def one_call_gaussian_density(corr, resolution):
+    """(density, cumulative) of ``gaussian.average_gaussian_density``, from one
+    ``gaussian_copula_cdf`` call over every distinct correlation and one
+    ``sum(axis=0)`` over each weighted stack."""
+    unique, counts = gaussian._distinct_correlations(corr)
+    cumulative = gaussian._node_cumulative(unique[:, None, None], resolution)
+    density = gaussian._cell_masses(cumulative)
+    weights = counts[:, None, None]
+    n_pairs = int(counts.sum())
+    return (density * weights).sum(axis=0) / n_pairs, (cumulative * weights).sum(axis=0) / n_pairs
 
 
 def gaussian_copula_density(u, v, correlation: float):

@@ -227,6 +227,24 @@ def test_failure_after_a_partial_write_leaves_no_file(tmp_path, price_file, monk
     assert not any(p.is_file() for p in out.rglob("*"))
 
 
+def test_failed_run_removes_only_the_directories_it_made(tmp_path, price_file, monkeypatch):
+    def fail(*_a, **_k):
+        raise OSError("disk gave out")
+
+    monkeypatch.setattr(cli, "write_relation_csv", fail)
+    argv = ["dynamics", "--input", str(price_file), "--grid", "4", "--window-days", "5"]
+    fresh = tmp_path / "fresh" / "dyn"
+    assert cli.main([*argv, "--out", str(fresh)]) == cli.EXIT_INPUT
+    assert not fresh.parent.exists()
+    # an --out that held a file before the run keeps it, and is kept
+    kept = tmp_path / "kept"
+    kept.mkdir()
+    (kept / "notes.txt").write_text("mine\n")
+    assert cli.main([*argv, "--out", str(kept)]) == cli.EXIT_INPUT
+    assert sorted(p.name for p in kept.rglob("*")) == ["notes.txt"]
+    assert (kept / "notes.txt").read_text() == "mine\n"
+
+
 def test_usage_errors_exit_2(tmp_path, price_file):
     checks = [
         ("copula", "--input", str(price_file), "--grid", "1", "--out", str(tmp_path / "x1")),

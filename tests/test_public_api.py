@@ -15,7 +15,7 @@ PUBLIC = {
     "__version__",
     # copula
     "CopulaGrid", "quantile_bins", "empirical_copula_density",
-    "average_pairwise_density", "interpolate_cumulative", "write_grid_csv",
+    "average_pairwise_density", "interpolate_cumulative", "write_grid_csv", "write_grid_csvs",
     # gaussian
     "DifferenceGrid", "std_normal_quantile", "bivariate_normal_cdf",
     "gaussian_copula_cdf", "gaussian_grid", "average_gaussian_density",

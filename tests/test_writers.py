@@ -1,14 +1,17 @@
 """Streamed CSV writers against the row-loop oracles, byte for byte."""
 
 import datetime as dt
+import importlib.util
 import io
 import multiprocessing
 import os
+import sys
 import threading
 import tracemalloc
 import warnings
 from concurrent.futures import Future
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,15 +23,16 @@ from oracles import (
     tail_curve_csv_text,
 )
 
-from copuladyn import copula, synth
+from copuladyn import cli, copula, synth
 from copuladyn.copula import (
     CopulaGrid,
     average_pairwise_density,
     empirical_copula_density,
     write_grid_csv,
+    write_grid_csvs,
 )
 from copuladyn.gaussian import DifferenceGrid, difference_map, gaussian_grid, write_difference_csv
-from copuladyn.ingest import TradingCalendar
+from copuladyn.ingest import TradingCalendar, compute_returns, load_prices
 from copuladyn.synth import SynthSpec, sample_panel, write_price_csv
 from copuladyn.taildep import (
     TailCurve,
@@ -125,6 +129,111 @@ def test_grid_csv_matches_oracle(tmp_path, name, destination, permille):
     text = written(lambda dest: write_grid_csv(grid, dest, permille=permille), destination,
                    tmp_path)
     assert text == grid_csv_text(grid, permille=permille)
+
+
+# the default repr table, one that keeps a single text, and one that keeps none
+REPR_TABLE_CAPS = {"default-cap": copula._REPR_TABLE_CAP, "cap1": 1, "cap0": 0}
+
+
+def _grid_lists():
+    grids = _grids()
+    zeros = np.zeros((3, 3))
+    panel = sample_panel(SynthSpec("gaussian", 4, 130, 11, 0.5))
+    return {
+        "cases": [grids[name] for name in sorted(grids)],
+        # +0.0 only in one grid and -0.0 only in the next, both in every column
+        "split-zeros": [CopulaGrid(resolution=2, density=sign * zeros[1:, 1:],
+                                   cumulative=sign * zeros, sample_count=0)
+                        for sign in (1.0, -1.0, 1.0)],
+        # windows of equal length share most of their count values
+        "windows": [rep.grid for rep in windowed_reports(panel, 3, 5, [0.1])],
+        "none": [],
+    }
+
+
+@pytest.mark.parametrize("cap", REPR_TABLE_CAPS.values(), ids=REPR_TABLE_CAPS.keys())
+@pytest.mark.parametrize("permille", [False, True])
+@pytest.mark.parametrize("destination", ["path", "stream"])
+@pytest.mark.parametrize("name", sorted(_grid_lists()))
+def test_grid_csvs_match_oracle(tmp_path, monkeypatch, name, destination, permille, cap):
+    monkeypatch.setattr(copula, "_REPR_TABLE_CAP", cap)
+    grids = _grid_lists()[name]
+    if destination == "path":
+        targets = [tmp_path / f"grid{k}.csv" for k in range(len(grids))]
+        write_grid_csvs(grids, targets, permille=permille)
+        texts = [target.read_bytes().decode() for target in targets]
+    else:
+        streams = [io.StringIO() for _ in grids]
+        write_grid_csvs(iter(grids), iter(streams), permille)
+        texts = [stream.getvalue() for stream in streams]
+    assert texts == [grid_csv_text(grid, permille=permille) for grid in grids]
+
+
+def test_grid_csvs_want_one_destination_per_grid():
+    grid = gaussian_grid(0.3, 3)
+    with pytest.raises(ValueError):
+        write_grid_csvs([grid, grid], [io.StringIO()])
+
+
+def test_repr_table_stops_at_its_cap(monkeypatch):
+    monkeypatch.setattr(copula, "_REPR_TABLE_CAP", 3)
+    values = np.array([[0.5, -0.0, 0.0, 0.25], [1e-300, 0.5, -0.0, 7.0]])
+    table = {}
+    assert copula._reprs(values, table) == list(map(repr, values.ravel().tolist()))
+    assert table == {np.float64(v).view(np.int64): repr(v) for v in (0.5, -0.0, 0.0)}
+
+
+def test_grid_csvs_format_each_distinct_value_once(tmp_path, monkeypatch):
+    # the dynamics-windows benchmark input at seed 1: 20 ten-day windows of an
+    # 18-asset factor panel, m = 50
+    spec = importlib.util.spec_from_file_location(
+        "_perfbench_workloads", Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclass looks itself up
+    spec.loader.exec_module(workloads)
+    prices = tmp_path / "prices.csv"
+    write_price_csv(workloads.factor_returns(1, 18, 20 * 10 * 13), CAL, prices)
+    matrix = compute_returns(load_prices(prices, CAL), 30)
+    grids = [rep.grid for rep in windowed_reports(matrix, 10, 50, [0.1])]
+    cells = np.concatenate([np.concatenate([g.density.ravel(), g.cumulative[1:, 1:].ravel()])
+                            for g in grids])
+    assert len(grids) == 20 and cells.size == 100_000
+    assert np.unique(cells.view(np.int64)).size == 14_178
+    calls = []
+
+    def counted(value):
+        calls.append(value)
+        return repr(value)
+
+    monkeypatch.setattr(copula, "repr", counted, raising=False)
+    write_grid_csvs(grids, [io.StringIO() for _ in grids])
+    # one repr per distinct value, plus the 50 u_hi/v_hi texts of each grid
+    assert len(calls) == 14_178 + 20 * 50
+
+
+def test_dynamics_window_files_match_oracle_at_unequal_sample_counts(tmp_path):
+    # three symbols quote every half hour for four sessions; on the third, S1 misses
+    # its opening print, so that session loses its first return
+    rng = np.random.default_rng(3)
+    lines = ["timestamp,symbol,price"]
+    for day in ("2024-01-02", "2024-01-03", "2024-01-04", "2024-01-05"):
+        for minute in range(9 * 60 + 30, 16 * 60 + 1, 30):
+            for sym in ("S0", "S1", "S2"):
+                if not (day == "2024-01-04" and minute == 9 * 60 + 30 and sym == "S1"):
+                    price = float(np.exp(3.0 + rng.normal(0.0, 0.01)))
+                    lines.append(f"{day}T{minute // 60:02d}:{minute % 60:02d}:00,{sym},{price!r}")
+    prices = tmp_path / "ticks.csv"
+    prices.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "dyn"
+    assert cli.main(["dynamics", "--input", str(prices), "--grid", "5", "--window-days", "2",
+                     "--out", str(out)]) == cli.EXIT_OK
+    reports = windowed_reports(compute_returns(load_prices(prices, CAL), 30), 2, 5,
+                               list(cli._DEFAULT_ALPHAS))
+    assert [rep.sample_count for rep in reports] == [26, 25]
+    assert [rep.grid.sample_count for rep in reports] == [26 * 3, 25 * 3]
+    for idx, rep in enumerate(reports, start=1):
+        text = (out / "windows" / f"window_{idx:04d}.csv").read_bytes().decode()
+        assert text == grid_csv_text(rep.grid)
 
 
 def test_grid_cases_cover_exponents_and_exact_zeros():
@@ -283,25 +392,30 @@ class _RecordingStream(io.StringIO):
         return super().write(text)
 
 
-@pytest.mark.parametrize("name", ["grid", "grid-permille", "difference"])
+@pytest.mark.parametrize("name", ["grid", "grid-permille", "difference", "grids",
+                                  "grids-permille"])
 def test_grid_writers_write_one_grid_row_at_a_time(name):
     m = 7
     grid = gaussian_grid(0.4, m)
+    # each writer fills the first stream, or one stream per grid
     writers = {
-        "grid": lambda dest: write_grid_csv(grid, dest),
-        "grid-permille": lambda dest: write_grid_csv(grid, dest, permille=True),
+        "grid": lambda dest: write_grid_csv(grid, dest[0]),
+        "grid-permille": lambda dest: write_grid_csv(grid, dest[0], permille=True),
         "difference": lambda dest: write_difference_csv(
-            DifferenceGrid(resolution=m, values=grid.density - 1.0 / m**2), dest),
+            DifferenceGrid(resolution=m, values=grid.density - 1.0 / m**2), dest[0]),
+        "grids": lambda dest: write_grid_csvs([grid, gaussian_grid(-0.2, m)], dest),
+        "grids-permille": lambda dest: write_grid_csvs([grid, grid], dest, permille=True),
     }
-    stream = _RecordingStream()
-    writers[name](stream)
-    header, *rows = stream.calls
-    assert header.count("\n") == 1 and header.endswith("\n")
-    assert len(rows) == m
-    for i, text in enumerate(rows, start=1):
-        assert text.count("\n") == m and text.endswith("\n")
-        assert [line.split(",")[:2] for line in text.splitlines()] == [
-            [str(i), str(j)] for j in range(1, m + 1)]
+    streams = [_RecordingStream(), _RecordingStream()]
+    writers[name](streams)
+    for stream in streams if name.startswith("grids") else streams[:1]:
+        header, *rows = stream.calls
+        assert header.count("\n") == 1 and header.endswith("\n")
+        assert len(rows) == m
+        for i, text in enumerate(rows, start=1):
+            assert text.count("\n") == m and text.endswith("\n")
+            assert [line.split(",")[:2] for line in text.splitlines()] == [
+                [str(i), str(j)] for j in range(1, m + 1)]
 
 
 def test_relation_writer_writes_one_report_at_a_time():
