@@ -7,15 +7,15 @@ dropped and counted; rows inside are kept as parsed, one time-ordered quote
 run per asset, so the panel grows with the row count and not with assets x
 timestamps.
 
-The file is read in blocks of ``_READ_BLOCK_CHARS`` characters. A plain block
-(no quote, no lone carriage return, exactly two commas on every line that is
-not empty, no line over ``csv.field_size_limit()``) is parsed column-wise
-with whole-block calls; it skips empty lines, as ``csv.reader`` does, and a
-line of spaces is not empty. A block that is not plain, or that holds a
-faulty row, goes to a row-at-a-time ``csv.reader`` loop, which handles quoted
-fields and records spanning lines, and reports the first fault by its
-physical line number. The loop stops at the first record boundary at or after
-the end of that block, and the next block is tried column-wise again.
+The input is read in text blocks of whole lines, about ``_READ_BLOCK_CHARS``
+characters each, whose line ends and commas numpy finds. A plain block (no
+quote, no lone carriage return, two commas on every line that is not empty, no
+line over ``csv.field_size_limit()``) is parsed column-wise with whole-block
+calls; it skips empty lines, as ``csv.reader`` does, and a line of spaces is
+not empty. Any other block, or one with a faulty row, goes to a row-at-a-time
+``csv.reader`` loop, which handles quoted fields and records spanning lines and
+reports the first fault by its physical line. It stops at the first record
+boundary at or after the block's end; the next block is tried column-wise.
 
 Returns are arithmetic, r(t) = (P(t + dt) - P(t)) / P(t), computed on a fixed
 per-session endpoint grid (session open, open + dt, ...). Prices at endpoints
@@ -27,10 +27,12 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
+import io
 import logging
 import math
+import re
 from dataclasses import dataclass, field
-from itertools import chain, repeat
+from itertools import chain
 
 import numpy as np
 
@@ -233,7 +235,7 @@ class ReturnMatrix:
 _HEADER = ["timestamp", "symbol", "price"]
 # characters the column-wise parser reads at a time; its working memory scales with this
 _READ_BLOCK_CHARS = 1 << 18
-_EMPTY_LINES = ("\n", "\r\n")
+_ASCII_SPACES = " \t\x0b\x0c\x1c\x1d\x1e\x1f"  # what str.strip removes in ASCII, bar line ends
 
 
 def load_prices(source, calendar: TradingCalendar) -> PricePanel:
@@ -247,11 +249,28 @@ def load_prices(source, calendar: TradingCalendar) -> PricePanel:
     if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
         # utf-8-sig drops a leading byte-order mark, as Excel's "CSV UTF-8" writes
         with open(source, "r", encoding="utf-8-sig", newline="") as fh:
-            return _parse_prices(fh, calendar)
+            return _parse_prices(fh, calendar, own_file=True)
     return _parse_prices(source, calendar)
 
 
-def _parse_prices(stream, calendar: TradingCalendar) -> PricePanel:
+def _blocks(stream, own_file):
+    """(text, lines) per block of whole lines; ``lines`` is None for a file load_prices opened.
+
+    That file gives the text ``readlines`` would, as it stops once its total exceeds the
+    hint. A caller's stream keeps ``readlines``: its newline mode decides where lines end.
+    """
+    while True:
+        if own_file:
+            text, lines = stream.read(_READ_BLOCK_CHARS) + stream.readline(), None
+        else:
+            lines = stream.readlines(_READ_BLOCK_CHARS)
+            text = "".join(lines)
+        if not text:
+            return
+        yield text, lines
+
+
+def _parse_prices(stream, calendar: TradingCalendar, own_file=False) -> PricePanel:
     reader = csv.reader(stream)
     try:
         header = next(reader)
@@ -265,17 +284,17 @@ def _parse_prices(stream, calendar: TradingCalendar) -> PricePanel:
     codes = {}  # symbol -> integer code, in order of first appearance
     blocks = []  # (timestamps, codes, prices, line numbers) per block of rows
     lineno = reader.line_num  # physical lines consumed so far
-    while lines := stream.readlines(_READ_BLOCK_CHARS):
-        block = _parse_plain_block(lines, lineno, codes)
-        if block is None:
-            # the row loop takes this block, and the rest of a record that spans
-            # past its end; the block parser then tries the next block
+    for text, lines in _blocks(stream, own_file):
+        parsed = _parse_plain_block(text, lineno, codes)
+        if parsed is None or lines and len(lines) != parsed[1]:
+            # the row loop takes this block (or one whose stream ends lines elsewhere
+            # than at "\n"), and the rest of a record that spans past its end; the
+            # block parser then tries the next block
+            lines = lines or io.StringIO(text, newline="").readlines()
             reader = csv.reader(chain(lines, stream))
-            block = _parse_price_rows(reader, lineno, codes, len(lines))
-            lineno += reader.line_num
-        else:
-            lineno += len(lines)
-        blocks.append(block)
+            parsed = _parse_price_rows(reader, lineno, codes, len(lines)), reader.line_num
+        blocks.append(parsed[0])
+        lineno += parsed[1]
     if not sum(block[0].size for block in blocks):
         raise PriceDataError("input contains no data rows")
     ts, code, px, linenos = (np.concatenate(column) for column in zip(*blocks))
@@ -291,10 +310,10 @@ def _parse_prices(stream, calendar: TradingCalendar) -> PricePanel:
 
     names = list(codes)
     symbols = sorted(names[c] for c in np.flatnonzero(np.bincount(code)).tolist())
-    row_of = np.empty(len(codes), dtype=np.intp)
+    row_of = np.empty(len(codes), dtype=np.uint16 if len(symbols) <= 1 << 16 else np.intp)
     row_of[[codes[s] for s in symbols]] = np.arange(len(symbols))
-    # one stable sort groups each asset's quotes in file order; each quote must
-    # be later than the one before, and the earliest offending row is reported
+    # one stable sort (radix, on 16-bit keys) groups each asset's quotes in file order;
+    # each quote must be later than the one before, and the earliest offending row is reported
     order = np.argsort(row_of[code], kind="stable")
     row, ts, px = row_of[code[order]], ts[order], px[order]
     regress = (np.diff(row) == 0) & (np.diff(ts).astype(np.int64) <= 0)
@@ -315,34 +334,37 @@ def _parse_prices(stream, calendar: TradingCalendar) -> PricePanel:
     )
 
 
-def _parse_plain_block(lines, line_offset, codes):
-    """Columns of a block of plain lines, or None if the row loop must take the block.
+def _parse_plain_block(text, line_offset, codes):
+    """(columns, physical line count) of a plain block, or None if the row loop must take it.
 
     In a plain block no line has a quote or a lone carriage return, every line
-    has exactly two commas and none is longer than the csv module's field
-    limit, so ``csv.reader`` would split each line at its commas and nothing
-    else. The block is also refused if any row fails a check; the row loop
-    then reports the first fault. ``line_offset`` physical lines precede it.
-    Empty lines (``"\n"`` or ``"\r\n"``), for which ``csv.reader`` yields no
-    row, are skipped; the other lines keep their physical line numbers.
+    that is not empty has exactly two commas and none is longer than the csv
+    module's field limit, so ``csv.reader`` would split each line at its commas
+    and nothing else. A block with a faulty row is refused too, so that the row
+    loop reports the first fault. ``line_offset`` physical lines precede the
+    block; its empty lines, for which ``csv.reader`` yields no row, are skipped.
     """
-    linenos = None  # physical line numbers, once a skipped line breaks the run
-    commas = set(map(str.count, lines, repeat(",")))
-    if commas == {0, 2}:
-        linenos = [n for n, line in enumerate(lines, line_offset + 1) if line not in _EMPTY_LINES]
-        lines = [line for line in lines if line not in _EMPTY_LINES]
-        commas = set(map(str.count, lines, repeat(",")))
-    text = "".join(lines)
     if "\r" in text:
         text = text.replace("\r\n", "\n")
-    if ('"' in text or "\r" in text or max(map(len, lines)) > csv.field_size_limit()
-            or commas != {2}):
+    if '"' in text or "\r" in text:
         return None
-    n = len(lines)
+    raw = np.frombuffer(text.encode("utf-8", "surrogatepass"), np.uint8)
+    ends = np.flatnonzero(raw == 10)  # each line's newline, as a byte offset
+    if not text.endswith("\n"):
+        ends = np.append(ends, raw.size)
+    length = np.diff(ends, prepend=-1) - 1  # in bytes, which are no fewer than characters
+    commas = np.diff(np.searchsorted(np.flatnonzero(raw == 44), ends), prepend=0)
+    if (commas != 2 * (length > 0)).any() or length.max() >= csv.field_size_limit():
+        return None
+    linenos = line_offset + 1 + np.flatnonzero(length)
+    n = linenos.size
+    if n < ends.size:
+        text = re.sub("\n\n+", "\n", text).lstrip("\n")
     fields = text.replace("\n", ",").split(",")
-    ts_text = list(map(str.strip, fields[0:3 * n:3]))
-    symbols = list(map(str.strip, fields[1:3 * n:3]))
-    price_text = list(map(str.strip, fields[2:3 * n:3]))
+    ts_text, symbols, price_text = fields[0:3 * n:3], fields[1:3 * n:3], fields[2:3 * n:3]
+    if not text.isascii() or any(space in text for space in _ASCII_SPACES):
+        ts_text, symbols, price_text = (list(map(str.strip, column))
+                                        for column in (ts_text, symbols, price_text))
     if "" in symbols:
         return None
     try:
@@ -355,9 +377,7 @@ def _parse_plain_block(lines, line_offset, codes):
     for symbol in dict.fromkeys(symbols):
         codes.setdefault(symbol, len(codes))
     code = np.fromiter(map(codes.__getitem__, symbols), np.intp, n)
-    if linenos is None:
-        return ts, code, px, np.arange(line_offset + 1, line_offset + n + 1)
-    return ts, code, px, np.array(linenos, dtype=np.intp)
+    return (ts, code, px, linenos), ends.size
 
 
 def _parse_price_rows(reader, line_offset, codes, stop_line):

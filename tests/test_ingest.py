@@ -447,19 +447,31 @@ def test_pipeline_never_builds_the_dense_view(monkeypatch):
     assert matrix.n_assets == 20
 
 
-def test_ingest_peak_memory_per_row():
-    rows = 120_000
-    stream = io.StringIO(async_tape(30, rows, seed=3, sessions=6))
+def load_peak_per_row(source, rows):
+    """Peak traced bytes per row of load_prices on a ``rows``-row tape."""
     tracemalloc.start()
     try:
-        panel = load_prices(stream, CAL)
+        panel = load_prices(source, CAL)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert panel.quote_ts.size == rows
+    return peak / rows
+
+
+def test_ingest_peak_memory_per_row():
+    rows = 120_000
+    stream = io.StringIO(async_tape(30, rows, seed=3, sessions=6))
     # the parsed columns (timestamp, symbol code, price, line number) are 32
     # bytes a row; per-row Python lists of the text would be about 160
-    assert peak < 128 * rows, peak / rows
+    assert load_peak_per_row(stream, rows) < 128
+
+
+def test_ingest_peak_memory_per_row_from_a_path(tmp_path):
+    rows = 120_000
+    path = tmp_path / "prices.csv"
+    path.write_text(async_tape(30, rows, seed=3, sessions=6))
+    assert load_peak_per_row(path, rows) < 128
 
 
 def test_tokeniser_errors_name_their_line():
@@ -472,3 +484,9 @@ def test_tokeniser_errors_name_their_line():
     # a lone carriage return inside a line of a stream that does not split lines there
     with pytest.raises(PriceDataError, match=r"^line 2: new-line character seen in unquoted field"):
         load_prices(csv_stream(["2024-01-03T09:30:00,AAA,1.0\r2024-01-03T09:31:00,AAA,2.0"]), CAL)
+    # a bare "\n" inside a line of a stream that ends lines only at "\r\n"
+    stream = io.TextIOWrapper(io.BytesIO(b"timestamp,symbol,price\r\n2024-01-03T09:30:00,AAA,1.0\n"
+                                         b"2024-01-03T09:31:00,AAA,2.0\r\n"),
+                              encoding="utf-8", newline="\r\n")
+    with pytest.raises(PriceDataError, match=r"^line 2: new-line character seen in unquoted field"):
+        load_prices(stream, CAL)

@@ -3,6 +3,8 @@
 import csv
 import datetime as dt
 import io
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,11 +36,20 @@ def outcome(fn, *args):
         return str(exc)
 
 
-# newline="" splits lines as load_prices opens a file: at "\n", "\r\n" and a lone "\r"
+# newline="" splits lines as load_prices opens a file: at "\n", "\r\n" and a lone "\r".
+# Each case is also read from a file, which load_prices reads with its own block reader.
 def library_panel(text, calendar, block_chars=ingest._READ_BLOCK_CHARS):
-    with pytest.MonkeyPatch.context() as mp:
+    with pytest.MonkeyPatch.context() as mp, tempfile.TemporaryDirectory() as tmp:
         mp.setattr(ingest, "_READ_BLOCK_CHARS", block_chars)
-        return outcome(load_prices, io.StringIO(text, newline=""), calendar)
+        got = outcome(load_prices, io.StringIO(text, newline=""), calendar)
+        path = Path(tmp) / "prices.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        from_file = outcome(load_prices, path, calendar)
+    if isinstance(got, str):
+        assert from_file == got
+    else:
+        assert_same_panel(from_file, got)
+    return got
 
 
 def oracle_panel(text, calendar):
@@ -430,13 +441,15 @@ def test_quoted_line_3_hands_back_to_the_block_parser(tmp_path, monkeypatch, blo
     got = compare_to_oracle(lines, block_chars)
     if fault == "price":
         assert got == f"line {starts[2] + 2}: price must be strictly positive, got 0.000"
-        assert used == [("rows", 2), ("plain", starts[1]), ("rows", starts[2])]
+        # library_panel reads a stream and then a file; both take the same blocks
+        assert used == 2 * [("rows", 2), ("plain", starts[1]), ("rows", starts[2])]
         return
     if fault == "regression":
         assert got == (f"line {starts[3] + 2}: timestamps for symbol 'AAA' must be "
                        "strictly increasing")
-    # only the first block goes to the row loop, which stops at its end
-    assert used == [("rows", 2), *(("plain", n) for n in starts[1:])]
+    # only the first block goes to the row loop, which stops at its end, in the
+    # stream run and then in the file run of library_panel
+    assert used == 2 * [("rows", 2), *(("plain", n) for n in starts[1:])]
     # from a file as well, where the row loop iterates the stream that blocks are read from
     path = tmp_path / "prices.csv"
     path.write_text(HEADER_LINE + "".join(lines))
@@ -482,7 +495,8 @@ def test_regression_line_after_the_row_loop_takes_over(monkeypatch, block_chars)
     monkeypatch.setattr(ingest, "_parse_price_rows", counted_row_loop)
     assert compare_to_oracle(lines, block_chars) == (
         f"line {regress}: timestamps for symbol 'AAA' must be strictly increasing")
-    assert offsets == [starts[1] - 1]  # the header and the first block precede it
+    # the header and the first block precede it, from the stream and then from the file
+    assert offsets == 2 * [starts[1] - 1]
 
 
 def test_off_session_rows_do_not_regress():
@@ -494,3 +508,92 @@ def test_off_session_rows_do_not_regress():
     ), TradingCalendar())
     assert panel.excluded_count == 1
     assert panel.prices.tolist() == [[1.0, 3.0]]
+
+
+BODY = "".join(good_lines(12))  # 30-character lines
+READER_CASES = {
+    "lf": BODY,
+    # 31-character lines: a 30-character read ends between the first "\r" and its "\n"
+    "crlf": BODY.replace("\n", "\r\n"),
+    # a lone "\r" ends the first line, the last character of a 30-character read
+    "lone-cr": BODY[:29] + "\r" + BODY[30:],
+    "no-final-newline": BODY[:-1],
+    "long-line": BODY[:60] + f"{stamp('2024-01-03', 34300)},{'X' * 100},1.0\n" + BODY[60:],
+}
+
+
+def header_then(path, block_chars, read_blocks):
+    """The blocks that ``read_blocks`` takes from ``path`` opened as load_prices opens it,
+    after the header line, at ``block_chars``."""
+    with pytest.MonkeyPatch.context() as mp, open(path, encoding="utf-8-sig", newline="") as fh:
+        mp.setattr(ingest, "_READ_BLOCK_CHARS", block_chars)
+        fh.readline()
+        return read_blocks(fh)
+
+
+@pytest.mark.parametrize("block_chars", [29, 30, 31, 64, ingest._READ_BLOCK_CHARS])
+@pytest.mark.parametrize("case", READER_CASES)
+def test_file_blocks_are_the_lines_of_readlines(tmp_path, case, block_chars):
+    body = READER_CASES[case]
+    if case == "crlf":
+        assert body[29:31] == "\r\n"
+    elif case == "lone-cr":
+        assert body[29:31] == "\r2"
+    path = tmp_path / "prices.csv"
+    path.write_text(HEADER_LINE + body, encoding="utf-8", newline="")
+    got = header_then(path, block_chars, lambda fh: list(ingest._blocks(fh, True)))
+    want = header_then(path, block_chars,
+                       lambda fh: list(iter(lambda: fh.readlines(block_chars), [])))
+    assert [text for text, _ in got] == ["".join(lines) for lines in want]
+    assert all(lines is None for _, lines in got)
+    assert len(want) > 1 or block_chars > len(body)
+    # a caller's stream keeps its own lines
+    stream = io.StringIO(body, newline="")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ingest, "_READ_BLOCK_CHARS", block_chars)
+        assert list(ingest._blocks(stream, False)) == [("".join(lines), lines) for lines in want]
+
+
+# every character that str.strip removes and a field may hold: all the ASCII ones
+# ("\n" and "\r" end lines), then some that are not ASCII
+STRIPPED = " \t\x0b\x0c\x1c\x1d\x1e\x1f\x85\xa0\u2000\u3000"
+
+
+@pytest.mark.parametrize("space", STRIPPED)
+def test_padded_fields_are_stripped_by_the_block_parser(monkeypatch, space):
+    lines = good_lines(40)
+    for k in range(1, 40, 7):
+        lines[k] = ",".join(space + f + space for f in lines[k][:-1].split(",")) + "\n"
+    monkeypatch.setattr(ingest, "_parse_price_rows", row_loop)
+    for block_chars in BLOCK_CHARS:
+        assert compare_to_oracle(lines, block_chars).asset_ids == list(SYMBOLS)
+
+
+@pytest.mark.parametrize("fault", [False, True])
+@pytest.mark.parametrize("n_symbols", [1 << 16, (1 << 16) + 1])
+def test_grouping_sort_at_the_16_bit_key_limit(n_symbols, fault):
+    # up to 65,536 symbols the rows sort by 16-bit keys, the largest being 65,535
+    rng = np.random.default_rng(n_symbols)
+    names = [f"S{k:05d}" for k in range(n_symbols)]
+    lines = [f"{stamp('2024-01-03', 34200 + m)},{names[k]},{m + 1}.5\n"
+             for m in range(2) for k in rng.permutation(n_symbols).tolist()]
+    if fault:  # the last symbol quotes at the opening second again
+        lines.append(f"{stamp('2024-01-03', 34200)},{names[-1]},3.5\n")
+    got = compare_to_oracle(lines, ingest._READ_BLOCK_CHARS)
+    if fault:
+        assert got == (f"line {len(lines) + 1}: timestamps for symbol {names[-1]!r} must be "
+                       "strictly increasing")
+    else:
+        assert got.asset_ids == names
+
+
+def test_lone_surrogate_in_a_stream_stays_on_the_block_parser(monkeypatch):
+    # a str may hold a lone surrogate, which a file's UTF-8 never decodes to
+    lines = good_lines(6)
+    lines[1] = lines[1].replace(",BBB,", ",B\ud800B,")
+    text = HEADER_LINE + "".join(lines)
+    want = oracle_panel(text, CALENDARS[0])
+    monkeypatch.setattr(ingest, "_parse_price_rows", row_loop)
+    got = load_prices(io.StringIO(text, newline=""), CALENDARS[0])
+    assert_same_panel(got, want)
+    assert "B\ud800B" in got.asset_ids
