@@ -208,7 +208,7 @@ def run(args) -> int:
                 curve = tail_curve(grid, args.alphas, upper_convention=args.upper_tail_convention)
                 write_tail_curve_csv(curve, path("tail_curve.csv"))
         text = _manifest(args, out_dir, written)
-        path("manifest.json").write_text(text)
+        path("manifest.json").write_text(text, encoding="utf-8")
         return EXIT_OK
     except ArithmeticError as exc:
         failure, code = f"numerical failure: {exc}", EXIT_NUMERIC

@@ -251,12 +251,12 @@ def _write_csv(destination, header: str, blocks) -> None:
 
 
 def _write_texts(destination, texts) -> None:
-    """Write each text in turn to a path (truncating it) or to an open text stream.
+    """Write each text in turn to a path (truncating it; in UTF-8) or to an open text stream.
 
     A path is opened before the first text is taken from ``texts``.
     """
     if isinstance(destination, (str, bytes)) or hasattr(destination, "__fspath__"):
-        with open(destination, "w", newline="") as fh:
+        with open(destination, "w", encoding="utf-8", newline="") as fh:
             _write_texts(fh, texts)
         return
     for text in texts:

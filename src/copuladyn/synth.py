@@ -9,20 +9,20 @@ equicorrelation falls back to a Cholesky factor of the equicorrelation matrix.
 ``write_price_csv`` formats a panel of at least ``_PARALLEL_MIN_ROWS`` output
 rows in forked worker processes, one per CPU this process may use (so
 ``taskset`` limits them), when there are two or more such CPUs and no other
-thread runs. The bytes it writes do not depend on the number of workers.
+thread runs. The workers send UTF-8 bytes back over pipes, and a path gets
+them unchanged; the bytes it writes do not depend on the number of workers.
 """
 
 from __future__ import annotations
 
 import math
 import os
-import threading
-from collections import deque
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import chain
 
 import numpy as np
 
+from ._pool import ordered, usable_cpus as _usable_cpus, worker_count
 from .copula import _rows_text, _write_texts
 from .ingest import _HEADER, ReturnMatrix, TradingCalendar
 
@@ -193,30 +193,29 @@ def write_price_csv(
     session_rows = ((np.diff(cols) + 1) * k).tolist()
     chunks = _chunks(session_rows)
     workers = _worker_count(sum(session_rows), len(chunks))
-    if not workers:
-        # one session a chunk: this process then holds one session's strings at a time
-        sessions = [(s, s + 1) for s in range(len(session_rows))]
-        _write_texts(destination, chain([header], map(_format_chunk, repeat(inputs), sessions)))
-        return
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
+    # in this process one session a chunk: it then holds one session's strings at a time
+    jobs = chunks if workers else [(s, s + 1) for s in range(len(session_rows))]
 
-    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
-                             initializer=_inherit, initargs=(inputs,)) as pool:
-        _write_texts(destination, chain([header], _in_order(pool, chunks, 2 * workers)))
+    def work(bounds):  # forked workers see the price paths through this closure
+        return _format_chunk(inputs, bounds).encode()
+
+    with ordered(work, jobs, workers) as results:
+        if isinstance(destination, (str, bytes, os.PathLike)):
+            with open(destination, "wb") as fh:
+                fh.writelines(chain([header.encode()], results))
+        else:
+            _write_texts(destination, chain([header], map(bytes.decode, results)))
 
 
 def _chunks(session_rows: list) -> list:
     """(first, stop) ranges of consecutive sessions, each but the last of at least
     ``_CHUNK_ROWS`` rows."""
     chunks, first, rows = [], 0, 0
-    for s, n in enumerate(session_rows):
+    for stop, n in enumerate(session_rows, 1):
         rows += n
-        if rows >= _CHUNK_ROWS:
-            chunks.append((first, s + 1))
-            first, rows = s + 1, 0
-    if rows:
-        chunks.append((first, len(session_rows)))
+        if rows >= _CHUNK_ROWS or stop == len(session_rows):
+            chunks.append((first, stop))
+            first, rows = stop, 0
     return chunks
 
 
@@ -238,45 +237,6 @@ def _format_chunk(inputs, bounds) -> str:
     return _rows_text([[iso for iso in stamps for _ in names], names * len(stamps), prices])
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def _worker_count(rows: int, n_chunks: int) -> int:
-    """Worker processes to format ``n_chunks`` chunks of ``rows`` rows in all;
-    0 to format them in this process."""
-    workers = min(_usable_cpus(), n_chunks)
-    # a fork could copy a lock that another thread holds, so no other thread may run
-    if rows < _PARALLEL_MIN_ROWS or workers < 2 or threading.active_count() > 1:
-        return 0
-    import multiprocessing
-
-    # forked workers inherit the price paths; other start methods would
-    # pickle them or re-import numpy in every worker
-    return workers if "fork" in multiprocessing.get_all_start_methods() else 0
-
-
-_inherited = None  # a worker's formatting inputs, set by _inherit when it starts
-
-
-def _inherit(inputs) -> None:
-    global _inherited
-    _inherited = inputs
-
-
-def _format_inherited(bounds) -> str:
-    return _format_chunk(_inherited, bounds)
-
-
-def _in_order(pool, chunks, depth):
-    """The texts of ``chunks`` from ``pool``'s workers in order, at most ``depth`` in flight."""
-    pending = deque()
-    for bounds in chunks:
-        if len(pending) == depth:
-            yield pending.popleft().result()
-        pending.append(pool.submit(_format_inherited, bounds))
-    while pending:
-        yield pending.popleft().result()
+    """Worker processes for ``n_chunks`` chunks of ``rows`` rows; 0 to format in this process."""
+    return worker_count(rows, n_chunks, _PARALLEL_MIN_ROWS, _usable_cpus())

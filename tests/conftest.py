@@ -27,6 +27,17 @@ def rng():
 
 @pytest.fixture(autouse=True)
 def no_stray_processes():
-    """Fail a test that leaves a child process of this one running."""
+    """Fail a test that leaves a child process of this one, running or unreaped.
+
+    ``multiprocessing.active_children`` lists only the children that ``multiprocessing``
+    started; ``os.waitid`` sees every child, those of a bare ``os.fork`` included.
+    """
     yield
     assert not multiprocessing.active_children()
+    if hasattr(os, "waitid"):
+        try:
+            left = os.waitid(os.P_ALL, 0, os.WEXITED | os.WNOHANG | os.WNOWAIT)
+        except ChildProcessError:  # no child at all
+            return
+        pytest.fail("a child process was left " + (
+            "running" if left is None else f"unreaped: pid {left.si_pid}"))

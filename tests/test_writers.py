@@ -3,13 +3,15 @@
 import datetime as dt
 import importlib.util
 import io
-import multiprocessing
+import json
 import os
+import signal
+import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 import warnings
-from concurrent.futures import Future
 from dataclasses import replace
 from pathlib import Path
 
@@ -503,21 +505,84 @@ def test_price_csv_worker_error_reaches_the_caller(tmp_path, monkeypatch, destin
     assert counts == [2]
 
 
-def test_pool_keeps_a_bounded_number_of_chunks_in_flight():
-    submitted = []
+@pytest.mark.parametrize("destination", ["path", "stream"])
+@pytest.mark.parametrize("ending", [0, 3, 5])
+def test_price_csv_raises_when_a_worker_ends_without_its_result(tmp_path, monkeypatch,
+                                                                 destination, ending):
+    def format_or_exit(inputs, bounds):
+        if bounds[0] == ending and os.getpid() != caller:
+            os._exit(0)  # a worker that ends without sending this chunk or any later one
+        return format_chunk(inputs, bounds)
 
-    class Pool:
-        def submit(self, fn, bounds):
-            submitted.append(bounds)
-            future = Future()
-            future.set_result(str(bounds))
-            return future
+    caller = os.getpid()
+    format_chunk = synth._format_chunk
+    counts = use_pool(monkeypatch, 2)
+    monkeypatch.setattr(synth, "_CHUNK_ROWS", 1)  # one chunk per session; 5 is the last
+    monkeypatch.setattr(synth, "_format_chunk", format_or_exit)
+    mat = sample_panel(SynthSpec("gaussian", 3, 13 * 6, 1, 0.2))
+    with pytest.raises(ChildProcessError, match="ended before it sent its result"):
+        written(lambda dest: write_price_csv(mat, CAL, dest), destination, tmp_path)
+    assert counts == [2]
 
-    chunks = [(n, n + 1) for n in range(10)]
-    for n, text in enumerate(synth._in_order(Pool(), chunks, 4)):
-        assert text == str(chunks[n])
-        # chunk n is written while chunks n + 1 to n + 3 are still queued or running
-        assert len(submitted) == min(n + 4, len(chunks))
+
+# 20 assets, 150 sessions of 13 returns: ten chunks of 15 sessions (4,200 rows, about
+# 190 kB each), so a worker cannot put a whole chunk into its pipe's 64 KiB buffer
+BIG_CHUNKS = SynthSpec("gaussian", 20, 13 * 150, 1, 0.2)
+
+
+def test_price_csv_stream_error_reaches_the_caller_with_the_workers_reaped(monkeypatch):
+    class FailingStream(io.StringIO):
+        def write(self, text):
+            calls.append(len(text))
+            if len(calls) == 3:  # the header, chunk 0, then chunk 1 fails
+                time.sleep(0.2)  # meanwhile both workers block on full pipes
+                raise OSError("no space left for chunk 1")
+            return super().write(text)
+
+    def hung(signum, frame):
+        pytest.fail("write_price_csv still waits for its workers after 30 s")
+
+    calls = []
+    counts = use_pool(monkeypatch, 2)
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(30)  # a worker whose pipe never breaks would keep waitpid waiting
+    try:
+        with pytest.raises(OSError, match="no space left for chunk 1"):
+            write_price_csv(sample_panel(BIG_CHUNKS), CAL, FailingStream())
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert counts == [2]
+    assert len(calls) == 3 and calls[1] > 2**16
+    # no_stray_processes (conftest.py) then finds no child process, running or unreaped
+
+
+def test_pool_formats_at_most_one_chunk_per_worker_ahead_of_the_writer(tmp_path, monkeypatch):
+    def logged(inputs, bounds):  # each worker notes every chunk it starts
+        fd = os.open(log, os.O_WRONLY | os.O_APPEND | os.O_CREAT)
+        os.write(fd, b".")
+        os.close(fd)
+        return format_chunk(inputs, bounds)
+
+    class SlowStream(io.StringIO):
+        def write(self, text):
+            if self.tell():  # past the header: chunk n = len(ahead) arrives
+                time.sleep(0.02)  # time for the workers to run ahead, were they free to
+                ahead.append(log.stat().st_size - (len(ahead) + 1))
+            return super().write(text)
+
+    log, ahead = tmp_path / "started", []
+    format_chunk = synth._format_chunk
+    counts = use_pool(monkeypatch, 2)
+    monkeypatch.setattr(synth, "_format_chunk", logged)
+    mat = sample_panel(BIG_CHUNKS)
+    stream = SlowStream()
+    write_price_csv(mat, CAL, stream)
+    assert counts == [2]
+    assert stream.getvalue() == price_csv_text(mat, CAL)
+    # while chunk n is written, each worker may have started its next chunk (n + 1 and
+    # n + 2), and none any later one
+    assert len(ahead) == 10 and max(ahead) <= 2, ahead
 
 
 @pytest.mark.parametrize("reason", ["another thread runs", "no fork start method"])
@@ -530,7 +595,7 @@ def test_price_csv_formats_in_process_when_it_cannot_fork(monkeypatch, reason):
     if reason == "another thread runs":
         other.start()
     else:
-        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        monkeypatch.delattr(os, "fork")
     try:
         text = written(lambda dest: write_price_csv(mat, CAL, dest), "stream", None)
     finally:
@@ -540,3 +605,41 @@ def test_price_csv_formats_in_process_when_it_cannot_fork(monkeypatch, reason):
     assert not other.is_alive()
     assert counts == [0]
     assert text == price_csv_text(mat, CAL)
+
+
+# writes an asset id "ÉTÉ" (spelt with escapes: under LC_ALL=C the interpreter decodes
+# its -c argument as ASCII) in process and in 2 forked workers, then reads both files back
+UTF8_SCRIPT = """
+import json, sys
+from dataclasses import replace
+from copuladyn import synth
+from copuladyn.ingest import TradingCalendar, load_prices
+from copuladyn.synth import SynthSpec, sample_panel, write_price_csv
+
+mat = replace(sample_panel(SynthSpec("gaussian", 2, 13 * 6, 1, 0.2)),
+              asset_ids=["\\u00c9T\\u00c9", "SYN001"])
+counts = []
+real = synth._worker_count
+synth._worker_count = lambda rows, n_chunks: counts.append(real(rows, n_chunks)) or counts[-1]
+synth._PARALLEL_MIN_ROWS, synth._CHUNK_ROWS = 0, 1
+seen = {}
+for cpus in (1, 2):  # in this process, then in 2 forked workers
+    synth._usable_cpus = lambda: cpus
+    target = f"{sys.argv[1]}/cpus{cpus}.csv"
+    write_price_csv(mat, TradingCalendar(), target)
+    seen[cpus] = load_prices(target, TradingCalendar()).asset_ids
+print(json.dumps({"workers": counts, "asset_ids": seen}))
+"""
+
+
+def test_price_csv_is_utf8_whatever_the_locale(tmp_path):
+    env = {**os.environ, "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
+    proc = subprocess.run([sys.executable, "-c", UTF8_SCRIPT, str(tmp_path)], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout)
+    assert seen["workers"] == [0, 2]
+    assert seen["asset_ids"] == {"1": ["SYN001", "ÉTÉ"], "2": ["SYN001", "ÉTÉ"]}
+    in_process = (tmp_path / "cpus1.csv").read_bytes()
+    assert b",\xc3\x89T\xc3\x89," in in_process  # "ÉTÉ" in UTF-8
+    assert (tmp_path / "cpus2.csv").read_bytes() == in_process
