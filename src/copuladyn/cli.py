@@ -6,7 +6,7 @@ the correlation/tail relation dataset), ``synth`` (synthetic price CSV).
 Every run writes a JSON manifest recording the resolved config, SHA-256
 digests of the inputs, and the library version; reruns with identical config
 and inputs are byte-identical. Exit codes: 0 success, 2 usage error, 3 input
-parse error, 4 numerical failure.
+or output error (the message names the side), 4 numerical failure.
 
 The argument parser is the only description of a command's options. The
 manifest's ``config`` records every option of the command except ``--out``
@@ -59,9 +59,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_input=True):
-        if needs_input:
-            p.add_argument("--input", required=True, help="price CSV (timestamp,symbol,price)")
+    def common(p):
+        p.add_argument("--input", required=True, help="price CSV (timestamp,symbol,price)")
         p.add_argument("--calendar", help=_CALENDAR_HELP)
         p.add_argument("--dt", type=int, choices=_DT_CHOICES, default=30,
                        help="return interval in minutes")
@@ -146,19 +145,18 @@ def _sha256(path: str) -> str:
     return digest.hexdigest()
 
 
-def _manifest(args, out_dir: Path, written: list) -> str:
-    """The manifest text of a run that wrote the files ``written`` under ``out_dir``."""
+def _manifest(args, digests: dict, out_dir: Path, written: list) -> str:
+    """The manifest of a run that hashed its inputs into ``digests`` and wrote ``written``."""
     config = {key: value for key, value in vars(args).items()
               if key not in ("command", "out", "threads", "dt", "calendar")}
     config.update(dt_minutes=args.dt, calendar=args.calendar or _DEFAULT_CALENDAR)
     if args.command == "synth":
         config["generator"] = _GENERATOR_NAME
-    inputs = [name for name in (getattr(args, "input", None), args.calendar) if name]
     payload = {
         "command": args.command,
         "version": __version__,
         "config": config,
-        "inputs": {name: _sha256(name) for name in inputs},
+        "inputs": digests,
         "outputs": sorted(str(p.relative_to(out_dir)) for p in written),
     }
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
@@ -181,15 +179,20 @@ def run(args) -> int:
         written.append(target)
         return target
 
+    side = "input"  # what an OSError is worded as: reading the inputs, then writing
     try:
         calendar = load_calendar(args.calendar) if args.calendar else TradingCalendar()
+        if args.command != "synth":
+            matrix = compute_returns(load_prices(args.input, calendar), args.dt)
+        digests = {name: _sha256(name)
+                   for name in (getattr(args, "input", None), args.calendar) if name}
+        side = "output"
         if args.command == "synth":
             spec = SynthSpec(kind=args.kind, assets=args.assets, length=args.length,
                              seed=args.seed, correlation=args.corr)
             panel = sample_panel(spec, calendar=calendar, start=args.start_date, interval=args.dt)
             write_price_csv(panel, calendar, path("prices.csv"))
         elif args.command == "dynamics":
-            matrix = compute_returns(load_prices(args.input, calendar), args.dt)
             reports = windowed_reports(matrix, args.window_days, args.grid, args.alphas,
                                        upper_convention=args.upper_tail_convention)
             # lazily, so a failed run records (and unlinks) only the windows it reached
@@ -197,7 +200,6 @@ def run(args) -> int:
                 path("windows", f"window_{idx:04d}.csv") for idx in range(1, len(reports) + 1)))
             write_relation_csv(reports, path("relation.csv"))
         else:
-            matrix = compute_returns(load_prices(args.input, calendar), args.dt)
             grid = average_pairwise_density(matrix, args.grid)
             if args.command == "copula":
                 write_grid_csv(grid, path("grid.csv"), permille=args.permille)
@@ -207,12 +209,14 @@ def run(args) -> int:
             else:
                 curve = tail_curve(grid, args.alphas, upper_convention=args.upper_tail_convention)
                 write_tail_curve_csv(curve, path("tail_curve.csv"))
-        text = _manifest(args, out_dir, written)
+        text = _manifest(args, digests, out_dir, written)
         path("manifest.json").write_text(text, encoding="utf-8")
         return EXIT_OK
     except ArithmeticError as exc:
         failure, code = f"numerical failure: {exc}", EXIT_NUMERIC
-    except (OSError, ValueError) as exc:
+    except OSError as exc:  # a synth worker's ChildProcessError included
+        failure, code = f"{side} error: {exc}", EXIT_INPUT
+    except ValueError as exc:
         # PriceDataError and CalendarError are ValueErrors; so are data-shape
         # problems like a panel shorter than one window
         failure, code = f"input error: {exc}", EXIT_INPUT

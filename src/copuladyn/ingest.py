@@ -12,10 +12,12 @@ characters each, whose line ends and commas numpy finds. A plain block (no
 quote, no lone carriage return, two commas on every line that is not empty, no
 line over ``csv.field_size_limit()``) is parsed column-wise with whole-block
 calls; it skips empty lines, as ``csv.reader`` does, and a line of spaces is
-not empty. Any other block, or one with a faulty row, goes to a row-at-a-time
-``csv.reader`` loop, which handles quoted fields and records spanning lines and
-reports the first fault by its physical line. It stops at the first record
+not empty. Any other block goes to a row-at-a-time ``csv.reader`` loop, which
+handles quoted fields and records spanning lines. It stops at the first record
 boundary at or after the block's end; the next block is tried column-wise.
+``_columns`` converts each block's fields and words every value fault; the row
+loop words only field counts and tokeniser errors. The first row fault in the file
+is reported, by its physical line.
 
 Returns are arithmetic, r(t) = (P(t + dt) - P(t)) / P(t), computed on a fixed
 per-session endpoint grid (session open, open + dt, ...). Prices at endpoints
@@ -285,16 +287,17 @@ def _parse_prices(stream, calendar: TradingCalendar, own_file=False) -> PricePan
     blocks = []  # (timestamps, codes, prices, line numbers) per block of rows
     lineno = reader.line_num  # physical lines consumed so far
     for text, lines in _blocks(stream, own_file):
-        parsed = _parse_plain_block(text, lineno, codes)
+        parsed = _parse_plain_block(text, lineno)
         if parsed is None or lines and len(lines) != parsed[1]:
-            # the row loop takes this block (or one whose stream ends lines elsewhere
-            # than at "\n"), and the rest of a record that spans past its end; the
-            # block parser then tries the next block
+            # the row loop takes this block, or one whose stream ends lines elsewhere than
+            # at "\n" (found before any value is read), and the rest of a record that
+            # spans past its end; the block parser then tries the next block
             lines = lines or io.StringIO(text, newline="").readlines()
             reader = csv.reader(chain(lines, stream))
-            parsed = _parse_price_rows(reader, lineno, codes, len(lines)), reader.line_num
-        blocks.append(parsed[0])
+            parsed = _parse_price_rows(reader, lineno, len(lines)), reader.line_num
+        blocks.append(_columns(*parsed[0], codes))
         lineno += parsed[1]
+        del parsed  # the block's field texts, before the next block is split
     if not sum(block[0].size for block in blocks):
         raise PriceDataError("input contains no data rows")
     ts, code, px, linenos = (np.concatenate(column) for column in zip(*blocks))
@@ -334,15 +337,16 @@ def _parse_prices(stream, calendar: TradingCalendar, own_file=False) -> PricePan
     )
 
 
-def _parse_plain_block(text, line_offset, codes):
-    """(columns, physical line count) of a plain block, or None if the row loop must take it.
+def _parse_plain_block(text, line_offset):
+    """(fields, physical line count) of a plain block, or None if the row loop must take it.
 
     In a plain block no line has a quote or a lone carriage return, every line
     that is not empty has exactly two commas and none is longer than the csv
     module's field limit, so ``csv.reader`` would split each line at its commas
-    and nothing else. A block with a faulty row is refused too, so that the row
-    loop reports the first fault. ``line_offset`` physical lines precede the
-    block; its empty lines, for which ``csv.reader`` yields no row, are skipped.
+    and nothing else. ``fields`` are the stripped timestamp, symbol and price
+    texts and the physical line of each row, as ``_columns`` takes them.
+    ``line_offset`` physical lines precede the block; its empty lines, for
+    which ``csv.reader`` yields no row, are skipped.
     """
     if "\r" in text:
         text = text.replace("\r\n", "\n")
@@ -361,88 +365,78 @@ def _parse_plain_block(text, line_offset, codes):
     if n < ends.size:
         text = re.sub("\n\n+", "\n", text).lstrip("\n")
     fields = text.replace("\n", ",").split(",")
-    ts_text, symbols, price_text = fields[0:3 * n:3], fields[1:3 * n:3], fields[2:3 * n:3]
+    ts_texts, symbols, prices = fields[0:3 * n:3], fields[1:3 * n:3], fields[2:3 * n:3]
     if not text.isascii() or any(space in text for space in _ASCII_SPACES):
-        ts_text, symbols, price_text = (list(map(str.strip, column))
-                                        for column in (ts_text, symbols, price_text))
-    if "" in symbols:
-        return None
-    try:
-        px = np.fromiter(map(float, price_text), np.float64, n)
-        ts = np.array(ts_text, dtype="datetime64[s]")
-    except ValueError:
-        return None
-    if not (np.isfinite(px).all() and (px > 0.0).all()) or np.isnat(ts).any():
-        return None
-    for symbol in dict.fromkeys(symbols):
-        codes.setdefault(symbol, len(codes))
-    code = np.fromiter(map(codes.__getitem__, symbols), np.intp, n)
-    return (ts, code, px, linenos), ends.size
+        ts_texts, symbols, prices = (list(map(str.strip, column))
+                                     for column in (ts_texts, symbols, prices))
+    return (ts_texts, symbols, prices, linenos), ends.size
 
 
-def _parse_price_rows(reader, line_offset, codes, stop_line):
-    """Columns of the rows ``reader`` yields, converted and checked one row at a time.
+def _parse_price_rows(reader, line_offset, stop_line):
+    """The fields of the rows ``reader`` yields, as ``_parse_plain_block`` gives them.
 
-    Handles what a plain block cannot: quoted fields, records that span lines,
-    blank lines, and rows with a fault. ``line_offset`` physical lines precede
+    Handles what a plain block cannot: quoted fields and records that span
+    lines. It words a record without three fields and a tokeniser error, after
+    any value fault on an earlier row. ``line_offset`` physical lines precede
     the reader's first one. Reading stops at the first record boundary at or
-    after the reader's physical line ``stop_line``, so a record that spans
-    past that line is read whole and nothing after it is consumed.
+    after the reader's physical line ``stop_line``, so a record that spans past
+    that line is read whole and nothing after it is consumed.
     """
-    ts_texts, sym_codes, raw_px, lines = [], [], [], []
-
-    def fault(message):
-        # a bad timestamp on an earlier line, or on this one once appended, comes first
-        _parse_timestamps(ts_texts, lines)
-        return PriceDataError(message)
-
+    fields = ts_texts, symbols, prices, linenos = [], [], [], []
     try:
         for row in reader:
             if row:  # an empty line gives no row
                 # the physical line the record ends on; a quoted field may span lines
                 lineno = line_offset + reader.line_num
                 if len(row) != 3:
-                    raise fault(f"line {lineno}: expected 3 fields, got {len(row)}")
-                ts_text, symbol, price_text = (f.strip() for f in row)
-                if not symbol:
-                    raise fault(f"line {lineno}: empty symbol")
-                ts_texts.append(ts_text)
-                lines.append(lineno)
-                try:
-                    price = float(price_text)
-                except ValueError:
-                    raise fault(f"line {lineno}: unparseable price {price_text!r}") from None
-                if not math.isfinite(price) or price <= 0.0:
-                    raise fault(
-                        f"line {lineno}: price must be strictly positive, got {price_text}")
-                sym_codes.append(codes.setdefault(symbol, len(codes)))
-                raw_px.append(price)
+                    _columns(*fields, {})
+                    raise PriceDataError(f"line {lineno}: expected 3 fields, got {len(row)}")
+                ts_text, symbol, price = row
+                ts_texts.append(ts_text.strip())
+                symbols.append(symbol.strip())
+                prices.append(price.strip())
+                linenos.append(lineno)
             if reader.line_num >= stop_line:
                 break
     except csv.Error as exc:  # e.g. a field longer than csv.field_size_limit()
-        raise fault(f"line {line_offset + reader.line_num}: {exc}") from None
-
-    ts = _parse_timestamps(ts_texts, lines)
-    del ts_texts  # ~70 bytes a row; free them before the other columns are built
-    return (ts, np.array(sym_codes, dtype=np.intp), np.array(raw_px, dtype=np.float64),
-            np.array(lines, dtype=np.intp))
+        _columns(*fields, {})
+        raise PriceDataError(f"line {line_offset + reader.line_num}: {exc}") from None
+    return fields
 
 
-def _parse_timestamps(texts, lines) -> np.ndarray:
-    """``texts`` as timestamps; the first empty, ``NaT`` or unparseable one fails with its line."""
+def _columns(ts_texts, symbols, prices, linenos, codes):
+    """(timestamps, symbol codes, prices, line numbers) of split rows, or the first fault.
+
+    Within a row an empty symbol comes first, then an empty, ``NaT`` or unparseable
+    timestamp, an unparseable price, and a price that is not finite and positive.
+    New symbols get codes in ``codes``, in order of first appearance, once all rows pass.
+    """
+    n = len(prices)
     try:
-        ts = np.array(texts, dtype="datetime64[s]")
+        px = np.fromiter(map(float, prices), np.float64, n)
+        ts = np.array(ts_texts, dtype="datetime64[s]")
     except ValueError:
-        ts = None
-    if ts is None or np.isnat(ts).any():
-        for text, lineno in zip(texts, lines):
+        px = ts = None
+    if px is None or "" in symbols or np.isnat(ts).any() or not ((px > 0) & (px < np.inf)).all():
+        for ts_text, symbol, price, lineno in zip(ts_texts, symbols, prices, linenos):
+            if not symbol:
+                raise PriceDataError(f"line {lineno}: empty symbol")
             try:
-                bad = np.isnat(np.datetime64(text, "s"))
+                bad = np.isnat(np.datetime64(ts_text, "s"))
             except ValueError:
                 bad = True
             if bad:
-                raise PriceDataError(f"line {lineno}: unparseable timestamp {text!r}")
-    return ts
+                raise PriceDataError(f"line {lineno}: unparseable timestamp {ts_text!r}")
+            try:
+                value = float(price)
+            except ValueError:
+                raise PriceDataError(f"line {lineno}: unparseable price {price!r}") from None
+            if not 0.0 < value < math.inf:  # NaN too
+                raise PriceDataError(f"line {lineno}: price must be strictly positive, got {price}")
+    for symbol in dict.fromkeys(symbols):
+        codes.setdefault(symbol, len(codes))
+    code = np.fromiter(map(codes.__getitem__, symbols), np.intp, n)
+    return ts, code, px, np.asarray(linenos, dtype=np.intp)
 
 
 def _distinct_sorted(values: np.ndarray) -> np.ndarray:

@@ -207,7 +207,7 @@ def test_manifest_config_of_each_command(tmp_path, price_file):
 
 
 @pytest.mark.parametrize("error,code,message", [
-    (OSError, cli.EXIT_INPUT, "copuladyn: input error: disk gave out"),
+    (OSError, cli.EXIT_INPUT, "copuladyn: output error: disk gave out"),
     (ArithmeticError, cli.EXIT_NUMERIC, "copuladyn: numerical failure: disk gave out"),
 ])
 def test_failure_after_a_partial_write_leaves_no_file(tmp_path, price_file, monkeypatch, capsys,
@@ -298,6 +298,51 @@ def test_input_errors_exit_3(tmp_path, price_file):
     out3 = tmp_path / "o3"
     assert not out3.exists() or not any(
         p for p in out3.rglob("*") if p.is_file())
+
+
+def test_output_errors_exit_3_naming_the_output_side(tmp_path, price_file):
+    blocker = tmp_path / "a-file"
+    blocker.write_text("mine\n")
+    proc = run_cli("synth", "--assets", "2", "--length", "10", "--seed", "1",
+                   "--out", str(blocker / "out"))
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("copuladyn: output error: [Errno 20] Not a directory")
+    proc = run_cli("copula", "--input", str(price_file), "--grid", "4", "--out", str(blocker))
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("copuladyn: output error: [Errno 17] File exists")
+    assert blocker.read_text() == "mine\n"
+
+
+def test_oserror_names_its_side(tmp_path, price_file, monkeypatch, capsys):
+    def worker_died(*_a, **_k):
+        raise ChildProcessError("a worker process ended before it sent its result")
+
+    def unreadable(_name):
+        raise OSError("disk gave out")
+
+    with monkeypatch.context() as mp:
+        mp.setattr(cli, "write_price_csv", worker_died)
+        assert cli.main(["synth", "--assets", "2", "--length", "10", "--seed", "1",
+                         "--out", str(tmp_path / "s")]) == cli.EXIT_INPUT
+    assert capsys.readouterr().err == (
+        "copuladyn: output error: a worker process ended before it sent its result\n")
+    # hashing the input for the manifest reads it
+    monkeypatch.setattr(cli, "_sha256", unreadable)
+    assert cli.main(["copula", "--input", str(price_file), "--grid", "4",
+                     "--out", str(tmp_path / "c")]) == cli.EXIT_INPUT
+    assert capsys.readouterr().err == "copuladyn: input error: disk gave out\n"
+    assert not (tmp_path / "s").exists() and not (tmp_path / "c").exists()
+
+
+def test_session_shorter_than_the_interval_exits_3(tmp_path):
+    cal = tmp_path / "quarter-hour.cal"
+    cal.write_text("open=09:30\nclose=09:45\n")
+    out = tmp_path / "o"
+    proc = run_cli("synth", "--assets", "2", "--length", "10", "--seed", "1",
+                   "--calendar", str(cal), "--out", str(out))
+    assert proc.returncode == 3
+    assert proc.stderr == "copuladyn: input error: interval exceeds the trading session\n"
+    assert not out.exists()
 
 
 def test_overlong_field_exits_3_naming_its_line(tmp_path):

@@ -474,6 +474,16 @@ def test_ingest_peak_memory_per_row_from_a_path(tmp_path):
     assert load_peak_per_row(path, rows) < 128
 
 
+@pytest.mark.parametrize("text", ["timestamp,symbol,price\n", "timestamp,symbol,price\n\n\r\n\n",
+                                  "timestamp,symbol,price"])
+def test_header_without_rows_fails_from_a_stream_and_a_path(tmp_path, text):
+    path = tmp_path / "prices.csv"
+    path.write_text(text, newline="")
+    for source in (io.StringIO(text, newline=""), path):
+        with pytest.raises(PriceDataError, match=r"^input contains no data rows$"):
+            load_prices(source, CAL)
+
+
 def test_tokeniser_errors_name_their_line():
     too_long = "x" * (csv.field_size_limit() + 1)
     with pytest.raises(PriceDataError, match=r"^line 1: field larger than field limit"):
@@ -487,6 +497,13 @@ def test_tokeniser_errors_name_their_line():
     # a bare "\n" inside a line of a stream that ends lines only at "\r\n"
     stream = io.TextIOWrapper(io.BytesIO(b"timestamp,symbol,price\r\n2024-01-03T09:30:00,AAA,1.0\n"
                                          b"2024-01-03T09:31:00,AAA,2.0\r\n"),
+                              encoding="utf-8", newline="\r\n")
+    with pytest.raises(PriceDataError, match=r"^line 2: new-line character seen in unquoted field"):
+        load_prices(stream, CAL)
+    # the same stream's lines counted at "\n" would put a bad price on line 3; the line
+    # count is checked before any value is read
+    stream = io.TextIOWrapper(io.BytesIO(b"timestamp,symbol,price\r\n2024-01-03T09:30:00,AAA,1.0\n"
+                                         b"2024-01-03T09:31:00,AAA,cheap\r\n"),
                               encoding="utf-8", newline="\r\n")
     with pytest.raises(PriceDataError, match=r"^line 2: new-line character seen in unquoted field"):
         load_prices(stream, CAL)

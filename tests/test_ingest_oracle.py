@@ -164,7 +164,11 @@ BAD_PRICES = ("cheap", "", "1.2.3", "0", "-0.0", "-3.5", "nan", "inf", "-inf")
 
 @st.composite
 def faulty_csv(draw):
-    """A small valid price CSV with one or two injected faults, as text."""
+    """A small valid price CSV with one or two injected faults or quoted rows, as text.
+
+    A "quoted" row wraps one field in quotes, and a "newline" row quotes its
+    symbol with a newline inside; either sends its block to the row loop.
+    """
     n = draw(st.integers(1, 8))
     minutes = sorted(draw(st.lists(st.integers(-30, 420), min_size=n, max_size=n)))
     rows = [
@@ -174,7 +178,8 @@ def faulty_csv(draw):
     ]
     for k in draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2, unique=True)):
         kind = draw(st.sampled_from(
-            ("short", "long", "symbol", "timestamp", "price", "repeat", "blank")))
+            ("short", "long", "symbol", "timestamp", "price", "repeat", "blank", "quoted",
+             "newline")))
         if kind == "short":
             rows[k] = rows[k][:2]
         elif kind == "long":
@@ -187,6 +192,11 @@ def faulty_csv(draw):
             rows[k][2] = draw(st.sampled_from(BAD_PRICES))
         elif kind == "repeat":  # an earlier row's symbol and time again
             rows[k][:2] = rows[draw(st.integers(0, k))][:2]
+        elif kind == "quoted":
+            field = draw(st.integers(0, 2))
+            rows[k][field] = f'"{rows[k][field]}"'
+        elif kind == "newline":
+            rows[k][1] = f'"{rows[k][1][0]}\n{rows[k][1][1:]}"'
         else:
             rows[k] = []
     return "timestamp,symbol,price\n" + "".join(",".join(r) + "\n" for r in rows)
@@ -224,6 +234,10 @@ def test_first_offending_line_wins_across_kinds():
     assert error_of(["yesterday,AAA,1.0", "2024-01-03T09:31:00,,1.0"]) == (
         "line 2: unparseable timestamp 'yesterday'")
     assert error_of(["yesterday,AAA,1.0", "2024-01-03T09:31:00,AAA,0"]) == (
+        "line 2: unparseable timestamp 'yesterday'")
+    # and before a tokeniser error on a later line
+    too_long = "S" * (csv.field_size_limit() + 1)
+    assert error_of(["yesterday,AAA,1.0", f"2024-01-03T09:31:00,{too_long},1.0"]) == (
         "line 2: unparseable timestamp 'yesterday'")
     # a row fault anywhere is reported before any per-symbol time regression
     assert error_of([GOOD, GOOD, GOOD, "2024-01-03T09:31:00,AAA,-1"]) == (
@@ -387,15 +401,15 @@ def parsers_used(monkeypatch):
     that the block parser accepts or the row loop reads."""
     used = []
 
-    def plain_block(lines, line_offset, codes):
-        block = plain(lines, line_offset, codes)
+    def plain_block(lines, line_offset):
+        block = plain(lines, line_offset)
         if block is not None:
             used.append(("plain", line_offset + 1))
         return block
 
-    def row_loop(reader, line_offset, codes, stop_line):
+    def row_loop(reader, line_offset, stop_line):
         used.append(("rows", line_offset + 1))
-        return rows(reader, line_offset, codes, stop_line)
+        return rows(reader, line_offset, stop_line)
 
     plain, rows = ingest._parse_plain_block, ingest._parse_price_rows
     monkeypatch.setattr(ingest, "_parse_plain_block", plain_block)
@@ -422,7 +436,7 @@ def test_quoted_record_across_a_block_boundary(monkeypatch, block_chars, fault):
     else:
         assert f"{symbol}{symbol}\n{symbol}" in compare_to_oracle(lines, block_chars).asset_ids
     # the row loop reads the record whole; the block parser takes over after it
-    assert used[:3] == [("plain", 2), ("rows", second), ("rows" if fault else "plain", start + 2)]
+    assert used[:3] == [("plain", 2), ("rows", second), ("plain", start + 2)]
 
 
 @pytest.mark.parametrize("block_chars", BLOCK_CHARS)
@@ -442,7 +456,7 @@ def test_quoted_line_3_hands_back_to_the_block_parser(tmp_path, monkeypatch, blo
     if fault == "price":
         assert got == f"line {starts[2] + 2}: price must be strictly positive, got 0.000"
         # library_panel reads a stream and then a file; both take the same blocks
-        assert used == 2 * [("rows", 2), ("plain", starts[1]), ("rows", starts[2])]
+        assert used == 2 * [("rows", 2), ("plain", starts[1]), ("plain", starts[2])]
         return
     if fault == "regression":
         assert got == (f"line {starts[3] + 2}: timestamps for symbol 'AAA' must be "
@@ -487,9 +501,9 @@ def test_regression_line_after_the_row_loop_takes_over(monkeypatch, block_chars)
     lines[starts[1] - 2] = f'{ts_text},"{symbol}",{price}'
     offsets = []
 
-    def counted_row_loop(reader, line_offset, codes, stop_line):
+    def counted_row_loop(reader, line_offset, stop_line):
         offsets.append(line_offset)
-        return parse_rows(reader, line_offset, codes, stop_line)
+        return parse_rows(reader, line_offset, stop_line)
 
     parse_rows = ingest._parse_price_rows
     monkeypatch.setattr(ingest, "_parse_price_rows", counted_row_loop)

@@ -1,5 +1,6 @@
 """Synthetic panels: determinism, dependence targets, price-file roundtrip."""
 
+import datetime as dt
 import io
 import tracemalloc
 
@@ -87,6 +88,12 @@ def test_timestamps_follow_session_grid():
     assert str(dates[29]) == "2007-01-04"
     assert np.all(np.diff(stamps).astype(np.int64) > 0)
     assert CAL.in_session_mask(stamps).all()
+
+
+def test_interval_longer_than_the_session_fails():
+    quarter_hour = TradingCalendar(open_time=dt.time(9, 30), close_time=dt.time(9, 45))
+    with pytest.raises(ValueError, match=r"^interval exceeds the trading session$"):
+        synthetic_timestamps(quarter_hour, "2007-01-02", 10, 30)
 
 
 def test_gaussian_panel_hits_target_correlation():

@@ -338,7 +338,7 @@ def test_price_csv_peak_memory_per_row(tmp_path, monkeypatch):
     for cpus in (1, 2):
         with monkeypatch.context() as mp:
             counts = use_pool(mp, cpus)
-            write_price_csv(mat, CAL, target)  # warm up, the pool modules' imports included
+            write_price_csv(mat, CAL, target)  # warm up: one-time allocations stay unmeasured
             tracemalloc.start()
             try:
                 write_price_csv(mat, CAL, target)
@@ -372,7 +372,7 @@ def test_writers_at_block_boundaries(tmp_path, monkeypatch, destination, extra, 
         counts = use_pool(monkeypatch, cpus)
         # a chunk closes once it reaches a whole session's rows + extra: ten
         # one-session chunks, or at +1 five of two sessions; either is more
-        # than the four chunks that two workers keep in flight
+        # chunks than workers, each of which runs about one chunk ahead
         monkeypatch.setattr(synth, "_CHUNK_ROWS", 3 * 14 + extra)
 
     text = written(lambda dest: write_price_csv(mat, CAL, dest), destination, tmp_path)
