@@ -12,12 +12,13 @@ def usable_cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
-def worker_count(rows: int, n_jobs: int, min_rows: int, cpus: int) -> int:
-    """Workers for ``n_jobs`` jobs of ``rows`` rows on ``cpus`` CPUs; 0 to run them in this
-    process. A fork could copy a lock that another thread holds, so none may run."""
+def worker_count(size: int, n_jobs: int, min_size: int, cpus: int) -> int:
+    """Workers for ``n_jobs`` jobs on ``cpus`` CPUs; 0 to run them in this process, as for
+    an input whose ``size`` (rows, bytes: the unit of ``min_size``) is below ``min_size``.
+    A fork could copy a lock that another thread holds, so none may run."""
     workers = min(cpus, n_jobs)
     can_fork = hasattr(os, "fork") and threading.active_count() == 1
-    return workers if can_fork and rows >= min_rows and workers > 1 else 0
+    return workers if can_fork and size >= min_size and workers > 1 else 0
 
 
 @contextmanager

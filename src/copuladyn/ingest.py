@@ -19,6 +19,15 @@ boundary at or after the block's end; the next block is tried column-wise.
 loop words only field counts and tokeniser errors. The first row fault in the file
 is reported, by its physical line.
 
+A path to a regular file of at least ``_PARALLEL_MIN_BYTES`` bytes whose header
+is one plain line is parsed in byte ranges, one per CPU this process may use,
+when there are two or more such CPUs, no other thread runs and the platform can
+fork. The ranges are cut at line starts; this process parses the first and
+forked workers the others, each block by block as above, with its own symbol
+codes and line numbers, which are then merged in file order. A range with a
+block that is not plain, a value fault or a byte that is not UTF-8 drops every
+range, and the file is read again as one stream, so faults are worded as above.
+
 Returns are arithmetic, r(t) = (P(t + dt) - P(t)) / P(t), computed on a fixed
 per-session endpoint grid (session open, open + dt, ...). Prices at endpoints
 resolve by previous tick within the session; no return ever spans a session
@@ -27,16 +36,22 @@ boundary, so there are no overnight returns.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import datetime as dt
 import io
 import logging
 import math
+import os
 import re
+import stat
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import chain
 
 import numpy as np
+
+from ._pool import ordered, usable_cpus as _usable_cpus, worker_count
 
 __all__ = [
     "PriceDataError",
@@ -238,6 +253,13 @@ _HEADER = ["timestamp", "symbol", "price"]
 # characters the column-wise parser reads at a time; its working memory scales with this
 _READ_BLOCK_CHARS = 1 << 18
 _ASCII_SPACES = " \t\x0b\x0c\x1c\x1d\x1e\x1f"  # what str.strip removes in ASCII, bar line ends
+# file size from which load_prices parses a path in byte ranges (_parse_in_ranges); on 2
+# vCPUs the ranges won steadily from 2 MB, but end to end that gain was within the noise
+_PARALLEL_MIN_BYTES = 4 << 20
+# the header lines that a file cut into byte ranges may start with: csv.reader reads each
+# as one physical line holding exactly the header's fields
+_HEADER_LINES = tuple(bom + ",".join(_HEADER).encode() + end
+                      for bom in (b"", codecs.BOM_UTF8) for end in (b"\n", b"\r\n"))
 
 
 def load_prices(source, calendar: TradingCalendar) -> PricePanel:
@@ -249,10 +271,91 @@ def load_prices(source, calendar: TradingCalendar) -> PricePanel:
     Assets are ordered alphabetically in the panel.
     """
     if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
+        parsed = _parse_in_ranges(source)
+        if parsed is not None:
+            return _panel(*parsed, calendar)
         # utf-8-sig drops a leading byte-order mark, as Excel's "CSV UTF-8" writes
         with open(source, "r", encoding="utf-8-sig", newline="") as fh:
             return _parse_prices(fh, calendar, own_file=True)
     return _parse_prices(source, calendar)
+
+
+def _parse_in_ranges(path):
+    """(symbol codes, blocks of columns) of a large regular file parsed in byte ranges, or
+    None for ``_parse_prices`` to read it as one stream, which words every fault.
+
+    This process parses the first range while forked workers parse the others.
+    """
+    info = os.stat(path)
+    n_ranges = _range_count(info.st_size) if stat.S_ISREG(info.st_mode) else 0
+    ranges = _byte_ranges(path, info.st_size, n_ranges) if n_ranges else None
+    if ranges is None:
+        return None
+    with ordered(partial(_parse_range, path), ranges[1:], n_ranges - 1) as results:
+        parsed = [_parse_range(path, ranges[0]), *results]
+    if any(part is None for part in parsed):
+        return None
+    codes, blocks, offset = {}, [], 1  # the header is line 1
+    for range_blocks, symbols, lines in parsed:
+        # local codes and line numbers become the file's, one block at a time, in place
+        remap = np.array([codes.setdefault(s, len(codes)) for s in symbols], dtype=np.intp)
+        for _, code, _, linenos in range_blocks:
+            code[:] = remap[code]
+            linenos += offset
+        blocks += range_blocks
+        offset += lines
+    return codes, blocks
+
+
+def _byte_ranges(path, size: int, n: int):
+    """``n`` (start, stop) byte ranges of the lines after the header of a ``size``-byte file,
+    cut at line starts into about equal shares; None unless the header is in ``_HEADER_LINES``."""
+    with open(path, "rb") as raw:
+        if raw.readline(64) not in _HEADER_LINES:
+            return None
+        cuts = [raw.tell()]
+        for k in range(1, n):
+            raw.seek(cuts[0] + (size - cuts[0]) * k // n - 1)
+            raw.readline()  # to the first line start at or after the k-th share
+            cuts.append(raw.tell())
+    return list(zip(cuts, cuts[1:] + [size]))
+
+
+def _range_count(size: int) -> int:
+    """Byte ranges for a ``size``-byte file, the first parsed in this process; 0 for none."""
+    cpus = _usable_cpus()
+    return worker_count(size, cpus, _PARALLEL_MIN_BYTES, cpus)
+
+
+def _parse_range(path, bounds):
+    """(blocks of columns, symbols in order of first appearance, physical lines) of the
+    file's bytes in ``range(*bounds)``, which start at a line start; None if a block is not
+    plain, has a value fault or is not UTF-8.
+
+    The bytes are read in blocks of whole lines, as ``_blocks`` reads a file. Symbol codes
+    and line numbers are local: the range's first line is line 1.
+    """
+    start, stop = bounds
+    codes, blocks, lines = {}, [], 0
+    with open(path, "rb") as raw:
+        raw.seek(start)
+        while start < stop:
+            data = raw.read(min(_READ_BLOCK_CHARS, stop - start))
+            if start + len(data) < stop:
+                data += raw.readline()  # no further than ``stop``, a line start
+            if not data:  # the file was cut short meanwhile
+                break
+            start += len(data)
+            try:
+                parsed = _parse_plain_block(data.decode(), lines)
+                if parsed is None:
+                    return None
+                blocks.append(_columns(*parsed[0], codes))
+            except (UnicodeDecodeError, PriceDataError):
+                return None
+            lines += parsed[1]
+            del data, parsed  # the block's bytes and field texts, before the next block
+    return blocks, list(codes), lines
 
 
 def _blocks(stream, own_file):
@@ -298,10 +401,16 @@ def _parse_prices(stream, calendar: TradingCalendar, own_file=False) -> PricePan
         blocks.append(_columns(*parsed[0], codes))
         lineno += parsed[1]
         del parsed  # the block's field texts, before the next block is split
+    return _panel(codes, blocks, calendar)
+
+
+def _panel(codes, blocks, calendar: TradingCalendar) -> PricePanel:
+    """The panel of the parsed blocks, whose ``codes`` map symbols in order of first
+    appearance; empties ``blocks``."""
     if not sum(block[0].size for block in blocks):
         raise PriceDataError("input contains no data rows")
     ts, code, px, linenos = (np.concatenate(column) for column in zip(*blocks))
-    del blocks
+    blocks.clear()  # the caller's list too: each column is held once from here on
 
     keep = calendar.in_session_mask(ts)
     excluded = int(np.count_nonzero(~keep))

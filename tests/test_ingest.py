@@ -3,6 +3,10 @@
 import csv
 import datetime as dt
 import io
+import os
+import signal
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -17,6 +21,7 @@ from copuladyn import (
     load_calendar,
     load_prices,
 )
+from copuladyn import ingest
 from oracles import weekday_session_mask
 
 CAL = TradingCalendar()
@@ -472,6 +477,63 @@ def test_ingest_peak_memory_per_row_from_a_path(tmp_path):
     path = tmp_path / "prices.csv"
     path.write_text(async_tape(30, rows, seed=3, sessions=6))
     assert load_peak_per_row(path, rows) < 128
+
+
+def no_fork():
+    raise AssertionError("a process was started")
+
+
+def test_ingest_peak_memory_per_row_from_a_path_in_one_process(tmp_path, monkeypatch):
+    # the file above may be large enough for byte ranges, whose workers tracemalloc
+    # does not see; read whole, it is held to the same bound
+    rows = 120_000
+    path = tmp_path / "prices.csv"
+    path.write_text(async_tape(30, rows, seed=3, sessions=6))
+    monkeypatch.setattr(ingest, "_PARALLEL_MIN_BYTES", path.stat().st_size + 1)
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert load_peak_per_row(path, rows) < 128
+
+
+def test_files_from_the_size_gate_on_are_cut_into_ranges(monkeypatch):
+    monkeypatch.setattr(ingest, "_usable_cpus", lambda: 2)
+    assert ingest._range_count(ingest._PARALLEL_MIN_BYTES - 1) == 0
+    assert ingest._range_count(ingest._PARALLEL_MIN_BYTES) == 2
+
+
+# copies a file into a FIFO
+FIFO_WRITER = "import shutil, sys; shutil.copyfileobj(open(sys.argv[1], 'rb'), open(sys.argv[2], 'wb'))"
+
+
+def test_fifo_path_is_read_as_a_stream(tmp_path, monkeypatch):
+    text = async_tape(5, 3_000, seed=4)
+    source, fifo = tmp_path / "prices.csv", tmp_path / "prices.fifo"
+    source.write_text(text)
+    os.mkfifo(fifo)
+
+    def hung(signum, frame):
+        pytest.fail("the FIFO was not read to its end within 30 s")
+
+    # a writer thread would keep load_prices from forking anyway; a process does not
+    writer = subprocess.Popen([sys.executable, "-c", FIFO_WRITER, str(source), str(fifo)])
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(30)
+    try:
+        with monkeypatch.context() as mp:
+            mp.setattr(ingest, "_PARALLEL_MIN_BYTES", 0)
+            mp.setattr(ingest, "_usable_cpus", lambda: 2)
+            mp.setattr(os, "fork", no_fork)
+            panel = load_prices(fifo, CAL)
+        assert writer.wait(timeout=30) == 0
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+        writer.kill()
+        writer.wait()
+    want = load_prices(io.StringIO(text), CAL)
+    assert panel.asset_ids == want.asset_ids
+    for name in ("offsets", "quote_ts", "quote_px"):
+        assert getattr(panel, name).tobytes() == getattr(want, name).tobytes()
+    # no_stray_processes (conftest.py) then finds no child process, running or unreaped
 
 
 @pytest.mark.parametrize("text", ["timestamp,symbol,price\n", "timestamp,symbol,price\n\n\r\n\n",

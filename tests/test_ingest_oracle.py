@@ -36,19 +36,53 @@ def outcome(fn, *args):
         return str(exc)
 
 
+def use_ranges(mp, cpus):
+    """Let load_prices parse a file of any size in byte ranges on ``cpus`` CPUs.
+
+    Returns a list that gets the range count of each file load, then "whole file"
+    for a load that dropped its ranges and read the file as one stream.
+    """
+    seen = []
+
+    def range_count(size):
+        seen.append(count(size))
+        return seen[-1]
+
+    def whole_file(*args, **kwargs):
+        seen.append("whole file")
+        return parse(*args, **kwargs)
+
+    count, parse = ingest._range_count, ingest._parse_prices
+    mp.setattr(ingest, "_PARALLEL_MIN_BYTES", 0)
+    mp.setattr(ingest, "_usable_cpus", lambda: cpus)
+    mp.setattr(ingest, "_range_count", range_count)
+    mp.setattr(ingest, "_parse_prices", whole_file)
+    return seen
+
+
+# usable CPUs, and so byte ranges, of the file loads that library_panel runs in the pool
+POOL_CPUS = (2, 3)
+
+
 # newline="" splits lines as load_prices opens a file: at "\n", "\r\n" and a lone "\r".
-# Each case is also read from a file, which load_prices reads with its own block reader.
-def library_panel(text, calendar, block_chars=ingest._READ_BLOCK_CHARS):
+# Each case is also read from a file, which load_prices reads with its own block reader,
+# and then in byte ranges: the first in this process, the others in forked workers.
+def library_panel(text, calendar, block_chars=ingest._READ_BLOCK_CHARS, pool_cpus=POOL_CPUS):
     with pytest.MonkeyPatch.context() as mp, tempfile.TemporaryDirectory() as tmp:
         mp.setattr(ingest, "_READ_BLOCK_CHARS", block_chars)
         got = outcome(load_prices, io.StringIO(text, newline=""), calendar)
         path = Path(tmp) / "prices.csv"
         path.write_text(text, encoding="utf-8", newline="")
-        from_file = outcome(load_prices, path, calendar)
-    if isinstance(got, str):
-        assert from_file == got
-    else:
-        assert_same_panel(from_file, got)
+        from_file = [outcome(load_prices, path, calendar)]
+        for cpus in pool_cpus:
+            with pytest.MonkeyPatch.context() as pool:
+                use_ranges(pool, cpus)
+                from_file.append(outcome(load_prices, path, calendar))
+    for each in from_file:
+        if isinstance(got, str):
+            assert each == got
+        else:
+            assert_same_panel(each, got)
     return got
 
 
@@ -202,12 +236,15 @@ def faulty_csv(draw):
     return "timestamp,symbol,price\n" + "".join(",".join(r) + "\n" for r in rows)
 
 
-@given(faulty_csv())
+# a pooled load forks its workers from this large process, which takes milliseconds: each
+# example runs the pool once, at a drawn CPU count and block size
+@given(faulty_csv(), st.sampled_from(POOL_CPUS), st.sampled_from(BLOCK_CHARS))
 @settings(max_examples=300, deadline=None)
-def test_faulty_csv_matches_row_oracle(text):
+def test_faulty_csv_matches_row_oracle(text, pool_cpus, pool_block_chars):
     want = oracle_panel(text, CALENDARS[0])
     for block_chars in BLOCK_CHARS:
-        got = library_panel(text, CALENDARS[0], block_chars)
+        cpus = (pool_cpus,) if block_chars == pool_block_chars else ()
+        got = library_panel(text, CALENDARS[0], block_chars, pool_cpus=cpus)
         if isinstance(want, str):
             assert got == want
         else:
@@ -364,9 +401,9 @@ def block_starts(lines, block_chars):
     return starts[:-1]
 
 
-def compare_to_oracle(lines, block_chars):
+def compare_to_oracle(lines, block_chars, pool_cpus=POOL_CPUS):
     text = HEADER_LINE + "".join(lines)
-    got = library_panel(text, CALENDARS[0], block_chars)
+    got = library_panel(text, CALENDARS[0], block_chars, pool_cpus)
     want = oracle_panel(text, CALENDARS[0])
     if isinstance(want, str):
         assert got == want
@@ -398,23 +435,37 @@ def test_empty_and_nat_timestamps_fail_with_their_line(block_chars):
 
 def parsers_used(monkeypatch):
     """A list that records ("plain" or "rows", first physical line) for each block
-    that the block parser accepts or the row loop reads."""
-    used = []
+    that the block parser accepts or the row loop reads, outside a byte range."""
+    used, in_range = [], []
 
     def plain_block(lines, line_offset):
         block = plain(lines, line_offset)
-        if block is not None:
+        if block is not None and not in_range:
             used.append(("plain", line_offset + 1))
         return block
+
+    def parse_range(path, bounds):
+        in_range.append(bounds)
+        try:
+            return parse_range_of(path, bounds)
+        finally:
+            in_range.pop()
 
     def row_loop(reader, line_offset, stop_line):
         used.append(("rows", line_offset + 1))
         return rows(reader, line_offset, stop_line)
 
-    plain, rows = ingest._parse_plain_block, ingest._parse_price_rows
+    plain, rows, parse_range_of = (ingest._parse_plain_block, ingest._parse_price_rows,
+                                   ingest._parse_range)
     monkeypatch.setattr(ingest, "_parse_plain_block", plain_block)
     monkeypatch.setattr(ingest, "_parse_price_rows", row_loop)
+    monkeypatch.setattr(ingest, "_parse_range", parse_range)
     return used
+
+
+# library_panel loads each case from a stream, from a file, and from the file again after
+# each pooled load drops its byte ranges, which it does when a block is not plain
+LOADS = 2 + len(POOL_CPUS)
 
 
 @pytest.mark.parametrize("block_chars", BLOCK_CHARS)
@@ -455,15 +506,15 @@ def test_quoted_line_3_hands_back_to_the_block_parser(tmp_path, monkeypatch, blo
     got = compare_to_oracle(lines, block_chars)
     if fault == "price":
         assert got == f"line {starts[2] + 2}: price must be strictly positive, got 0.000"
-        # library_panel reads a stream and then a file; both take the same blocks
-        assert used == 2 * [("rows", 2), ("plain", starts[1]), ("plain", starts[2])]
+        # every load of library_panel takes the same blocks
+        assert used == LOADS * [("rows", 2), ("plain", starts[1]), ("plain", starts[2])]
         return
     if fault == "regression":
         assert got == (f"line {starts[3] + 2}: timestamps for symbol 'AAA' must be "
                        "strictly increasing")
-    # only the first block goes to the row loop, which stops at its end, in the
-    # stream run and then in the file run of library_panel
-    assert used == 2 * [("rows", 2), *(("plain", n) for n in starts[1:])]
+    # only the first block goes to the row loop, which stops at its end, in every
+    # load of library_panel
+    assert used == LOADS * [("rows", 2), *(("plain", n) for n in starts[1:])]
     # from a file as well, where the row loop iterates the stream that blocks are read from
     path = tmp_path / "prices.csv"
     path.write_text(HEADER_LINE + "".join(lines))
@@ -509,8 +560,8 @@ def test_regression_line_after_the_row_loop_takes_over(monkeypatch, block_chars)
     monkeypatch.setattr(ingest, "_parse_price_rows", counted_row_loop)
     assert compare_to_oracle(lines, block_chars) == (
         f"line {regress}: timestamps for symbol 'AAA' must be strictly increasing")
-    # the header and the first block precede it, from the stream and then from the file
-    assert offsets == 2 * [starts[1] - 1]
+    # the header and the first block precede it, in every load of library_panel
+    assert offsets == LOADS * [starts[1] - 1]
 
 
 def test_off_session_rows_do_not_regress():
@@ -593,7 +644,9 @@ def test_grouping_sort_at_the_16_bit_key_limit(n_symbols, fault):
              for m in range(2) for k in rng.permutation(n_symbols).tolist()]
     if fault:  # the last symbol quotes at the opening second again
         lines.append(f"{stamp('2024-01-03', 34200)},{names[-1]},3.5\n")
-    got = compare_to_oracle(lines, ingest._READ_BLOCK_CHARS)
+    # no pooled load: under pytest each added up to a second to these tests, and the
+    # merged codes of the ranges reach the same sort as on the smaller inputs
+    got = compare_to_oracle(lines, ingest._READ_BLOCK_CHARS, pool_cpus=())
     if fault:
         assert got == (f"line {len(lines) + 1}: timestamps for symbol {names[-1]!r} must be "
                        "strictly increasing")
@@ -611,3 +664,127 @@ def test_lone_surrogate_in_a_stream_stays_on_the_block_parser(monkeypatch):
     got = load_prices(io.StringIO(text, newline=""), CALENDARS[0])
     assert_same_panel(got, want)
     assert "B\ud800B" in got.asset_ids
+
+
+def load_file(tmp_path, data, cpus, block_chars=ingest._READ_BLOCK_CHARS):
+    """(outcome, use_ranges record, byte ranges) of loading ``data`` from a file in byte
+    ranges on ``cpus`` CPUs."""
+    path = tmp_path / "prices.csv"
+    path.write_bytes(data)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ingest, "_READ_BLOCK_CHARS", block_chars)
+        seen = use_ranges(mp, cpus)
+        got = outcome(load_prices, path, CALENDARS[0])
+    return got, seen, ingest._byte_ranges(path, len(data), cpus)
+
+
+def assert_same_outcome(got, want):
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert_same_panel(got, want)
+
+
+@pytest.mark.parametrize("block_chars", BLOCK_CHARS)
+@pytest.mark.parametrize("cpus", POOL_CPUS)
+def test_plain_file_is_parsed_in_ranges(tmp_path, cpus, block_chars):
+    text = tick_tape(6, CALENDARS[0])  # blank lines and padded fields included
+    want = oracle_panel(text, CALENDARS[0])
+    # CRLF, a byte-order mark, and a last line without its newline
+    for variant in (text, text.replace("\n", "\r\n"), "﻿" + text, text[:-1]):
+        got, seen, _ = load_file(tmp_path, variant.encode(), cpus, block_chars)
+        assert_same_panel(got, want)
+        assert seen == [cpus]  # every range was accepted
+
+
+@pytest.mark.parametrize("cpus", POOL_CPUS)
+@pytest.mark.parametrize("text", [
+    HEADER_LINE,
+    HEADER_LINE + "\n",
+    HEADER_LINE + GOOD,  # the cuts fall inside the last line
+    HEADER_LINE + GOOD + "\n",
+])
+def test_empty_byte_ranges(tmp_path, cpus, text):
+    got, seen, ranges = load_file(tmp_path, text.encode(), cpus)
+    assert_same_outcome(got, oracle_panel(text, CALENDARS[0]))
+    assert seen == [cpus]
+    assert any(start == stop for start, stop in ranges)
+
+
+@pytest.mark.parametrize("cpus", POOL_CPUS)
+def test_blank_lines_at_a_cut(tmp_path, cpus):
+    lines = good_lines(30)
+    lines.append(lines[0])  # a regression on the last line, numbered past every blank line
+    path, loaded = tmp_path / "cut.csv", 0
+    for where in range(len(lines)):
+        for blanks in ("\n", "\n\n\n"):
+            text = HEADER_LINE + "".join(lines[:where]) + blanks + "".join(lines[where:])
+            data = text.encode()
+            path.write_bytes(data)
+            # load only where a blank line ends just before a cut or starts the range after it
+            if not any(b"\n\n" in data[start - 2:start + 1]
+                       for start, _ in ingest._byte_ranges(path, len(data), cpus)[1:]):
+                continue
+            got, seen, _ = load_file(tmp_path, data, cpus)
+            assert got == oracle_panel(text, CALENDARS[0])
+            assert got == (f"line {len(lines) + len(blanks) + 1}: timestamps for symbol 'AAA' "
+                           "must be strictly increasing")
+            assert seen == [cpus]
+            loaded += 1
+    assert loaded >= cpus - 1
+
+
+def last_range_case(tmp_path, cpus, last, block_chars=ingest._READ_BLOCK_CHARS):
+    """Load 60 good lines then ``last`` (bytes) in byte ranges: (outcome, use_ranges
+    record, the text as a file load without ranges sees it)."""
+    data = (HEADER_LINE + "".join(good_lines(60))).encode() + last
+    got, seen, ranges = load_file(tmp_path, data, cpus, block_chars)
+    assert ranges[-1][0] < len(data) - len(last)  # ``last`` lies in the last range
+    return got, seen, data
+
+
+@pytest.mark.parametrize("block_chars", BLOCK_CHARS)
+@pytest.mark.parametrize("cpus", POOL_CPUS)
+def test_quoted_record_in_the_last_range(tmp_path, cpus, block_chars):
+    got, seen, data = last_range_case(tmp_path, cpus, b'2024-01-03T10:00:00,"D\nD",5.0\n',
+                                      block_chars)
+    assert seen == [cpus, "whole file"]  # the range is refused, and the file read as a stream
+    want = oracle_panel(data.decode(), CALENDARS[0])
+    assert_same_panel(got, want)
+    assert "D\nD" in got.asset_ids
+
+
+@pytest.mark.parametrize("cpus", POOL_CPUS)
+@pytest.mark.parametrize("last, message, seen_after", [
+    (b"2024-01-03T10:00:00,AAA,cheap\n", "line 62: unparseable price 'cheap'", ["whole file"]),
+    # a regression is found once the ranges are merged, with the file's line number
+    (f"{GOOD}\n".encode(), "line 62: timestamps for symbol 'AAA' must be strictly increasing",
+     []),
+])
+def test_fault_in_the_last_range_names_the_files_line(tmp_path, cpus, last, message,
+                                                      seen_after):
+    got, seen, data = last_range_case(tmp_path, cpus, last)
+    assert got == oracle_panel(data.decode(), CALENDARS[0]) == message
+    assert seen == [cpus, *seen_after]
+
+
+@pytest.mark.parametrize("cpus", POOL_CPUS)
+def test_undecodable_byte_in_a_later_range(tmp_path, cpus):
+    def message(*args):
+        with pytest.raises(UnicodeDecodeError) as excinfo:
+            args[0](*args[1:])
+        return str(excinfo.value)
+
+    got = message(last_range_case, tmp_path, cpus, b"2024-01-03T10:00:00,\xff,5.0\n")
+    want = message(load_prices, tmp_path / "prices.csv", CALENDARS[0])  # as a stream
+    assert got == want
+    assert "can't decode byte 0xff" in got
+
+
+@pytest.mark.parametrize("cpus", POOL_CPUS)
+def test_header_off_the_plain_form_keeps_the_stream(tmp_path, cpus):
+    text = " timestamp, symbol ,price\n" + "".join(good_lines(60))
+    got, seen, ranges = load_file(tmp_path, text.encode(), cpus)
+    assert ranges is None
+    assert seen == [cpus, "whole file"]
+    assert_same_panel(got, oracle_panel(text, CALENDARS[0]))

@@ -6,7 +6,9 @@ through ``tests/oracles.py`` among others. ``numpy.ma`` (which a plain
 any command may load it. Nor may importing the package or the CLI, or any
 command here, load ``multiprocessing`` or ``concurrent.futures``. That covers
 a ``synth`` run that takes ``write_price_csv``'s worker pool (no minimum size,
-2 CPUs forced), since the pool forks its workers with ``os.fork`` alone.
+2 CPUs forced), and a ``taildep`` run whose ``load_prices`` parses its input in
+2 byte ranges, one in a forked worker (no minimum size, 2 CPUs forced): the pool
+forks its workers with ``os.fork`` alone.
 """
 
 import json
@@ -86,3 +88,47 @@ def test_no_command_loads_scipy(tmp_path):
         if step != "import copuladyn":
             expected[f"{step} loads numpy.ma"] = False
     assert seen == expected
+
+
+POOLED_INGEST_SCRIPT = """
+import json, sys
+from pathlib import Path
+
+out = Path(sys.argv[1])
+from copuladyn import ingest
+from copuladyn.cli import main
+
+if main(["synth", "--assets", "3", "--length", "400", "--seed", "3", "--out", str(out / "data")]):
+    raise SystemExit("synth failed")
+ranges = []
+real_count, real_parse = ingest._range_count, ingest._parse_prices
+
+
+def range_count(size):
+    ranges.append(real_count(size))
+    return ranges[-1]
+
+
+def parse_prices(*args, **kwargs):
+    ranges.append("whole file")
+    return real_parse(*args, **kwargs)
+
+
+ingest._range_count, ingest._parse_prices = range_count, parse_prices
+ingest._PARALLEL_MIN_BYTES = 0
+ingest._usable_cpus = lambda: 2
+if main(["taildep", "--input", str(out / "data" / "prices.csv"), "--grid", "4",
+         "--out", str(out / "t")]):
+    raise SystemExit("taildep failed")
+print(json.dumps({"ranges": ranges, "loaded": sorted(
+    m for m in ("scipy", "numpy.ma", "multiprocessing", "concurrent.futures")
+    if m in sys.modules)}))
+"""
+
+
+def test_ingest_in_byte_ranges_loads_no_pool_module(tmp_path):
+    proc = subprocess.run([sys.executable, "-c", POOLED_INGEST_SCRIPT, str(tmp_path)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    # two ranges, both accepted: the file was never read as one stream
+    assert json.loads(proc.stdout) == {"ranges": [2], "loaded": []}
