@@ -2,6 +2,7 @@
 
 import os
 import pickle
+import signal
 import threading
 from contextlib import contextmanager
 from itertools import cycle, islice
@@ -22,16 +23,22 @@ def worker_count(size: int, n_jobs: int, min_size: int, cpus: int) -> int:
 
 
 @contextmanager
-def ordered(work, jobs: list, workers: int):
-    """Yield an iterator over ``work(job)`` (picklable, not an exception) for each job, in
-    order, from ``workers`` forked processes (this one if 0). Worker w runs
-    ``jobs[w::workers]``, blocking while its pipe is full: at most about one job ahead of
-    the reader. A worker's exception is raised from the iterator; every worker is reaped."""
+def ordered(work, jobs, workers: int):
+    """Yield an iterator over ``work(job)`` (picklable, not an exception) for each job of the
+    sequence ``jobs``, in order, from ``workers`` forked processes (this one if 0). Worker w
+    runs ``jobs[w::workers]``, blocking while its pipe is full: at most its pipe's buffer
+    plus one job ahead of the reader. A worker's exception is raised from the iterator. When
+    the block exits, whether or not it read every result, each worker is killed and reaped."""
     readers, pids = [], []
     try:
         for w in range(workers):
             fd_in, fd_out = os.pipe()
-            pid = os.fork()
+            try:
+                pid = os.fork()
+            except OSError:  # EAGAIN or ENOMEM: this iteration's pipe has no worker
+                os.close(fd_in)
+                os.close(fd_out)
+                raise
             if pid == 0:
                 _serve(work, jobs[w::workers], fd_out, [fd_in, *(r.fileno() for r in readers)])
             pids.append(pid)
@@ -39,9 +46,10 @@ def ordered(work, jobs: list, workers: int):
             readers.append(open(fd_in, "rb"))
         yield map(_receive, islice(cycle(readers), len(jobs))) if workers else map(work, jobs)
     finally:
-        for reader in readers:  # a worker still sending then fails on its broken pipe
+        for reader in readers:
             reader.close()
-        for pid in pids:
+        for pid in pids:  # an unreaped child keeps its pid, so the kill cannot hit another
+            os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
 
 

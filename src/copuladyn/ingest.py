@@ -26,7 +26,8 @@ fork. The ranges are cut at line starts; this process parses the first and
 forked workers the others, each block by block as above, with its own symbol
 codes and line numbers, which are then merged in file order. A range with a
 block that is not plain, a value fault or a byte that is not UTF-8 drops every
-range, and the file is read again as one stream, so faults are worded as above.
+range and ends the workers still parsing, and the file is read again as one
+stream, so faults are worded as above.
 
 Returns are arithmetic, r(t) = (P(t + dt) - P(t)) / P(t), computed on a fixed
 per-session endpoint grid (session open, open + dt, ...). Prices at endpoints
@@ -47,7 +48,7 @@ import re
 import stat
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import chain
+from itertools import chain, takewhile
 
 import numpy as np
 
@@ -284,7 +285,8 @@ def _parse_in_ranges(path):
     """(symbol codes, blocks of columns) of a large regular file parsed in byte ranges, or
     None for ``_parse_prices`` to read it as one stream, which words every fault.
 
-    This process parses the first range while forked workers parse the others.
+    This process parses the first range while forked workers parse the others; the first
+    range in file order that is refused ends them all.
     """
     info = os.stat(path)
     n_ranges = _range_count(info.st_size) if stat.S_ISREG(info.st_mode) else 0
@@ -292,8 +294,10 @@ def _parse_in_ranges(path):
     if ranges is None:
         return None
     with ordered(partial(_parse_range, path), ranges[1:], n_ranges - 1) as results:
-        parsed = [_parse_range(path, ranges[0]), *results]
-    if any(part is None for part in parsed):
+        # the first refused range ends the read, and leaving the block ends the workers
+        parsed = list(takewhile(lambda part: part is not None,
+                                chain([_parse_range(path, ranges[0])], results)))
+    if len(parsed) < n_ranges:
         return None
     codes, blocks, offset = {}, [], 1  # the header is line 1
     for range_blocks, symbols, lines in parsed:

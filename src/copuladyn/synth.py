@@ -6,9 +6,10 @@ Gaussian panels use a single common factor plus idiosyncratic noise for c >= 0
 (exact population correlation c between every pair); mildly negative
 equicorrelation falls back to a Cholesky factor of the equicorrelation matrix.
 
-``write_price_csv`` formats a panel of at least ``_PARALLEL_MIN_ROWS`` output
-rows in forked worker processes, one per CPU this process may use (so
-``taskset`` limits them), when there are two or more such CPUs and no other
+``write_price_csv`` formats one session at a time. A panel of at least
+``_PARALLEL_MIN_ROWS`` output rows has its sessions formatted in forked worker
+processes, one per CPU this process may use (so ``taskset`` limits them) and
+at most one per session, when there are two or more such workers and no other
 thread runs. The workers send UTF-8 bytes back over pipes, and a path gets
 them unchanged; the bytes it writes do not depend on the number of workers.
 """
@@ -38,8 +39,6 @@ _DEFAULT_START = "2007-01-02"
 # output rows from which write_price_csv formats in worker processes; on 2 vCPUs
 # the pool won steadily only from about 210,000 rows, and lost below 105,000
 _PARALLEL_MIN_ROWS = 200_000
-# rows a chunk of whole sessions for the worker processes reaches before it is closed
-_CHUNK_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -153,12 +152,12 @@ def write_price_csv(
     requires; this is checked before ``destination`` is opened, so a rejected
     call leaves an existing file as it was and starts no process.
 
-    The rows are formatted in chunks of consecutive sessions and written in
-    order. A panel of at least ``_PARALLEL_MIN_ROWS`` rows has its chunks, of
-    about ``_CHUNK_ROWS`` rows, formatted by forked worker processes, one per
-    usable CPU, when more than one CPU is usable, no other thread runs and the
-    platform can fork; otherwise this process formats one session at a time.
-    The bytes are the same either way.
+    The rows are formatted one session at a time and written in order. A
+    panel of at least ``_PARALLEL_MIN_ROWS`` rows has its sessions formatted
+    by forked worker processes, one per usable CPU and at most one per session,
+    when that makes two or more, no other thread runs and the platform can
+    fork; otherwise this process formats them. The bytes are the same either
+    way.
     """
     if not (math.isfinite(base_price) and base_price > 0.0):
         raise ValueError(f"base_price must be finite and positive, got {base_price!r}")
@@ -190,16 +189,12 @@ def write_price_csv(
 
     header = ",".join(_HEADER) + "\n"
     inputs = (paths, list(matrix.asset_ids), opens, cols, step)
-    session_rows = ((np.diff(cols) + 1) * k).tolist()
-    chunks = _chunks(session_rows)
-    workers = _worker_count(sum(session_rows), len(chunks))
-    # in this process one session a chunk: it then holds one session's strings at a time
-    jobs = chunks if workers else [(s, s + 1) for s in range(len(session_rows))]
+    workers = _worker_count((matrix.n_observations + days.size) * k, days.size)
 
-    def work(bounds):  # forked workers see the price paths through this closure
-        return _format_chunk(inputs, bounds).encode()
+    def work(session):  # forked workers see the price paths through this closure
+        return _format_session(inputs, session).encode()
 
-    with ordered(work, jobs, workers) as results:
+    with ordered(work, range(days.size), workers) as results:
         if isinstance(destination, (str, bytes, os.PathLike)):
             with open(destination, "wb") as fh:
                 fh.writelines(chain([header.encode()], results))
@@ -207,36 +202,22 @@ def write_price_csv(
             _write_texts(destination, chain([header], map(bytes.decode, results)))
 
 
-def _chunks(session_rows: list) -> list:
-    """(first, stop) ranges of consecutive sessions, each but the last of at least
-    ``_CHUNK_ROWS`` rows."""
-    chunks, first, rows = [], 0, 0
-    for stop, n in enumerate(session_rows, 1):
-        rows += n
-        if rows >= _CHUNK_ROWS or stop == len(session_rows):
-            chunks.append((first, stop))
-            first, rows = stop, 0
-    return chunks
-
-
-def _format_chunk(inputs, bounds) -> str:
-    """The CSV rows of the sessions in ``range(*bounds)``, each ending in a newline.
+def _format_session(inputs, session: int) -> str:
+    """The CSV rows of one session, each ending in a newline.
 
     Session s has one endpoint per path column from ``cols[s]`` to
     ``cols[s + 1]``, the e-th stamped ``opens[s] + e * step``; rows go endpoint
     by endpoint, one per asset.
     """
     paths, names, opens, cols, step = inputs
-    first, stop = bounds
-    widths = cols[first + 1:stop + 1] - cols[first:stop] + 1  # endpoints per session
-    within = np.arange(widths.sum()) - np.repeat(np.cumsum(widths) - widths, widths)
-    columns = np.repeat(cols[first:stop], widths) + within
-    stamps = (np.repeat(opens[first:stop], widths) + within * step).astype(str).tolist()
+    first, last = cols[session], cols[session + 1]
+    stamps = (opens[session] + np.arange(last - first + 1) * step).astype(str).tolist()
     # each price's repr is dropped as soon as its row is joined
-    prices = map(repr, paths.T[columns].ravel().tolist())
+    prices = map(repr, paths[:, first:last + 1].T.ravel().tolist())
     return _rows_text([[iso for iso in stamps for _ in names], names * len(stamps), prices])
 
 
-def _worker_count(rows: int, n_chunks: int) -> int:
-    """Worker processes for ``n_chunks`` chunks of ``rows`` rows; 0 to format in this process."""
-    return worker_count(rows, n_chunks, _PARALLEL_MIN_ROWS, _usable_cpus())
+def _worker_count(rows: int, n_sessions: int) -> int:
+    """Worker processes for ``n_sessions`` sessions of ``rows`` rows in all; 0 to format in
+    this process."""
+    return worker_count(rows, n_sessions, _PARALLEL_MIN_ROWS, _usable_cpus())

@@ -1,5 +1,6 @@
 import multiprocessing
 import os
+import stat
 import sys
 from pathlib import Path
 
@@ -41,3 +42,28 @@ def no_stray_processes():
             return
         pytest.fail("a child process was left " + (
             "running" if left is None else f"unreaped: pid {left.si_pid}"))
+
+
+def _open_pipes():
+    """(fd, inode) of each FIFO this process holds open, by ``/proc/self/fd``."""
+    pipes = set()
+    for name in os.listdir("/proc/self/fd"):
+        try:
+            info = os.stat(f"/proc/self/fd/{name}")
+        except OSError:  # the fd that listed the directory, closed since
+            continue
+        if stat.S_ISFIFO(info.st_mode):
+            pipes.add((name, info.st_ino))
+    return pipes
+
+
+@pytest.fixture(autouse=True)
+def no_leaked_pipes():
+    """Fail a test that leaves a pipe open; no check where ``/proc/self/fd`` does not exist."""
+    if not os.path.isdir("/proc/self/fd"):
+        yield
+        return
+    before = _open_pipes()
+    yield
+    left = _open_pipes() - before
+    assert not left, f"pipes left open (fd, inode): {sorted(left)}"

@@ -7,6 +7,7 @@ import os
 import signal
 import subprocess
 import sys
+import time
 import tracemalloc
 
 import numpy as np
@@ -529,6 +530,38 @@ def test_fifo_path_is_read_as_a_stream(tmp_path, monkeypatch):
         signal.signal(signal.SIGALRM, previous)
         writer.kill()
         writer.wait()
+    want = load_prices(io.StringIO(text), CAL)
+    assert panel.asset_ids == want.asset_ids
+    for name in ("offsets", "quote_ts", "quote_px"):
+        assert getattr(panel, name).tobytes() == getattr(want, name).tobytes()
+    # no_stray_processes (conftest.py) then finds no child process, running or unreaped
+
+
+def test_refused_first_range_ends_the_workers(tmp_path, monkeypatch):
+    def slow_in_workers(path, bounds):
+        if os.getpid() != caller:
+            time.sleep(60)  # past the deadline, unless the worker is ended
+        return parse_range(path, bounds)
+
+    def hung(signum, frame):
+        pytest.fail("load_prices still waits for a worker after 30 s")
+
+    header, first, second, *rest = async_tape(5, 3_000, seed=5).splitlines(keepends=True)
+    stamp, symbol, price = second.split(",")
+    text = "".join([header, first, f'{stamp},"{symbol}",{price}', *rest])  # line 3 is quoted
+    path = tmp_path / "prices.csv"
+    path.write_text(text)
+    caller, parse_range = os.getpid(), ingest._parse_range
+    monkeypatch.setattr(ingest, "_PARALLEL_MIN_BYTES", 0)
+    monkeypatch.setattr(ingest, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(ingest, "_parse_range", slow_in_workers)
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(30)
+    try:
+        panel = load_prices(path, CAL)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
     want = load_prices(io.StringIO(text), CAL)
     assert panel.asset_ids == want.asset_ids
     for name in ("offsets", "quote_ts", "quote_px"):

@@ -1,5 +1,6 @@
 """The fork pool when the caller runs a job of its own before it reads the workers' results."""
 
+import errno
 import os
 import signal
 import time
@@ -57,4 +58,39 @@ def test_caller_error_before_any_read_reaps_every_worker():
             time.sleep(0.1)  # each worker now blocks on its full pipe
             raise RuntimeError("caller failed")
     assert started == [True]
+    # no_stray_processes (conftest.py) then finds no child process, running or unreaped
+
+
+def test_failed_fork_closes_its_pipe_and_reaps_the_workers_forked(monkeypatch):
+    def fork():
+        if len(pipes) == 2:  # EAGAIN, as when the process limit is reached
+            raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+        return real_fork()
+
+    def pipe():
+        pipes.append(real_pipe())
+        return pipes[-1]
+
+    real_fork, real_pipe, pipes = os.fork, os.pipe, []
+    monkeypatch.setattr(os, "fork", fork)
+    monkeypatch.setattr(os, "pipe", pipe)
+    with pytest.raises(BlockingIOError):
+        with ordered(lambda n: n, [1, 2, 3], 3):
+            pytest.fail("the block ran without its workers")
+    assert len(pipes) == 2
+    for fd in (fd for pair in pipes for fd in pair):
+        with pytest.raises(OSError):
+            os.fstat(fd)
+    # no_stray_processes (conftest.py) then finds the first worker reaped
+
+
+def test_caller_that_leaves_early_ends_the_workers():
+    def work(n):
+        if os.getpid() != caller:
+            time.sleep(60)  # past the deadline, unless the worker is ended
+        return n
+
+    caller = os.getpid()
+    with ordered(work, [1, 2], 2):
+        assert work(0) == 0  # the caller leaves without reading a worker's result
     # no_stray_processes (conftest.py) then finds no child process, running or unreaped

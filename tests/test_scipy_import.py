@@ -41,8 +41,8 @@ workers = []
 real_count = synth._worker_count
 
 
-def worker_count(rows, n_chunks):
-    workers.append(real_count(rows, n_chunks))
+def worker_count(rows, n_sessions):
+    workers.append(real_count(rows, n_sessions))
     return workers[-1]
 
 
@@ -51,7 +51,7 @@ prices = str(out / "data" / "prices.csv")
 runs = [
     ("synth", ["synth", "--assets", "3", "--length", "40", "--seed", "3",
                "--out", str(out / "data")]),
-    # 6,468 rows: two chunks
+    # 6,462 rows in 154 sessions
     ("synth in 2 workers", ["synth", "--assets", "3", "--length", "2000", "--seed", "3",
                             "--out", str(out / "pooled")]),
     ("copula", ["copula", "--input", prices, "--grid", "4", "--permille", "--out", str(out / "c")]),

@@ -320,8 +320,8 @@ def use_pool(monkeypatch, cpus):
     """
     counts = []
 
-    def worker_count(rows, n_chunks):
-        counts.append(real(rows, n_chunks))
+    def worker_count(rows, n_sessions):
+        counts.append(real(rows, n_sessions))
         return counts[-1]
 
     real = synth._worker_count
@@ -361,19 +361,16 @@ POOL_CASES = [(dest, None) for dest in ("path", "stream")] + [
 
 @pytest.mark.parametrize("destination,cpus", POOL_CASES,
                          ids=[d if c is None else f"{d}-cpus{c}" for d, c in POOL_CASES])
-# in the pool cases a chunk closes at one session's rows + extra (the pool's
-# _CHUNK_ROWS boundary)
+# the panel ends one return short of its tenth session's end, at it, or one return past it
+# (a session of one return): the price writer's job, in process or in a worker, is a session
 @pytest.mark.parametrize("extra", [-1, 0, 1])
 def test_writers_at_block_boundaries(tmp_path, monkeypatch, destination, extra, cpus):
-    # nine sessions of 13 returns (42 rows each), then a partial one of 4 (15 rows)
-    mat = sample_panel(SynthSpec("gaussian", 3, 13 * 9 + 4, 12, 0.2))
+    # nine sessions of 13 returns (42 rows each), then a tenth of 12 or 13, or 13 and then 1
+    mat = sample_panel(SynthSpec("gaussian", 3, 13 * 10 + extra, 12, 0.2))
     grid = gaussian_grid(0.3, 5)
     if cpus:
+        # more sessions than workers, each of which runs ahead of the writer
         counts = use_pool(monkeypatch, cpus)
-        # a chunk closes once it reaches a whole session's rows + extra: ten
-        # one-session chunks, or at +1 five of two sessions; either is more
-        # chunks than workers, each of which runs about one chunk ahead
-        monkeypatch.setattr(synth, "_CHUNK_ROWS", 3 * 14 + extra)
 
     text = written(lambda dest: write_price_csv(mat, CAL, dest), destination, tmp_path)
     assert text == price_csv_text(mat, CAL)
@@ -382,6 +379,17 @@ def test_writers_at_block_boundaries(tmp_path, monkeypatch, destination, extra, 
 
     text = written(lambda dest: write_grid_csv(grid, dest, permille=True), destination, tmp_path)
     assert text == grid_csv_text(grid, permille=True)
+
+
+@pytest.mark.parametrize("destination", ["path", "stream"])
+def test_price_csv_with_fewer_sessions_than_cpus(tmp_path, monkeypatch, destination):
+    counts = use_pool(monkeypatch, 3)
+    for sessions in (1, 2):
+        mat = sample_panel(SynthSpec("gaussian", 3, 13 * sessions, 5, 0.2))
+        text = written(lambda dest: write_price_csv(mat, CAL, dest), destination, tmp_path)
+        assert text == price_csv_text(mat, CAL)
+    # a worker per session: none for one session, which this process formats
+    assert counts == [0, 2]
 
 
 class _RecordingStream(io.StringIO):
@@ -477,7 +485,6 @@ def test_price_csv_rejects_scale_before_opening_or_forking(tmp_path, monkeypatch
         raise AssertionError("a process was started")
 
     counts = use_pool(monkeypatch, 2)
-    monkeypatch.setattr(synth, "_CHUNK_ROWS", 1)
     monkeypatch.setattr(os, "fork", no_fork)
     for mat, kw, message in _refused_price_calls():
         # opening a file in a missing directory would raise FileNotFoundError instead
@@ -490,17 +497,16 @@ def test_price_csv_rejects_scale_before_opening_or_forking(tmp_path, monkeypatch
 
 @pytest.mark.parametrize("destination", ["path", "stream"])
 def test_price_csv_worker_error_reaches_the_caller(tmp_path, monkeypatch, destination):
-    def failing(inputs, bounds):
-        if bounds[0] == 2:
-            raise ValueError(f"chunk from session {bounds[0]} failed")
-        return format_chunk(inputs, bounds)
+    def failing(inputs, session):
+        if session == 2:
+            raise ValueError(f"session {session} failed")
+        return format_session(inputs, session)
 
-    format_chunk = synth._format_chunk
+    format_session = synth._format_session
     counts = use_pool(monkeypatch, 2)
-    monkeypatch.setattr(synth, "_CHUNK_ROWS", 1)  # one chunk per session
-    monkeypatch.setattr(synth, "_format_chunk", failing)
+    monkeypatch.setattr(synth, "_format_session", failing)
     mat = sample_panel(SynthSpec("gaussian", 3, 13 * 6, 1, 0.2))
-    with pytest.raises(ValueError, match="chunk from session 2 failed"):
+    with pytest.raises(ValueError, match="session 2 failed"):
         written(lambda dest: write_price_csv(mat, CAL, dest), destination, tmp_path)
     assert counts == [2]
 
@@ -509,34 +515,33 @@ def test_price_csv_worker_error_reaches_the_caller(tmp_path, monkeypatch, destin
 @pytest.mark.parametrize("ending", [0, 3, 5])
 def test_price_csv_raises_when_a_worker_ends_without_its_result(tmp_path, monkeypatch,
                                                                  destination, ending):
-    def format_or_exit(inputs, bounds):
-        if bounds[0] == ending and os.getpid() != caller:
-            os._exit(0)  # a worker that ends without sending this chunk or any later one
-        return format_chunk(inputs, bounds)
+    def format_or_exit(inputs, session):
+        if session == ending and os.getpid() != caller:
+            os._exit(0)  # a worker that ends without sending this session or any later one
+        return format_session(inputs, session)
 
     caller = os.getpid()
-    format_chunk = synth._format_chunk
-    counts = use_pool(monkeypatch, 2)
-    monkeypatch.setattr(synth, "_CHUNK_ROWS", 1)  # one chunk per session; 5 is the last
-    monkeypatch.setattr(synth, "_format_chunk", format_or_exit)
+    format_session = synth._format_session
+    counts = use_pool(monkeypatch, 2)  # session 5 is the last
+    monkeypatch.setattr(synth, "_format_session", format_or_exit)
     mat = sample_panel(SynthSpec("gaussian", 3, 13 * 6, 1, 0.2))
     with pytest.raises(ChildProcessError, match="ended before it sent its result"):
         written(lambda dest: write_price_csv(mat, CAL, dest), destination, tmp_path)
     assert counts == [2]
 
 
-# 20 assets, 150 sessions of 13 returns: ten chunks of 15 sessions (4,200 rows, about
-# 190 kB each), so a worker cannot put a whole chunk into its pipe's 64 KiB buffer
-BIG_CHUNKS = SynthSpec("gaussian", 20, 13 * 150, 1, 0.2)
+# 120 assets, 10 sessions of 13 returns (1,680 rows, about 76 kB each), so a worker
+# cannot put a whole session into its pipe's 64 KiB buffer
+BIG_SESSIONS = SynthSpec("gaussian", 120, 13 * 10, 1, 0.2)
 
 
 def test_price_csv_stream_error_reaches_the_caller_with_the_workers_reaped(monkeypatch):
     class FailingStream(io.StringIO):
         def write(self, text):
             calls.append(len(text))
-            if len(calls) == 3:  # the header, chunk 0, then chunk 1 fails
+            if len(calls) == 3:  # the header, session 0, then session 1 fails
                 time.sleep(0.2)  # meanwhile both workers block on full pipes
-                raise OSError("no space left for chunk 1")
+                raise OSError("no space left for session 1")
             return super().write(text)
 
     def hung(signum, frame):
@@ -547,8 +552,8 @@ def test_price_csv_stream_error_reaches_the_caller_with_the_workers_reaped(monke
     previous = signal.signal(signal.SIGALRM, hung)
     signal.alarm(30)  # a worker whose pipe never breaks would keep waitpid waiting
     try:
-        with pytest.raises(OSError, match="no space left for chunk 1"):
-            write_price_csv(sample_panel(BIG_CHUNKS), CAL, FailingStream())
+        with pytest.raises(OSError, match="no space left for session 1"):
+            write_price_csv(sample_panel(BIG_SESSIONS), CAL, FailingStream())
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
@@ -558,37 +563,36 @@ def test_price_csv_stream_error_reaches_the_caller_with_the_workers_reaped(monke
 
 
 def test_pool_formats_at_most_one_chunk_per_worker_ahead_of_the_writer(tmp_path, monkeypatch):
-    def logged(inputs, bounds):  # each worker notes every chunk it starts
+    def logged(inputs, session):  # each worker notes every session it starts
         fd = os.open(log, os.O_WRONLY | os.O_APPEND | os.O_CREAT)
         os.write(fd, b".")
         os.close(fd)
-        return format_chunk(inputs, bounds)
+        return format_session(inputs, session)
 
     class SlowStream(io.StringIO):
         def write(self, text):
-            if self.tell():  # past the header: chunk n = len(ahead) arrives
+            if self.tell():  # past the header: session n = len(ahead) arrives
                 time.sleep(0.02)  # time for the workers to run ahead, were they free to
                 ahead.append(log.stat().st_size - (len(ahead) + 1))
             return super().write(text)
 
     log, ahead = tmp_path / "started", []
-    format_chunk = synth._format_chunk
+    format_session = synth._format_session
     counts = use_pool(monkeypatch, 2)
-    monkeypatch.setattr(synth, "_format_chunk", logged)
-    mat = sample_panel(BIG_CHUNKS)
+    monkeypatch.setattr(synth, "_format_session", logged)
+    mat = sample_panel(BIG_SESSIONS)
     stream = SlowStream()
     write_price_csv(mat, CAL, stream)
     assert counts == [2]
     assert stream.getvalue() == price_csv_text(mat, CAL)
-    # while chunk n is written, each worker may have started its next chunk (n + 1 and
-    # n + 2), and none any later one
+    # while session n is written, each worker may have started its next session (n + 1
+    # and n + 2), and none any later one
     assert len(ahead) == 10 and max(ahead) <= 2, ahead
 
 
 @pytest.mark.parametrize("reason", ["another thread runs", "no fork start method"])
 def test_price_csv_formats_in_process_when_it_cannot_fork(monkeypatch, reason):
     counts = use_pool(monkeypatch, 2)
-    monkeypatch.setattr(synth, "_CHUNK_ROWS", 1)
     mat = sample_panel(SynthSpec("gaussian", 3, 13 * 6, 1, 0.2))
     release = threading.Event()
     other = threading.Thread(target=release.wait, args=(10,))
@@ -620,8 +624,8 @@ mat = replace(sample_panel(SynthSpec("gaussian", 2, 13 * 6, 1, 0.2)),
               asset_ids=["\\u00c9T\\u00c9", "SYN001"])
 counts = []
 real = synth._worker_count
-synth._worker_count = lambda rows, n_chunks: counts.append(real(rows, n_chunks)) or counts[-1]
-synth._PARALLEL_MIN_ROWS, synth._CHUNK_ROWS = 0, 1
+synth._worker_count = lambda rows, n_sessions: counts.append(real(rows, n_sessions)) or counts[-1]
+synth._PARALLEL_MIN_ROWS = 0
 seen = {}
 for cpus in (1, 2):  # in this process, then in 2 forked workers
     synth._usable_cpus = lambda: cpus
