@@ -1,11 +1,11 @@
-"""Forked worker processes that hand back results in job order, pickled into one pipe each."""
+"""Forked worker processes that hand back results in job order, pickled into one pipe each;
+the calling process is worker 0 and runs its own share of the jobs."""
 
 import os
 import pickle
 import signal
 import threading
 from contextlib import contextmanager
-from itertools import cycle, islice
 
 
 def usable_cpus() -> int:
@@ -14,9 +14,10 @@ def usable_cpus() -> int:
 
 
 def worker_count(size: int, n_jobs: int, min_size: int, cpus: int) -> int:
-    """Workers for ``n_jobs`` jobs on ``cpus`` CPUs; 0 to run them in this process, as for
-    an input whose ``size`` (rows, bytes: the unit of ``min_size``) is below ``min_size``.
-    A fork could copy a lock that another thread holds, so none may run."""
+    """Workers for ``n_jobs`` jobs on ``cpus`` CPUs, this process included; 0 to run them
+    all in this process, as for an input whose ``size`` (rows, bytes, cells: the unit of
+    ``min_size``) is below ``min_size``. A fork could copy a lock that another thread
+    holds, so none may run."""
     workers = min(cpus, n_jobs)
     can_fork = hasattr(os, "fork") and threading.active_count() == 1
     return workers if can_fork and size >= min_size and workers > 1 else 0
@@ -25,32 +26,45 @@ def worker_count(size: int, n_jobs: int, min_size: int, cpus: int) -> int:
 @contextmanager
 def ordered(work, jobs, workers: int):
     """Yield an iterator over ``work(job)`` (picklable, not an exception) for each job of the
-    sequence ``jobs``, in order, from ``workers`` forked processes (this one if 0). Worker w
-    runs ``jobs[w::workers]``, blocking while its pipe is full: at most its pipe's buffer
-    plus one job ahead of the reader. A worker's exception is raised from the iterator. When
-    the block exits, whether or not it read every result, each worker is killed and reaped."""
+    sequence ``jobs``, in order. With ``workers`` of 2 or more, this process is worker 0: it
+    forks ``workers - 1`` processes, worker w running ``jobs[w::workers]``, and runs
+    ``jobs[0::workers]`` itself as the iterator reaches them. A forked worker blocks while
+    its pipe is full: at most its pipe's buffer plus one job ahead of the reader. A worker's
+    exception is raised from the iterator. If a fork fails, the workers already forked are
+    ended and every job runs in this process. When the block exits, whether or not it read
+    every result, each worker is killed and reaped."""
     readers, pids = [], []
     try:
-        for w in range(workers):
+        for w in range(1, workers):
             fd_in, fd_out = os.pipe()
             try:
                 pid = os.fork()
-            except OSError:  # EAGAIN or ENOMEM: this iteration's pipe has no worker
+            except OSError:  # EAGAIN or ENOMEM: no job needs a worker, so run them all here
                 os.close(fd_in)
                 os.close(fd_out)
-                raise
+                _end(readers, pids)
+                break
             if pid == 0:
                 _serve(work, jobs[w::workers], fd_out, [fd_in, *(r.fileno() for r in readers)])
             pids.append(pid)
             os.close(fd_out)
             readers.append(open(fd_in, "rb"))
-        yield map(_receive, islice(cycle(readers), len(jobs))) if workers else map(work, jobs)
+        n = len(readers) + 1  # this process runs every n-th job, from job 0 on
+        yield (work(job) if i % n == 0 else _receive(readers[i % n - 1])
+               for i, job in enumerate(jobs))
     finally:
-        for reader in readers:
-            reader.close()
-        for pid in pids:  # an unreaped child keeps its pid, so the kill cannot hit another
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
+        _end(readers, pids)
+
+
+def _end(readers: list, pids: list) -> None:
+    """Close the pipes, then kill and reap each worker, and empty both lists."""
+    for reader in readers:
+        reader.close()
+    for pid in pids:  # an unreaped child keeps its pid, so the kill cannot hit another
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+    readers.clear()
+    pids.clear()
 
 
 def _serve(work, jobs: list, fd: int, read_ends: list) -> None:

@@ -16,15 +16,23 @@ The cumulative grid holds the empirical copula at the grid nodes,
 i = 0 and j = 0. At interior nodes the prefix sum of the density cells equals
 the direct indicator-count estimator exactly, because integer counts are
 accumulated before the single division by the sample count.
+
+The assets of one ``dynamics`` window are binned in one call (``_row_bins``),
+with the same bins as ``quantile_bins`` gives each row. Grid CSV export formats
+the grid rows in jobs of up to ``_BLOCK_CELLS`` cells; from
+``_PARALLEL_MIN_CELLS`` cells in one call, this process and forked workers
+(``_pool.ordered``) share the jobs, and this process writes every row.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, islice
 
 import numpy as np
+
+from ._pool import ordered, usable_cpus as _usable_cpus, worker_count
 
 __all__ = [
     "CopulaGrid",
@@ -39,6 +47,10 @@ __all__ = [
 # entries kept by the value-text table of one CSV writing call (about 2 MiB);
 # values beyond it are formatted each time they occur
 _REPR_TABLE_CAP = 1 << 14
+# grid cells from which write_grid_csvs formats its grid rows in forked workers too
+_PARALLEL_MIN_CELLS = 20_000
+# grid cells in one job of write_grid_csvs: a whole grid up to m = 50, else whole grid rows
+_BLOCK_CELLS = 2_500
 
 @dataclass(frozen=True)
 class CopulaGrid:
@@ -88,11 +100,38 @@ def quantile_bins(series, resolution: int) -> np.ndarray:
         raise ValueError("sample must not be empty")
     if not np.all(np.isfinite(sample)):
         raise ValueError("sample values must be finite")
-    size = sample.size
+    edges = np.sort(sample, kind="stable")[_edge_ranks(sample.size, resolution)]
+    return np.searchsorted(edges, sample, side="left")
+
+
+def _edge_ranks(size: int, resolution: int) -> np.ndarray:
+    """Sorted positions of the ``resolution`` bin edges of a sample of ``size``: the least
+    k whose float level (k + 1) / size is >= i / m, capped at the last position."""
     levels = np.arange(1, size + 1) / size
     ranks = np.searchsorted(levels, np.arange(1, resolution + 1) / resolution, side="left")
-    edges = np.sort(sample, kind="stable")[np.minimum(ranks, size - 1)]
-    return np.searchsorted(edges, sample, side="left")
+    return np.minimum(ranks, size - 1)
+
+
+def _row_bins(returns: np.ndarray, resolution: int) -> np.ndarray:
+    """``quantile_bins`` of every row of a 2-D array, in one call.
+
+    Edge i of a row is its sorted value at rank r_i, and it lies below x exactly when
+    r_i lies below the first sorted position of x's tie group; so the bin of x, the
+    number of edges below it, is where that position falls among the ranks.
+    """
+    if resolution < 2:
+        raise ValueError("resolution must be at least 2")
+    if not np.all(np.isfinite(returns)):
+        raise ValueError("sample values must be finite")
+    n_obs = returns.shape[1]
+    order = np.argsort(returns, axis=1)
+    ranked = np.take_along_axis(returns, order, axis=1)
+    first = np.zeros(returns.shape, dtype=np.intp)
+    first[:, 1:] = np.where(ranked[:, 1:] != ranked[:, :-1], np.arange(1, n_obs), 0)
+    np.maximum.accumulate(first, axis=1, out=first)
+    bins = np.empty_like(first)
+    np.put_along_axis(bins, order, np.searchsorted(_edge_ranks(n_obs, resolution), first), 1)
+    return bins
 
 
 def _grid_from_counts(counts: np.ndarray, total: int, pair_count: int) -> CopulaGrid:
@@ -165,9 +204,15 @@ def average_pairwise_density(matrix, resolution: int) -> CopulaGrid:
     n_assets = returns.shape[0]
     if n_assets < 2:
         raise ValueError("need at least two assets to form pairs")
+    bins = np.vstack([quantile_bins(returns[k], resolution) for k in range(n_assets)])
+    return _pairwise_grid(bins, resolution)
+
+
+def _pairwise_grid(bins: np.ndarray, resolution: int) -> CopulaGrid:
+    """The average pairwise grid of a K x T array of bin indices, K >= 2: the pairs
+    (i, j > i) of each first asset i go into one integer histogram."""
     m = resolution
-    n_obs = returns.shape[1]
-    bins = np.vstack([quantile_bins(returns[k], m) for k in range(n_assets)])
+    n_assets, n_obs = bins.shape
     counts = np.zeros(m * m, dtype=np.int64)
     for i in range(n_assets - 1):
         counts += np.bincount((bins[i] * m + bins[i + 1 :]).ravel(), minlength=m * m)
@@ -212,17 +257,39 @@ def write_grid_csv(grid: CopulaGrid, destination, permille: bool = False) -> Non
 
 def write_grid_csvs(grids, destinations, permille: bool = False) -> None:
     """Write each grid to its destination (a path or an open text stream) as
-    ``write_grid_csv`` does, with one ``_reprs`` table for all of them: a value
-    that recurs across grids, as equal-length windows' counts do, is formatted once.
+    ``write_grid_csv`` does, one grid row per ``write()``.
+
+    Grid rows are formatted in jobs of up to ``_BLOCK_CELLS`` cells. From
+    ``_PARALLEL_MIN_CELLS`` cells in all, this process and forked workers share the jobs
+    (``_pool.ordered``, one process per usable CPU); each process formats a value that
+    recurs across its grids, as equal-length windows' counts do, once. A destination is
+    taken, and a path opened, once its grid's first job is done.
     """
     header = "i,j,u_hi,v_hi,density,cumulative" + (",density_permille" if permille else "")
+    spans, cells = [], 0  # per grid, its jobs: (grid, first row, end row)
+    for grid in grids:
+        m = len(grid.density)
+        step = max(1, _BLOCK_CELLS // m)
+        spans.append([(grid, lo, min(lo + step, m)) for lo in range(0, m, step)])
+        cells += m * m
+    jobs = [job for grid_jobs in spans for job in grid_jobs]
     table: dict = {}
-    for grid, destination in zip(grids, destinations, strict=True):
-        density = np.asarray(grid.density, dtype=float)
-        values = [density, np.asarray(grid.cumulative, dtype=float)[1:, 1:]]
+
+    def work(job):  # forked workers see the grids through the jobs
+        grid, lo, end = job
+        density = np.asarray(grid.density, dtype=float)[lo:end]
+        values = [density, np.asarray(grid.cumulative, dtype=float)[1 + lo:1 + end, 1:]]
         if permille:
             values.append(density * 1000.0)
-        _write_cells(destination, header, values, table)
+        return list(_cell_rows(values, lo, table))
+
+    workers = worker_count(cells, len(jobs), _PARALLEL_MIN_CELLS, _usable_cpus())
+    with ordered(work, jobs, workers) as blocks:
+        texts = (chain([header + "\n"], next(blocks),
+                       chain.from_iterable(islice(blocks, len(grid_jobs) - 1)))
+                 for grid_jobs in spans)
+        for grid_texts, destination in zip(texts, destinations, strict=True):
+            _write_texts(destination, grid_texts)
 
 
 def _write_cells(destination, header: str, values, table: dict) -> None:
@@ -230,12 +297,19 @@ def _write_cells(destination, header: str, values, table: dict) -> None:
 
     Cells go in row-major order, one grid row (m lines) per ``write()``.
     """
-    m = values[0].shape[0]
+    _write_texts(destination, chain([header + "\n"], _cell_rows(values, 0, table)))
+
+
+def _cell_rows(values, start: int, table: dict):
+    """Yield the CSV text of each grid row in ``values``, equally shaped blocks of rows of
+    m x m grids from grid row ``start`` on: m lines ``i,j,u_hi,v_hi`` then one value per
+    block, each line ending in a newline."""
+    m = values[0].shape[1]
     index = [str(i) for i in range(1, m + 1)]
     hi = [repr(i / m) for i in range(1, m + 1)]
-    blocks = ([[index[r]] * m, index, [hi[r]] * m, hi,
-               *(_reprs(grid[r], table) for grid in values)] for r in range(m))
-    _write_csv(destination, header, blocks)
+    for r, rows in enumerate(zip(*values), start):
+        yield _rows_text([[index[r]] * m, index, [hi[r]] * m, hi,
+                          *(_reprs(row, table) for row in rows)])
 
 
 def _rows_text(columns) -> str:

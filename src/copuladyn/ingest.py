@@ -23,11 +23,12 @@ A path to a regular file of at least ``_PARALLEL_MIN_BYTES`` bytes whose header
 is one plain line is parsed in byte ranges, one per CPU this process may use,
 when there are two or more such CPUs, no other thread runs and the platform can
 fork. The ranges are cut at line starts; this process parses the first and
-forked workers the others, each block by block as above, with its own symbol
-codes and line numbers, which are then merged in file order. A range with a
-block that is not plain, a value fault or a byte that is not UTF-8 drops every
-range and ends the workers still parsing, and the file is read again as one
-stream, so faults are worded as above.
+forked workers the others (this process all of them if a fork fails), each
+block by block as above, with its own symbol codes and line numbers, which are
+then merged in file order. A range with a block that is not plain, a value
+fault or a byte that is not UTF-8 drops every range and ends the workers still
+parsing, and the file is read again as one stream, so faults are worded as
+above.
 
 Returns are arithmetic, r(t) = (P(t + dt) - P(t)) / P(t), computed on a fixed
 per-session endpoint grid (session open, open + dt, ...). Prices at endpoints
@@ -293,10 +294,9 @@ def _parse_in_ranges(path):
     ranges = _byte_ranges(path, info.st_size, n_ranges) if n_ranges else None
     if ranges is None:
         return None
-    with ordered(partial(_parse_range, path), ranges[1:], n_ranges - 1) as results:
+    with ordered(partial(_parse_range, path), ranges, n_ranges) as results:
         # the first refused range ends the read, and leaving the block ends the workers
-        parsed = list(takewhile(lambda part: part is not None,
-                                chain([_parse_range(path, ranges[0])], results)))
+        parsed = list(takewhile(lambda part: part is not None, results))
     if len(parsed) < n_ranges:
         return None
     codes, blocks, offset = {}, [], 1  # the header is line 1

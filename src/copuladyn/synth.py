@@ -7,11 +7,12 @@ Gaussian panels use a single common factor plus idiosyncratic noise for c >= 0
 equicorrelation falls back to a Cholesky factor of the equicorrelation matrix.
 
 ``write_price_csv`` formats one session at a time. A panel of at least
-``_PARALLEL_MIN_ROWS`` output rows has its sessions formatted in forked worker
-processes, one per CPU this process may use (so ``taskset`` limits them) and
-at most one per session, when there are two or more such workers and no other
-thread runs. The workers send UTF-8 bytes back over pipes, and a path gets
-them unchanged; the bytes it writes do not depend on the number of workers.
+``_PARALLEL_MIN_ROWS`` output rows has its sessions shared between this process
+and forked worker processes, one process per CPU this process may use (so
+``taskset`` limits them) and at most one per session, when that makes two or
+more and no other thread runs. The workers send UTF-8 bytes back over pipes,
+and a path gets them unchanged; the bytes it writes do not depend on the number
+of workers.
 """
 
 from __future__ import annotations
@@ -153,11 +154,11 @@ def write_price_csv(
     call leaves an existing file as it was and starts no process.
 
     The rows are formatted one session at a time and written in order. A
-    panel of at least ``_PARALLEL_MIN_ROWS`` rows has its sessions formatted
-    by forked worker processes, one per usable CPU and at most one per session,
-    when that makes two or more, no other thread runs and the platform can
-    fork; otherwise this process formats them. The bytes are the same either
-    way.
+    panel of at least ``_PARALLEL_MIN_ROWS`` rows has its sessions shared
+    between this process and forked worker processes, one process per usable
+    CPU and at most one per session, when that makes two or more, no other
+    thread runs and the platform can fork; otherwise this process formats them
+    all. The bytes are the same either way.
     """
     if not (math.isfinite(base_price) and base_price > 0.0):
         raise ValueError(f"base_price must be finite and positive, got {base_price!r}")
@@ -218,6 +219,6 @@ def _format_session(inputs, session: int) -> str:
 
 
 def _worker_count(rows: int, n_sessions: int) -> int:
-    """Worker processes for ``n_sessions`` sessions of ``rows`` rows in all; 0 to format in
-    this process."""
+    """Processes, this one included, for ``n_sessions`` sessions of ``rows`` rows in all; 0
+    to format in this process alone."""
     return worker_count(rows, n_sessions, _PARALLEL_MIN_ROWS, _usable_cpus())

@@ -12,6 +12,10 @@ Windowed analysis cuts a return panel into non-overlapping blocks of whole
 trading days and reports, per window, the average pairwise copula grid, the
 empirical tail curve, the Pearson matrix with its mean off-diagonal level, and
 the tail curve a Gaussian copula would imply at the measured correlations.
+``windowed_reports`` computes every window in one pass: it bins all of a
+window's assets in one call, and evaluates the Gaussian tails of all windows in
+one ``gaussian_copula_cdf`` call over the union of their distinct rounded
+correlations. Each report equals ``window_report`` on its window, bit for bit.
 """
 
 from __future__ import annotations
@@ -23,7 +27,9 @@ import numpy as np
 
 from .copula import (
     CopulaGrid,
+    _pairwise_grid,
     _reprs,
+    _row_bins,
     _write_csv,
     average_pairwise_density,
     interpolate_cumulative,
@@ -179,8 +185,14 @@ def gaussian_tail_curve(corr: CorrelationMatrix, alphas) -> TailCurve:
     alpha_arr = np.array([_check_alpha(a) for a in alphas], dtype=float)
     unique, counts = _distinct_correlations(corr)
     cop = gaussian_copula_cdf(alpha_arr[:, None], alpha_arr[:, None], unique)
+    return _weighted_tail(alpha_arr, counts, cop)
+
+
+def _weighted_tail(alphas: np.ndarray, counts: np.ndarray, cop: np.ndarray) -> TailCurve:
+    """The tail curve whose value at each alpha is the pair-count-weighted mean of its row of
+    ``cop`` (C-contiguous, alphas x distinct correlations: the sum's order follows the layout)."""
     values = (counts * cop).sum(axis=1) / int(counts.sum())
-    return TailCurve(alphas=alpha_arr, lower=values, upper=values.copy())
+    return TailCurve(alphas=alphas, lower=values, upper=values.copy())
 
 
 def partition_windows(matrix: ReturnMatrix, window_days: int) -> list:
@@ -250,11 +262,43 @@ def windowed_reports(
     alphas,
     upper_convention: str = "literal",
 ) -> list:
-    """Window reports for the whole panel, computed in chronological order."""
-    return [
-        window_report(win, resolution, alphas, upper_convention=upper_convention)
-        for win in partition_windows(matrix, window_days)
-    ]
+    """Window reports for the whole panel, in chronological order, each equal to
+    ``window_report`` on its window.
+
+    Each window's assets are binned in one call and its pairs counted; a window fails
+    with the fault ``window_report`` would raise for it. The Gaussian tails of all
+    windows then come from one ``gaussian_copula_cdf`` call over the union of the
+    windows' distinct rounded correlations.
+    """
+    parts = partition_windows(matrix, window_days)
+    if matrix.n_assets < 2:
+        raise ValueError("need at least two assets to form pairs")
+    windows = []
+    for window in parts:
+        grid = _pairwise_grid(_row_bins(window.returns, resolution), resolution)
+        corr = pearson_matrix(window)
+        windows.append((window, grid, mean_correlation(corr),
+                        tail_curve(grid, alphas, upper_convention=upper_convention),
+                        *_distinct_correlations(corr)))
+    alpha_arr = np.array([_check_alpha(a) for a in alphas], dtype=float)
+    union = _distinct_sorted(np.concatenate([w[4] for w in windows]))
+    table = gaussian_copula_cdf(alpha_arr[:, None], alpha_arr[:, None], union)
+    reports = []
+    for window, grid, mean, tail, unique, counts in windows:
+        # the window's columns copied in C order, so the weighted sum runs as in
+        # gaussian_tail_curve
+        cop = np.ascontiguousarray(table[:, np.searchsorted(union, unique)])
+        start, end = window.period
+        reports.append(WindowReport(
+            window_start=start,
+            window_end=end,
+            mean_correlation=mean,
+            tail=tail,
+            gaussian_tail=_weighted_tail(alpha_arr, counts, cop),
+            sample_count=window.n_observations,
+            grid=grid,
+        ))
+    return reports
 
 
 def write_relation_csv(reports, destination) -> None:

@@ -1,5 +1,6 @@
 """End-to-end command line runs: outputs, manifests, determinism, exit codes."""
 
+import errno
 import hashlib
 import json
 import os
@@ -12,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import copuladyn
-from copuladyn import cli
+from copuladyn import cli, copula, ingest, synth
 
 ALPHA_COUNT = 4  # default alpha list length
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -463,3 +464,40 @@ def test_main_returns_exit_code(tmp_path, price_file):
                      "--out", str(tmp_path / "inproc")])
     assert code == 0
     assert (tmp_path / "inproc" / "grid.csv").exists()
+
+
+def _contents(out: Path) -> dict:
+    return {str(p.relative_to(out)): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
+
+
+@pytest.mark.parametrize("command", ["taildep", "dynamics", "synth"])
+def test_failed_fork_runs_every_job_in_process(tmp_path, monkeypatch, price_file, command):
+    # with no pool minimum, two usable CPUs and every os.fork failing, as at the process
+    # limit, each pool runs its jobs in this process: the input is still parsed in byte
+    # ranges, and the outputs equal those of a run whose pools stay below their minimum
+    def fork():
+        forks.append(command)
+        raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+
+    def whole_file(*args, **kwargs):
+        streamed.append(args)
+        return parse(*args, **kwargs)
+
+    args = {
+        "taildep": ["taildep", "--input", str(price_file), "--grid", "4"],
+        "dynamics": ["dynamics", "--input", str(price_file), "--grid", "4", "--window-days", "2"],
+        "synth": ["synth", "--assets", "3", "--length", "130", "--seed", "3"],
+    }[command]
+    assert cli.main([*args, "--out", str(tmp_path / "one")]) == cli.EXIT_OK
+    forks, streamed, parse = [], [], ingest._parse_prices
+    for module, minimum in ((ingest, "_PARALLEL_MIN_BYTES"), (copula, "_PARALLEL_MIN_CELLS"),
+                            (synth, "_PARALLEL_MIN_ROWS")):
+        monkeypatch.setattr(module, minimum, 0)
+        monkeypatch.setattr(module, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(ingest, "_parse_prices", whole_file)
+    monkeypatch.setattr(os, "fork", fork)
+    assert cli.main([*args, "--out", str(tmp_path / "forked")]) == cli.EXIT_OK
+    # the load's ranges, then for dynamics the window files' pool
+    assert len(forks) == {"taildep": 1, "dynamics": 2, "synth": 1}[command]
+    assert streamed == []
+    assert _contents(tmp_path / "forked") == _contents(tmp_path / "one")

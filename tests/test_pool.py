@@ -1,4 +1,4 @@
-"""The fork pool when the caller runs a job of its own before it reads the workers' results."""
+"""The fork pool, whose caller is worker 0: it runs its own share of the jobs as it reads."""
 
 import errno
 import os
@@ -27,35 +27,37 @@ def deadline():
 
 def test_large_worker_results_arrive_in_order_after_the_callers_job():
     def work(n):
+        if os.getpid() == caller:
+            ran_here.append(n)
+            time.sleep(0.1)  # meanwhile the worker blocks on its full pipe
         return bytes([n]) * BIG
 
-    with ordered(work, [1, 2, 3], 2) as results:
-        mine = work(0)
-        time.sleep(0.1)  # meanwhile each worker blocks on its full pipe
-        got = [mine, *results]
+    caller, ran_here = os.getpid(), []
+    with ordered(work, [0, 1, 2, 3], 2) as results:
+        got = list(results)
     assert got == [bytes([n]) * BIG for n in range(4)]
+    assert ran_here == [0, 2]  # jobs[0::2]; the forked worker ran jobs[1::2]
 
 
 def test_worker_error_reaches_the_caller_after_its_own_job():
     def work(n):
-        if n == 2 and os.getpid() != caller:
-            raise ValueError("job 2 failed")
+        if n == 3 and os.getpid() != caller:
+            raise ValueError("job 3 failed")
         return n
 
     caller, done = os.getpid(), []
-    with pytest.raises(ValueError, match="job 2 failed"):
-        with ordered(work, [1, 2, 3], 2) as results:
-            done.append(work(0))
+    with pytest.raises(ValueError, match="job 3 failed"):
+        with ordered(work, [0, 1, 2, 3], 2) as results:
             done.extend(results)
-    assert done == [0, 1]
+    assert done == [0, 1, 2]  # the caller's job 2 ran before the worker's error was read
 
 
 def test_caller_error_before_any_read_reaps_every_worker():
     started = []
     with pytest.raises(RuntimeError, match="caller failed"):
-        with ordered(lambda n: bytes(BIG), [1, 2], 2):
+        with ordered(lambda n: bytes(BIG), [0, 1, 2], 3):
             started.append(True)
-            time.sleep(0.1)  # each worker now blocks on its full pipe
+            time.sleep(0.1)  # each of the two forked workers now blocks on its full pipe
             raise RuntimeError("caller failed")
     assert started == [True]
     # no_stray_processes (conftest.py) then finds no child process, running or unreaped
@@ -74,13 +76,14 @@ def test_failed_fork_closes_its_pipe_and_reaps_the_workers_forked(monkeypatch):
     real_fork, real_pipe, pipes = os.fork, os.pipe, []
     monkeypatch.setattr(os, "fork", fork)
     monkeypatch.setattr(os, "pipe", pipe)
-    with pytest.raises(BlockingIOError):
-        with ordered(lambda n: n, [1, 2, 3], 3):
-            pytest.fail("the block ran without its workers")
-    assert len(pipes) == 2
-    for fd in (fd for pair in pipes for fd in pair):
-        with pytest.raises(OSError):
-            os.fstat(fd)
+    caller = os.getpid()
+    with ordered(lambda n: (n, os.getpid()), [1, 2, 3], 3) as results:
+        assert len(pipes) == 2
+        for fd in (fd for pair in pipes for fd in pair):
+            with pytest.raises(OSError):
+                os.fstat(fd)
+        # no job needs a worker: every one runs in this process
+        assert list(results) == [(1, caller), (2, caller), (3, caller)]
     # no_stray_processes (conftest.py) then finds the first worker reaped
 
 
@@ -91,6 +94,6 @@ def test_caller_that_leaves_early_ends_the_workers():
         return n
 
     caller = os.getpid()
-    with ordered(work, [1, 2], 2):
-        assert work(0) == 0  # the caller leaves without reading a worker's result
+    with ordered(work, [0, 1], 2) as results:
+        assert next(results) == 0  # the caller's own job, then it leaves before the worker's
     # no_stray_processes (conftest.py) then finds no child process, running or unreaped

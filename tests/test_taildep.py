@@ -4,6 +4,8 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles import student_t_panel
 from scipy import stats
 
@@ -30,6 +32,7 @@ from copuladyn import (
     write_relation_csv,
     write_tail_curve_csv,
 )
+from copuladyn.taildep import UPPER_TAIL_CONVENTIONS
 
 ALPHAS = (0.02, 0.04, 0.1, 0.25)
 
@@ -288,3 +291,86 @@ def test_tail_curve_finds_the_student_t_excess_over_the_gaussian():
     # the Gaussian copula at the measured correlations misses the excess by more
     # than the sampling bound (0.0122 against 0.0169 at a=0.05)
     assert np.all(measured - gaussian > bound), (measured, gaussian, bound)
+
+
+@st.composite
+def window_panels(draw):
+    """(panel, window days, m, alphas, upper convention) for ``windowed_reports``.
+
+    Sessions hold 1 to 4 returns each, so windows differ in length as when an asset
+    misses its opening print, and a trailing partial window may be dropped. The values
+    are heavy with ties (flat prices give runs of exact zeros), continuous, or the same
+    row for every asset (comonotone, c = 1). Some alphas sit on grid nodes, some off them.
+    """
+    k = draw(st.integers(2, 6))
+    m = draw(st.integers(2, 12))
+    window_days = draw(st.integers(1, 3))
+    n_days = window_days * draw(st.integers(1, 4)) + draw(st.integers(0, window_days - 1))
+    per_day = draw(st.lists(st.integers(1, 4), min_size=n_days, max_size=n_days))
+    t = sum(per_day)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["ties", "flat", "continuous", "comonotone"]))
+    if kind == "ties":
+        returns = rng.integers(-2, 3, size=(k, t)) * 1e-3
+    elif kind == "flat":
+        returns = np.where(rng.random((k, t)) < 0.7, 0.0, rng.normal(0.0, 1e-3, (k, t)))
+    elif kind == "continuous":
+        returns = rng.normal(0.0, 1e-3, (k, t))
+    else:
+        returns = np.tile(rng.normal(0.0, 1e-3, t), (k, 1))
+    days = np.busday_offset(np.datetime64("2024-01-02"), np.arange(n_days))
+    matrix = ReturnMatrix(
+        asset_ids=[f"S{i}" for i in range(k)],
+        interval=30,
+        returns=returns,
+        timestamps=np.repeat(days.astype("datetime64[s]"), per_day),
+        session_dates=np.repeat(days, per_day),
+    )
+    nodes = [i / m for i in range(1, m // 2 + 1)]
+    alpha = st.sampled_from(nodes) | st.floats(1e-3, 0.5, exclude_min=True)
+    alphas = draw(st.lists(alpha, min_size=1, max_size=4))
+    return matrix, window_days, m, alphas, draw(st.sampled_from(UPPER_TAIL_CONVENTIONS))
+
+
+def _reports_or_fault(fn):
+    try:
+        return fn()
+    except ValueError as exc:
+        return str(exc)
+
+
+def _report_bits(rep) -> tuple:
+    arrays = (rep.tail.alphas, rep.tail.lower, rep.tail.upper, rep.gaussian_tail.alphas,
+              rep.gaussian_tail.lower, rep.gaussian_tail.upper, rep.grid.density,
+              rep.grid.cumulative, np.float64(rep.mean_correlation))
+    grid = rep.grid
+    return (rep.window_start, rep.window_end, rep.sample_count, grid.resolution,
+            grid.sample_count, grid.pair_count, *(np.asarray(a).tobytes() for a in arrays))
+
+
+@settings(max_examples=300, deadline=None)
+@given(window_panels())
+def test_windowed_reports_equal_window_report_bit_for_bit(case):
+    matrix, window_days, m, alphas, convention = case
+    got = _reports_or_fault(lambda: windowed_reports(matrix, window_days, m, alphas, convention))
+    want = _reports_or_fault(lambda: [window_report(w, m, alphas, convention)
+                                      for w in partition_windows(matrix, window_days)])
+    if isinstance(want, str):  # a zero-variance window, or one of a single return
+        assert got == want
+    else:
+        assert [_report_bits(r) for r in got] == [_report_bits(r) for r in want]
+
+
+def test_windowed_reports_name_the_first_zero_variance_window():
+    mat = make_panel(6)
+    returns = mat.returns.copy()
+    returns[1, 2 * 13:] = 0.0  # the second asset stops moving after two days
+    dead = ReturnMatrix(mat.asset_ids, mat.interval, returns, mat.timestamps, mat.session_dates)
+    second = partition_windows(dead, 2)[1]
+    start, end = second.period
+    message = f"zero-variance series in sessions {start} to {end}: {mat.asset_ids[1]}"
+    with pytest.raises(ValueError) as single:
+        window_report(second, 5, ALPHAS)
+    with pytest.raises(ValueError) as batched:
+        windowed_reports(dead, 2, 5, ALPHAS)
+    assert str(batched.value) == str(single.value) == message

@@ -153,6 +153,23 @@ def _grid_lists():
     }
 
 
+def use_grid_pool(mp, cpus, block_cells=copula._BLOCK_CELLS):
+    """Let write_grid_csvs format grids of any size in the pool on ``cpus`` CPUs, in jobs of
+    ``block_cells`` cells; returns a list that gets the worker count of each call."""
+    counts = []
+
+    def worker_count(*args):
+        counts.append(real(*args))
+        return counts[-1]
+
+    real = copula.worker_count
+    mp.setattr(copula, "_PARALLEL_MIN_CELLS", 0)
+    mp.setattr(copula, "_usable_cpus", lambda: cpus)
+    mp.setattr(copula, "_BLOCK_CELLS", block_cells)
+    mp.setattr(copula, "worker_count", worker_count)
+    return counts
+
+
 @pytest.mark.parametrize("cap", REPR_TABLE_CAPS.values(), ids=REPR_TABLE_CAPS.keys())
 @pytest.mark.parametrize("permille", [False, True])
 @pytest.mark.parametrize("destination", ["path", "stream"])
@@ -160,15 +177,23 @@ def _grid_lists():
 def test_grid_csvs_match_oracle(tmp_path, monkeypatch, name, destination, permille, cap):
     monkeypatch.setattr(copula, "_REPR_TABLE_CAP", cap)
     grids = _grid_lists()[name]
-    if destination == "path":
-        targets = [tmp_path / f"grid{k}.csv" for k in range(len(grids))]
-        write_grid_csvs(grids, targets, permille=permille)
-        texts = [target.read_bytes().decode() for target in targets]
-    else:
-        streams = [io.StringIO() for _ in grids]
-        write_grid_csvs(iter(grids), iter(streams), permille)
-        texts = [stream.getvalue() for stream in streams]
-    assert texts == [grid_csv_text(grid, permille=permille) for grid in grids]
+    expected = [grid_csv_text(grid, permille=permille) for grid in grids]
+    # looped so that the test ids stay: with the default settings (in this process: the
+    # grids are small), then in the pool on 2 CPUs, and on 3 CPUs in jobs of one grid row
+    for cpus, block_cells in ((None, None), (2, copula._BLOCK_CELLS), (3, 1)):
+        with monkeypatch.context() as mp:
+            counts = use_grid_pool(mp, cpus, block_cells) if cpus else []
+            if destination == "path":
+                targets = [tmp_path / f"grid{k}.csv" for k in range(len(grids))]
+                write_grid_csvs(grids, targets, permille=permille)
+                texts = [target.read_bytes().decode() for target in targets]
+            else:
+                streams = [io.StringIO() for _ in grids]
+                write_grid_csvs(iter(grids), iter(streams), permille)
+                texts = [stream.getvalue() for stream in streams]
+        assert texts == expected, cpus
+        # every grid has one job or more, so two grids make a job for each process
+        assert counts == ([cpus if len(grids) >= 2 else 0] if cpus else [])
 
 
 def test_grid_csvs_want_one_destination_per_grid():
@@ -208,9 +233,67 @@ def test_grid_csvs_format_each_distinct_value_once(tmp_path, monkeypatch):
         return repr(value)
 
     monkeypatch.setattr(copula, "repr", counted, raising=False)
+    monkeypatch.setattr(copula, "_usable_cpus", lambda: 1)  # in this process
     write_grid_csvs(grids, [io.StringIO() for _ in grids])
     # one repr per distinct value, plus the 50 u_hi/v_hi texts of each grid
     assert len(calls) == 14_178 + 20 * 50
+
+
+def _bits(values) -> list:
+    return np.asarray(values, dtype=float).ravel().view(np.int64).tolist()
+
+
+def test_pooled_grid_csvs_format_each_distinct_value_once_per_process(tmp_path, monkeypatch):
+    def counted(value):  # each process notes the bits of every value it formats
+        fd = os.open(log, os.O_WRONLY | os.O_APPEND | os.O_CREAT)
+        os.write(fd, f"{os.getpid()} {_bits(value)[0]}\n".encode())
+        os.close(fd)
+        return repr(value)
+
+    log, caller = tmp_path / "formatted", os.getpid()
+    panel = sample_panel(SynthSpec("gaussian", 5, 13 * 12, 4, 0.4))
+    grids = [rep.grid for rep in windowed_reports(panel, 2, 6, [0.1])]  # 6 windows, m = 6
+    counts = use_grid_pool(monkeypatch, 2)
+    monkeypatch.setattr(copula, "repr", counted, raising=False)
+    streams = [io.StringIO() for _ in grids]
+    write_grid_csvs(grids, streams)
+    assert counts == [2]
+    assert [s.getvalue() for s in streams] == [grid_csv_text(grid) for grid in grids]
+    formatted = {}
+    for line in log.read_text().splitlines():
+        pid, bits = line.split()
+        formatted.setdefault(int(pid), []).append(int(bits))
+    labels = _bits([i / 6 for i in range(1, 7)])
+    # one job a grid: this process formats grids 0, 2 and 4, the forked worker the others
+    assert len(formatted) == 2 and caller in formatted
+    for pid, share in formatted.items():
+        own = grids[0 if pid == caller else 1::2]
+        cells = {b for g in own for b in _bits(g.density) + _bits(g.cumulative[1:, 1:])}
+        # each of its distinct values once, and the u_hi/v_hi texts once per grid
+        assert sorted(share) == sorted(list(cells) + labels * len(own)), pid
+
+
+def test_pooled_grid_csvs_take_each_destination_once_its_first_job_is_done(monkeypatch):
+    def failing(values, start, table):  # the forked worker fails on its grid of m = 5
+        if values[0].shape[1] == 5 and os.getpid() != caller:
+            raise ValueError("the m = 5 grid failed")
+        return cell_rows(values, start, table)
+
+    def destinations():
+        for stream in streams:
+            taken.append(stream)
+            yield stream
+
+    caller, cell_rows, taken = os.getpid(), copula._cell_rows, []
+    grids = [gaussian_grid(0.3, m) for m in (4, 5, 6)]
+    streams = [io.StringIO() for _ in grids]
+    counts = use_grid_pool(monkeypatch, 2)
+    monkeypatch.setattr(copula, "_cell_rows", failing)
+    with pytest.raises(ValueError, match="the m = 5 grid failed"):
+        write_grid_csvs(grids, destinations())
+    assert counts == [2]
+    assert taken == streams[:1]  # the m = 5 grid's destination was never taken
+    assert streams[0].getvalue() == grid_csv_text(grids[0])
 
 
 def test_dynamics_window_files_match_oracle_at_unequal_sample_counts(tmp_path):
@@ -334,7 +417,7 @@ def use_pool(monkeypatch, cpus):
 def test_price_csv_peak_memory_per_row(tmp_path, monkeypatch):
     mat = sample_panel(SynthSpec("gaussian", 20, 6500, 1, 0.3))
     target = tmp_path / "prices.csv"
-    # both paths, looped so that the test id stays: in this process, then in 2 workers
+    # both paths, looped so that the test id stays: in this process, then in a pool of 2
     for cpus in (1, 2):
         with monkeypatch.context() as mp:
             counts = use_pool(mp, cpus)
@@ -349,7 +432,8 @@ def test_price_csv_peak_memory_per_row(tmp_path, monkeypatch):
         rows = target.read_bytes().count(b"\n") - 1
         assert rows == 20 * (6500 + 500)  # 500 sessions of 13 returns, 14 endpoints each
         # the price paths take 8 bytes a row; Python floats for the whole panel would
-        # add 32. tracemalloc sees only this process, where the workers' texts arrive
+        # add 32. tracemalloc sees only this process, which formats its own share of the
+        # sessions and where the worker's texts arrive
         assert peak < 24 * rows, (cpus, peak / rows)
 
 
@@ -369,7 +453,7 @@ def test_writers_at_block_boundaries(tmp_path, monkeypatch, destination, extra, 
     mat = sample_panel(SynthSpec("gaussian", 3, 13 * 10 + extra, 12, 0.2))
     grid = gaussian_grid(0.3, 5)
     if cpus:
-        # more sessions than workers, each of which runs ahead of the writer
+        # more sessions than workers, each forked one of which runs ahead of the writer
         counts = use_pool(monkeypatch, cpus)
 
     text = written(lambda dest: write_price_csv(mat, CAL, dest), destination, tmp_path)
@@ -404,7 +488,18 @@ class _RecordingStream(io.StringIO):
 
 @pytest.mark.parametrize("name", ["grid", "grid-permille", "difference", "grids",
                                   "grids-permille"])
-def test_grid_writers_write_one_grid_row_at_a_time(name):
+def test_grid_writers_write_one_grid_row_at_a_time(name, monkeypatch):
+    # looped so that the test ids stay: in this process, then in the pool on 2 CPUs in
+    # jobs of 3 grid rows (the difference writer has no pool)
+    for pooled in (False, True):
+        with monkeypatch.context() as mp:
+            counts = use_grid_pool(mp, 2, block_cells=3 * 7) if pooled else []
+            _check_grid_writes(name)
+        # a grid of 7 rows makes 3 jobs
+        assert counts == ([2] if pooled and name != "difference" else [])
+
+
+def _check_grid_writes(name):
     m = 7
     grid = gaussian_grid(0.4, m)
     # each writer fills the first stream, or one stream per grid
@@ -498,7 +593,7 @@ def test_price_csv_rejects_scale_before_opening_or_forking(tmp_path, monkeypatch
 @pytest.mark.parametrize("destination", ["path", "stream"])
 def test_price_csv_worker_error_reaches_the_caller(tmp_path, monkeypatch, destination):
     def failing(inputs, session):
-        if session == 2:
+        if session == 3:  # one of the forked worker's sessions: it formats the odd ones
             raise ValueError(f"session {session} failed")
         return format_session(inputs, session)
 
@@ -506,7 +601,7 @@ def test_price_csv_worker_error_reaches_the_caller(tmp_path, monkeypatch, destin
     counts = use_pool(monkeypatch, 2)
     monkeypatch.setattr(synth, "_format_session", failing)
     mat = sample_panel(SynthSpec("gaussian", 3, 13 * 6, 1, 0.2))
-    with pytest.raises(ValueError, match="session 2 failed"):
+    with pytest.raises(ValueError, match="session 3 failed"):
         written(lambda dest: write_price_csv(mat, CAL, dest), destination, tmp_path)
     assert counts == [2]
 
@@ -516,13 +611,15 @@ def test_price_csv_worker_error_reaches_the_caller(tmp_path, monkeypatch, destin
 def test_price_csv_raises_when_a_worker_ends_without_its_result(tmp_path, monkeypatch,
                                                                  destination, ending):
     def format_or_exit(inputs, session):
-        if session == ending and os.getpid() != caller:
+        if session >= ending and os.getpid() != caller:
             os._exit(0)  # a worker that ends without sending this session or any later one
         return format_session(inputs, session)
 
     caller = os.getpid()
     format_session = synth._format_session
-    counts = use_pool(monkeypatch, 2)  # session 5 is the last
+    # this process formats sessions 0, 2 and 4, the forked worker 1, 3 and 5, and it ends
+    # at its first session from ``ending`` on: its first, its second or its last
+    counts = use_pool(monkeypatch, 2)
     monkeypatch.setattr(synth, "_format_session", format_or_exit)
     mat = sample_panel(SynthSpec("gaussian", 3, 13 * 6, 1, 0.2))
     with pytest.raises(ChildProcessError, match="ended before it sent its result"):
@@ -540,7 +637,7 @@ def test_price_csv_stream_error_reaches_the_caller_with_the_workers_reaped(monke
         def write(self, text):
             calls.append(len(text))
             if len(calls) == 3:  # the header, session 0, then session 1 fails
-                time.sleep(0.2)  # meanwhile both workers block on full pipes
+                time.sleep(0.2)  # meanwhile the forked worker blocks on its full pipe
                 raise OSError("no space left for session 1")
             return super().write(text)
 
@@ -563,7 +660,7 @@ def test_price_csv_stream_error_reaches_the_caller_with_the_workers_reaped(monke
 
 
 def test_pool_formats_at_most_one_chunk_per_worker_ahead_of_the_writer(tmp_path, monkeypatch):
-    def logged(inputs, session):  # each worker notes every session it starts
+    def logged(inputs, session):  # each process notes every session it starts
         fd = os.open(log, os.O_WRONLY | os.O_APPEND | os.O_CREAT)
         os.write(fd, b".")
         os.close(fd)
@@ -585,9 +682,9 @@ def test_pool_formats_at_most_one_chunk_per_worker_ahead_of_the_writer(tmp_path,
     write_price_csv(mat, CAL, stream)
     assert counts == [2]
     assert stream.getvalue() == price_csv_text(mat, CAL)
-    # while session n is written, each worker may have started its next session (n + 1
-    # and n + 2), and none any later one
-    assert len(ahead) == 10 and max(ahead) <= 2, ahead
+    # this process formats each of its sessions when the writer reaches it, so while
+    # session n is written only the forked worker may have started one more session
+    assert len(ahead) == 10 and max(ahead) <= 1, ahead
 
 
 @pytest.mark.parametrize("reason", ["another thread runs", "no fork start method"])
