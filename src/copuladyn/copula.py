@@ -17,11 +17,13 @@ i = 0 and j = 0. At interior nodes the prefix sum of the density cells equals
 the direct indicator-count estimator exactly, because integer counts are
 accumulated before the single division by the sample count.
 
-The assets of one ``dynamics`` window are binned in one call (``_row_bins``),
-with the same bins as ``quantile_bins`` gives each row. Grid CSV export formats
-the grid rows in jobs of up to ``_BLOCK_CELLS`` cells; from
-``_PARALLEL_MIN_CELLS`` cells in one call, this process and forked workers
-(``_pool.ordered``) share the jobs, and this process writes every row.
+One function bins (``_row_bins``, every row of a block in one call) and one
+loop counts pairs (``average_pairwise_density``); ``quantile_bins`` is the
+one-series case of the first, ``empirical_copula_density`` the one-pair case
+of the second. Grid CSV export formats the grid rows in jobs of up to
+``_BLOCK_CELLS`` cells; from ``_PARALLEL_MIN_CELLS`` cells in one call, this
+process and forked workers (``_pool.ordered``) share the jobs, and this process
+writes every row.
 """
 
 from __future__ import annotations
@@ -49,6 +51,9 @@ __all__ = [
 _REPR_TABLE_CAP = 1 << 14
 # grid cells from which write_grid_csvs formats its grid rows in forked workers too
 _PARALLEL_MIN_CELLS = 20_000
+# panel cells that average_pairwise_density bins in one _row_bins call; one call over a
+# whole 500 x 6500 panel peaked at 102 MiB traced, against 50 MiB for the pair counts
+_BIN_BLOCK_CELLS = 1 << 18
 # grid cells in one job of write_grid_csvs: a whole grid up to m = 50, else whole grid rows
 _BLOCK_CELLS = 2_500
 
@@ -92,16 +97,9 @@ def quantile_bins(series, resolution: int) -> np.ndarray:
     top edge is the sample maximum, so no index reaches ``resolution``.
     """
     sample = np.asarray(series, dtype=float)
-    if resolution < 2:
-        raise ValueError("resolution must be at least 2")
     if sample.ndim != 1:
         raise ValueError("sample must be one dimensional")
-    if sample.size == 0:
-        raise ValueError("sample must not be empty")
-    if not np.all(np.isfinite(sample)):
-        raise ValueError("sample values must be finite")
-    edges = np.sort(sample, kind="stable")[_edge_ranks(sample.size, resolution)]
-    return np.searchsorted(edges, sample, side="left")
+    return _row_bins(sample[None, :], resolution)[0]
 
 
 def _edge_ranks(size: int, resolution: int) -> np.ndarray:
@@ -121,9 +119,11 @@ def _row_bins(returns: np.ndarray, resolution: int) -> np.ndarray:
     """
     if resolution < 2:
         raise ValueError("resolution must be at least 2")
+    n_obs = returns.shape[1]
+    if n_obs == 0:
+        raise ValueError("sample must not be empty")
     if not np.all(np.isfinite(returns)):
         raise ValueError("sample values must be finite")
-    n_obs = returns.shape[1]
     order = np.argsort(returns, axis=1)
     ranked = np.take_along_axis(returns, order, axis=1)
     first = np.zeros(returns.shape, dtype=np.intp)
@@ -178,18 +178,16 @@ def empirical_copula_density(r1, r2, resolution: int) -> CopulaGrid:
             "the grid will be sparse",
             stacklevel=2,
         )
-    m = resolution
-    flat = quantile_bins(a, m) * m + quantile_bins(b, m)
-    counts = np.bincount(flat, minlength=m * m).reshape(m, m)
-    return _grid_from_counts(counts, a.size, pair_count=1)
+    return average_pairwise_density(np.stack([a, b]), resolution)
 
 
 def average_pairwise_density(matrix, resolution: int) -> CopulaGrid:
     """Average the empirical copula density over all asset pairs i < j.
 
-    Bin indices are computed once per asset; the pairs (i, j > i) of each
-    first asset i then go into one integer histogram. Counts are integers, so
-    the result is exact and does not depend on the order of accumulation.
+    Assets are binned in blocks of rows of up to ``_BIN_BLOCK_CELLS`` cells, one
+    ``_row_bins`` call each; the pairs (i, j > i) of each first asset i then go
+    into one integer histogram. Counts are integers, so the result is exact and
+    does not depend on the order of accumulation.
 
     Parameters
     ----------
@@ -201,18 +199,14 @@ def average_pairwise_density(matrix, resolution: int) -> CopulaGrid:
     returns = np.asarray(getattr(matrix, "returns", matrix), dtype=float)
     if returns.ndim != 2:
         raise ValueError("return panel must be a 2-D assets x time array")
-    n_assets = returns.shape[0]
+    n_assets, n_obs = returns.shape
     if n_assets < 2:
         raise ValueError("need at least two assets to form pairs")
-    bins = np.vstack([quantile_bins(returns[k], resolution) for k in range(n_assets)])
-    return _pairwise_grid(bins, resolution)
-
-
-def _pairwise_grid(bins: np.ndarray, resolution: int) -> CopulaGrid:
-    """The average pairwise grid of a K x T array of bin indices, K >= 2: the pairs
-    (i, j > i) of each first asset i go into one integer histogram."""
+    bins = np.empty(returns.shape, dtype=np.intp)
+    step = max(1, _BIN_BLOCK_CELLS // max(n_obs, 1))
+    for lo in range(0, n_assets, step):
+        bins[lo:lo + step] = _row_bins(returns[lo:lo + step], resolution)
     m = resolution
-    n_assets, n_obs = bins.shape
     counts = np.zeros(m * m, dtype=np.int64)
     for i in range(n_assets - 1):
         counts += np.bincount((bins[i] * m + bins[i + 1 :]).ravel(), minlength=m * m)

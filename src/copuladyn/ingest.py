@@ -236,6 +236,11 @@ class ReturnMatrix:
             raise ValueError("return matrix must contain at least one column")
         if self.timestamps.size != t or self.session_dates.size != t:
             raise ValueError("timestamps/session_dates must align with return columns")
+        back = np.flatnonzero(self.session_dates[1:] < self.session_dates[:-1])
+        if back.size:
+            col = int(back[0]) + 1
+            raise ValueError(f"session_dates must not decrease: column {col} "
+                             f"({self.session_dates[col]}) follows {self.session_dates[col - 1]}")
 
     @property
     def n_assets(self) -> int:

@@ -12,10 +12,12 @@ Windowed analysis cuts a return panel into non-overlapping blocks of whole
 trading days and reports, per window, the average pairwise copula grid, the
 empirical tail curve, the Pearson matrix with its mean off-diagonal level, and
 the tail curve a Gaussian copula would imply at the measured correlations.
-``windowed_reports`` computes every window in one pass: it bins all of a
-window's assets in one call, and evaluates the Gaussian tails of all windows in
-one ``gaussian_copula_cdf`` call over the union of their distinct rounded
-correlations. Each report equals ``window_report`` on its window, bit for bit.
+One function (``_reports``) builds the reports of any list of windows: it
+takes each window's grid, Pearson matrix and tail curve, then the Gaussian
+tails of all windows from one ``gaussian_copula_cdf`` call over the union of
+their distinct rounded correlations (``_gaussian_tails``). ``window_report``,
+``windowed_reports`` and ``gaussian_tail_curve`` are its one-window, whole-panel
+and one-matrix cases.
 """
 
 from __future__ import annotations
@@ -27,9 +29,7 @@ import numpy as np
 
 from .copula import (
     CopulaGrid,
-    _pairwise_grid,
     _reprs,
-    _row_bins,
     _write_csv,
     average_pairwise_density,
     interpolate_cumulative,
@@ -179,20 +179,28 @@ def mean_correlation(corr: CorrelationMatrix) -> float:
 def gaussian_tail_curve(corr: CorrelationMatrix, alphas) -> TailCurve:
     """Gaussian-implied tail curve; lower and upper coincide by symmetry.
 
-    One ``gaussian_copula_cdf`` call covers alphas x distinct rounded
-    correlations; each alpha's row is weighted by the pair counts.
+    Each alpha's value is the mean of the Gaussian copula at (alpha, alpha) over
+    the pairs, evaluated once per distinct rounded correlation.
+    """
+    return _gaussian_tails([_distinct_correlations(corr)], alphas)[0]
+
+
+def _gaussian_tails(correlations, alphas) -> list:
+    """``gaussian_tail_curve`` for each ``(distinct correlations, pair counts)`` entry.
+
+    One ``gaussian_copula_cdf`` call covers alphas x the union of the entries'
+    correlations. Each entry's columns are copied in C order, so its pair-count
+    weighted sum over each alpha's row runs in the same order whatever the union.
     """
     alpha_arr = np.array([_check_alpha(a) for a in alphas], dtype=float)
-    unique, counts = _distinct_correlations(corr)
-    cop = gaussian_copula_cdf(alpha_arr[:, None], alpha_arr[:, None], unique)
-    return _weighted_tail(alpha_arr, counts, cop)
-
-
-def _weighted_tail(alphas: np.ndarray, counts: np.ndarray, cop: np.ndarray) -> TailCurve:
-    """The tail curve whose value at each alpha is the pair-count-weighted mean of its row of
-    ``cop`` (C-contiguous, alphas x distinct correlations: the sum's order follows the layout)."""
-    values = (counts * cop).sum(axis=1) / int(counts.sum())
-    return TailCurve(alphas=alphas, lower=values, upper=values.copy())
+    union = _distinct_sorted(np.concatenate([unique for unique, _ in correlations]))
+    table = gaussian_copula_cdf(alpha_arr[:, None], alpha_arr[:, None], union)
+    curves = []
+    for unique, counts in correlations:
+        cop = np.ascontiguousarray(table[:, np.searchsorted(union, unique)])
+        values = (counts * cop).sum(axis=1) / int(counts.sum())
+        curves.append(TailCurve(alphas=alpha_arr, lower=values, upper=values.copy()))
+    return curves
 
 
 def partition_windows(matrix: ReturnMatrix, window_days: int) -> list:
@@ -241,18 +249,7 @@ def window_report(
     matrix with its mean level, and the Gaussian-implied tail curve at the
     measured correlations.
     """
-    grid = average_pairwise_density(window, resolution)
-    corr = pearson_matrix(window)
-    start, end = window.period
-    return WindowReport(
-        window_start=start,
-        window_end=end,
-        mean_correlation=mean_correlation(corr),
-        tail=tail_curve(grid, alphas, upper_convention=upper_convention),
-        gaussian_tail=gaussian_tail_curve(corr, alphas),
-        sample_count=window.n_observations,
-        grid=grid,
-    )
+    return _reports([window], resolution, alphas, upper_convention)[0]
 
 
 def windowed_reports(
@@ -263,42 +260,28 @@ def windowed_reports(
     upper_convention: str = "literal",
 ) -> list:
     """Window reports for the whole panel, in chronological order, each equal to
-    ``window_report`` on its window.
-
-    Each window's assets are binned in one call and its pairs counted; a window fails
-    with the fault ``window_report`` would raise for it. The Gaussian tails of all
-    windows then come from one ``gaussian_copula_cdf`` call over the union of the
-    windows' distinct rounded correlations.
-    """
+    ``window_report`` on its window; the first window that fails raises its fault."""
     parts = partition_windows(matrix, window_days)
     if matrix.n_assets < 2:
         raise ValueError("need at least two assets to form pairs")
-    windows = []
-    for window in parts:
-        grid = _pairwise_grid(_row_bins(window.returns, resolution), resolution)
+    return _reports(parts, resolution, alphas, upper_convention)
+
+
+def _reports(windows, resolution: int, alphas, upper_convention: str) -> list:
+    """The ``WindowReport`` of each window: its grid, Pearson matrix and tail curve one
+    window at a time, then all windows' Gaussian tails in one ``_gaussian_tails`` call."""
+    parts, distinct = [], []
+    for window in windows:
+        grid = average_pairwise_density(window, resolution)
         corr = pearson_matrix(window)
-        windows.append((window, grid, mean_correlation(corr),
-                        tail_curve(grid, alphas, upper_convention=upper_convention),
-                        *_distinct_correlations(corr)))
-    alpha_arr = np.array([_check_alpha(a) for a in alphas], dtype=float)
-    union = _distinct_sorted(np.concatenate([w[4] for w in windows]))
-    table = gaussian_copula_cdf(alpha_arr[:, None], alpha_arr[:, None], union)
-    reports = []
-    for window, grid, mean, tail, unique, counts in windows:
-        # the window's columns copied in C order, so the weighted sum runs as in
-        # gaussian_tail_curve
-        cop = np.ascontiguousarray(table[:, np.searchsorted(union, unique)])
-        start, end = window.period
-        reports.append(WindowReport(
-            window_start=start,
-            window_end=end,
-            mean_correlation=mean,
-            tail=tail,
-            gaussian_tail=_weighted_tail(alpha_arr, counts, cop),
-            sample_count=window.n_observations,
-            grid=grid,
-        ))
-    return reports
+        parts.append((window, grid, mean_correlation(corr),
+                      tail_curve(grid, alphas, upper_convention=upper_convention)))
+        distinct.append(_distinct_correlations(corr))
+    return [WindowReport(*window.period, mean_correlation=mean, tail=tail,
+                         gaussian_tail=gaussian_tail, sample_count=window.n_observations,
+                         grid=grid)
+            for (window, grid, mean, tail), gaussian_tail
+            in zip(parts, _gaussian_tails(distinct, alphas))]
 
 
 def write_relation_csv(reports, destination) -> None:

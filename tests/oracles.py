@@ -16,7 +16,10 @@ time and join the whole text in memory instead of the library's streamed
 writers over string columns, a Gaussian panel sampler that builds its
 result from two temporaries instead of scaling the noise array in place, and
 a mean Gaussian grid that evaluates every distinct correlation in one call
-and sums the stack instead of the library's blocks.
+and sums the stack instead of the library's blocks, and window reports
+composed one window at a time, from per-pair scan counts and one Gaussian
+call per window, instead of the library's one-call binning and one Gaussian
+call over all windows.
 
 Four helpers at the end are not alternative paths but test references and
 data that the library does not ship: the Gaussian copula density (the
@@ -34,7 +37,8 @@ import numpy as np
 from scipy.integrate import IntegrationWarning, dblquad, quad
 from scipy.special import ndtr, ndtri, owens_t
 
-from copuladyn import gaussian
+from copuladyn import gaussian, taildep
+from copuladyn.copula import CopulaGrid
 from copuladyn.ingest import PriceDataError, ReturnMatrix
 
 QUAD_LOW = -8.5  # univariate tail mass below this is ~1e-17
@@ -549,6 +553,39 @@ def one_call_gaussian_density(corr, resolution):
     weights = counts[:, None, None]
     n_pairs = int(counts.sum())
     return (density * weights).sum(axis=0) / n_pairs, (cumulative * weights).sum(axis=0) / n_pairs
+
+
+def window_reports_by_pair(matrix, window_days, resolution, alphas, upper_convention="literal"):
+    """``taildep.windowed_reports``, one window at a time: each window's counts are
+    ``loop_density_counts`` summed over its pairs i < j, and its Gaussian tails come from
+    one ``gaussian_copula_cdf`` call over its own distinct rounded correlations."""
+    windows = taildep.partition_windows(matrix, window_days)
+    if matrix.n_assets < 2:
+        raise ValueError("need at least two assets to form pairs")
+    m = resolution
+    reports = []
+    for window in windows:
+        rows = window.returns.tolist()
+        counts = np.zeros((m, m), dtype=np.int64)
+        for i in range(len(rows)):
+            for j in range(i + 1, len(rows)):
+                counts += np.array(loop_density_counts(rows[i], rows[j], m), dtype=np.int64)
+        n_pairs = len(rows) * (len(rows) - 1) // 2
+        total = n_pairs * window.n_observations
+        cumulative = np.zeros((m + 1, m + 1))
+        cumulative[1:, 1:] = counts.cumsum(axis=0).cumsum(axis=1) / total
+        grid = CopulaGrid(m, counts / total, cumulative, total, n_pairs)
+        corr = taildep.pearson_matrix(window)
+        tail = taildep.tail_curve(grid, alphas, upper_convention=upper_convention)
+        unique, pair_counts = gaussian._distinct_correlations(corr)
+        a = tail.alphas[:, None]
+        cop = gaussian.gaussian_copula_cdf(a, a, unique)
+        gauss = (pair_counts * cop).sum(axis=1) / int(pair_counts.sum())
+        start, end = window.period
+        reports.append(taildep.WindowReport(
+            start, end, taildep.mean_correlation(corr), tail,
+            taildep.TailCurve(tail.alphas, gauss, gauss.copy()), window.n_observations, grid))
+    return reports
 
 
 def gaussian_copula_density(u, v, correlation: float):

@@ -14,6 +14,7 @@ from copuladyn import (
     quantile_bins,
     write_grid_csv,
 )
+from copuladyn import copula
 from oracles import loop_cumulative, loop_density_counts
 
 # Fixed 12-point sample with heavy ties; oracle values computed by the
@@ -162,6 +163,42 @@ def test_resolution_must_be_at_least_two():
         quantile_bins([1.0, 2.0, 3.0], 1)
     with pytest.raises(ValueError):
         empirical_copula_density([1.0, 2.0], [2.0, 1.0], 0)
+
+
+@pytest.mark.parametrize("series, resolution, message", [
+    ([1.0, 2.0, 3.0], 1, "resolution must be at least 2"),
+    ([[1.0, 2.0], [3.0, 4.0]], 3, "sample must be one dimensional"),
+    ([], 3, "sample must not be empty"),
+    ([1.0, np.nan, 3.0], 3, "sample values must be finite"),
+    ([1.0, np.inf, 3.0], 3, "sample values must be finite"),
+])
+def test_quantile_bins_refusals(series, resolution, message):
+    with pytest.raises(ValueError) as fault:
+        quantile_bins(series, resolution)
+    assert str(fault.value) == message
+
+
+@pytest.mark.parametrize("panel, message", [
+    (np.ones((1, 5)), "need at least two assets to form pairs"),
+    (np.ones(5), "return panel must be a 2-D assets x time array"),
+    (np.ones((2, 3, 4)), "return panel must be a 2-D assets x time array"),
+    (np.ones((3, 0)), "sample must not be empty"),
+    (np.array([[1.0, 2.0, 3.0], [1.0, -np.inf, 2.0]]), "sample values must be finite"),
+])
+def test_average_pairwise_refusals(panel, message):
+    with pytest.raises(ValueError) as fault:
+        average_pairwise_density(panel, 3)
+    assert str(fault.value) == message
+
+
+def test_average_pairwise_bins_in_blocks_of_rows(rng, monkeypatch):
+    mat = rng.integers(-3, 4, size=(7, 50)) * 1e-3  # ties at every bin edge
+    whole = average_pairwise_density(mat, 6)
+    for cells in (1, 100, 150):  # blocks of one row, two rows, and 3 + 3 + 1 rows
+        monkeypatch.setattr(copula, "_BIN_BLOCK_CELLS", cells)
+        grid = average_pairwise_density(mat, 6)
+        assert np.array_equal(grid.density, whole.density)
+        assert np.array_equal(grid.cumulative, whole.cumulative)
 
 
 def test_average_pairwise_two_assets_equals_single_pair(rng):

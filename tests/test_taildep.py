@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import student_t_panel
+from oracles import student_t_panel, window_reports_by_pair
 from scipy import stats
 
 from copuladyn import (
@@ -351,14 +351,25 @@ def _report_bits(rep) -> tuple:
 @settings(max_examples=300, deadline=None)
 @given(window_panels())
 def test_windowed_reports_equal_window_report_bit_for_bit(case):
+    # windowed_reports, window_report on each window, and gaussian_tail_curve of each
+    # window's Pearson matrix all match the per-pair oracle bit for bit, or raise its fault
     matrix, window_days, m, alphas, convention = case
+    want = _reports_or_fault(
+        lambda: window_reports_by_pair(matrix, window_days, m, alphas, convention))
     got = _reports_or_fault(lambda: windowed_reports(matrix, window_days, m, alphas, convention))
-    want = _reports_or_fault(lambda: [window_report(w, m, alphas, convention)
-                                      for w in partition_windows(matrix, window_days)])
+    singles = _reports_or_fault(lambda: [window_report(w, m, alphas, convention)
+                                         for w in partition_windows(matrix, window_days)])
     if isinstance(want, str):  # a zero-variance window, or one of a single return
-        assert got == want
-    else:
-        assert [_report_bits(r) for r in got] == [_report_bits(r) for r in want]
+        assert got == singles == want
+        return
+    bits = [_report_bits(r) for r in want]
+    assert [_report_bits(r) for r in got] == bits
+    assert [_report_bits(r) for r in singles] == bits
+    for window, rep in zip(partition_windows(matrix, window_days), want):
+        curve = gaussian_tail_curve(pearson_matrix(window), alphas)
+        assert [np.asarray(a).tobytes() for a in (curve.alphas, curve.lower, curve.upper)] == [
+            a.tobytes() for a in (rep.gaussian_tail.alphas, rep.gaussian_tail.lower,
+                                  rep.gaussian_tail.upper)]
 
 
 def test_windowed_reports_name_the_first_zero_variance_window():
@@ -374,3 +385,18 @@ def test_windowed_reports_name_the_first_zero_variance_window():
     with pytest.raises(ValueError) as batched:
         windowed_reports(dead, 2, 5, ALPHAS)
     assert str(batched.value) == str(single.value) == message
+
+
+@pytest.mark.parametrize("days, column", [
+    (["01-02", "01-03", "01-02", "01-03", "01-04", "01-05"], 2),
+    (["01-02", "01-02", "01-04", "01-04", "01-03", "01-03"], 4),
+])
+def test_return_matrix_refuses_session_dates_out_of_order(days, column):
+    # partition_windows would otherwise build wrong windows, or fail with a misleading fault
+    dates = np.array([f"2024-{d}" for d in days], dtype="datetime64[D]")
+    message = (f"session_dates must not decrease: column {column} ({dates[column]}) "
+               f"follows {dates[column - 1]}")
+    with pytest.raises(ValueError) as fault:
+        ReturnMatrix(["A", "B"], 30, np.arange(12.0).reshape(2, 6),
+                     dates.astype("datetime64[s]"), dates)
+    assert str(fault.value) == message
