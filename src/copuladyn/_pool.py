@@ -15,7 +15,7 @@ def usable_cpus() -> int:
 
 def worker_count(size: int, n_jobs: int, min_size: int, cpus: int) -> int:
     """Workers for ``n_jobs`` jobs on ``cpus`` CPUs, this process included; 0 to run them
-    all in this process, as for an input whose ``size`` (rows, bytes, cells: the unit of
+    all in this process, as for an input whose ``size`` (rows or bytes: the unit of
     ``min_size``) is below ``min_size``. A fork could copy a lock that another thread
     holds, so none may run."""
     workers = min(cpus, n_jobs)

@@ -6,7 +6,9 @@ the correlation/tail relation dataset), ``synth`` (synthetic price CSV).
 Every run writes a JSON manifest recording the resolved config, SHA-256
 digests of the inputs, and the library version; reruns with identical config
 and inputs are byte-identical. Exit codes: 0 success, 2 usage error, 3 input
-or output error (the message names the side), 4 numerical failure.
+or output error (the message names the side; an ``--input`` or ``--calendar``
+that is not a regular file is an input error) or out of memory, 4 numerical
+failure.
 
 The argument parser is the only description of a command's options. The
 manifest's ``config`` records every option of the command except ``--out``
@@ -20,6 +22,8 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
+import stat
 import sys
 from pathlib import Path
 
@@ -181,6 +185,11 @@ def run(args) -> int:
 
     side = "input"  # what an OSError is worded as: reading the inputs, then writing
     try:
+        # before any read: a FIFO read to its end would block the digest that opens it again
+        for flag in ("--calendar", "--input"):
+            name = getattr(args, flag[2:], None)
+            if name and not stat.S_ISREG(os.stat(name).st_mode):
+                raise ValueError(f"{flag} {name} is not a regular file")
         calendar = load_calendar(args.calendar) if args.calendar else TradingCalendar()
         if args.command != "synth":
             matrix = compute_returns(load_prices(args.input, calendar), args.dt)
@@ -216,6 +225,8 @@ def run(args) -> int:
         failure, code = f"numerical failure: {exc}", EXIT_NUMERIC
     except OSError as exc:  # a synth worker's ChildProcessError included
         failure, code = f"{side} error: {exc}", EXIT_INPUT
+    except MemoryError as exc:
+        failure, code = f"out of memory: {exc}", EXIT_INPUT
     except ValueError as exc:
         # PriceDataError and CalendarError are ValueErrors; so are data-shape
         # problems like a panel shorter than one window

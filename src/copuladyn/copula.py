@@ -20,21 +20,17 @@ accumulated before the single division by the sample count.
 One function bins (``_row_bins``, every row of a block in one call) and one
 loop counts pairs (``average_pairwise_density``); ``quantile_bins`` is the
 one-series case of the first, ``empirical_copula_density`` the one-pair case
-of the second. Grid CSV export formats the grid rows in jobs of up to
-``_BLOCK_CELLS`` cells; from ``_PARALLEL_MIN_CELLS`` cells in one call, this
-process and forked workers (``_pool.ordered``) share the jobs, and this process
-writes every row.
+of the second. Grid CSV export writes one grid row per ``write()``, and the grids
+of one call share one table of value texts.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import chain
 
 import numpy as np
-
-from ._pool import ordered, usable_cpus as _usable_cpus, worker_count
 
 __all__ = [
     "CopulaGrid",
@@ -49,13 +45,9 @@ __all__ = [
 # entries kept by the value-text table of one CSV writing call (about 2 MiB);
 # values beyond it are formatted each time they occur
 _REPR_TABLE_CAP = 1 << 14
-# grid cells from which write_grid_csvs formats its grid rows in forked workers too
-_PARALLEL_MIN_CELLS = 20_000
 # panel cells that average_pairwise_density bins in one _row_bins call; one call over a
 # whole 500 x 6500 panel peaked at 102 MiB traced, against 50 MiB for the pair counts
 _BIN_BLOCK_CELLS = 1 << 18
-# grid cells in one job of write_grid_csvs: a whole grid up to m = 50, else whole grid rows
-_BLOCK_CELLS = 2_500
 
 @dataclass(frozen=True)
 class CopulaGrid:
@@ -202,12 +194,13 @@ def average_pairwise_density(matrix, resolution: int) -> CopulaGrid:
     n_assets, n_obs = returns.shape
     if n_assets < 2:
         raise ValueError("need at least two assets to form pairs")
+    m = resolution
+    # first, so that a grid too large for memory fails before any O(m) binning array
+    counts = np.zeros(m * m, dtype=np.int64)
     bins = np.empty(returns.shape, dtype=np.intp)
     step = max(1, _BIN_BLOCK_CELLS // max(n_obs, 1))
     for lo in range(0, n_assets, step):
         bins[lo:lo + step] = _row_bins(returns[lo:lo + step], resolution)
-    m = resolution
-    counts = np.zeros(m * m, dtype=np.int64)
     for i in range(n_assets - 1):
         counts += np.bincount((bins[i] * m + bins[i + 1 :]).ravel(), minlength=m * m)
     n_pairs = n_assets * (n_assets - 1) // 2
@@ -253,57 +246,28 @@ def write_grid_csvs(grids, destinations, permille: bool = False) -> None:
     """Write each grid to its destination (a path or an open text stream) as
     ``write_grid_csv`` does, one grid row per ``write()``.
 
-    Grid rows are formatted in jobs of up to ``_BLOCK_CELLS`` cells. From
-    ``_PARALLEL_MIN_CELLS`` cells in all, this process and forked workers share the jobs
-    (``_pool.ordered``, one process per usable CPU); each process formats a value that
-    recurs across its grids, as equal-length windows' counts do, once. A destination is
-    taken, and a path opened, once its grid's first job is done.
+    One value table serves every grid of the call, so a value that recurs across grids,
+    as equal-length windows' counts do, is formatted once. A destination is taken, and a
+    path opened, only when its grid is reached.
     """
     header = "i,j,u_hi,v_hi,density,cumulative" + (",density_permille" if permille else "")
-    spans, cells = [], 0  # per grid, its jobs: (grid, first row, end row)
-    for grid in grids:
-        m = len(grid.density)
-        step = max(1, _BLOCK_CELLS // m)
-        spans.append([(grid, lo, min(lo + step, m)) for lo in range(0, m, step)])
-        cells += m * m
-    jobs = [job for grid_jobs in spans for job in grid_jobs]
     table: dict = {}
-
-    def work(job):  # forked workers see the grids through the jobs
-        grid, lo, end = job
-        density = np.asarray(grid.density, dtype=float)[lo:end]
-        values = [density, np.asarray(grid.cumulative, dtype=float)[1 + lo:1 + end, 1:]]
+    for grid, destination in zip(grids, destinations, strict=True):
+        density = np.asarray(grid.density, dtype=float)
+        values = [density, np.asarray(grid.cumulative, dtype=float)[1:, 1:]]
         if permille:
             values.append(density * 1000.0)
-        return list(_cell_rows(values, lo, table))
-
-    workers = worker_count(cells, len(jobs), _PARALLEL_MIN_CELLS, _usable_cpus())
-    with ordered(work, jobs, workers) as blocks:
-        texts = (chain([header + "\n"], next(blocks),
-                       chain.from_iterable(islice(blocks, len(grid_jobs) - 1)))
-                 for grid_jobs in spans)
-        for grid_texts, destination in zip(texts, destinations, strict=True):
-            _write_texts(destination, grid_texts)
+        _write_csv(destination, header, _cell_rows(values, table))
 
 
-def _write_cells(destination, header: str, values, table: dict) -> None:
-    """Write the cells of m x m grids as CSV rows ``i,j,u_hi,v_hi`` then one value per grid.
-
-    Cells go in row-major order, one grid row (m lines) per ``write()``.
-    """
-    _write_texts(destination, chain([header + "\n"], _cell_rows(values, 0, table)))
-
-
-def _cell_rows(values, start: int, table: dict):
-    """Yield the CSV text of each grid row in ``values``, equally shaped blocks of rows of
-    m x m grids from grid row ``start`` on: m lines ``i,j,u_hi,v_hi`` then one value per
-    block, each line ending in a newline."""
+def _cell_rows(values, table: dict):
+    """Yield the columns of each grid row of ``values``, equally shaped m x m grids: m
+    entries each of ``i``, ``j``, ``u_hi`` and ``v_hi``, then one column per grid."""
     m = values[0].shape[1]
     index = [str(i) for i in range(1, m + 1)]
     hi = [repr(i / m) for i in range(1, m + 1)]
-    for r, rows in enumerate(zip(*values), start):
-        yield _rows_text([[index[r]] * m, index, [hi[r]] * m, hi,
-                          *(_reprs(row, table) for row in rows)])
+    for r, rows in enumerate(zip(*values)):
+        yield [[index[r]] * m, index, [hi[r]] * m, hi, *(_reprs(row, table) for row in rows)]
 
 
 def _rows_text(columns) -> str:

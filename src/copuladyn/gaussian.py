@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .copula import CopulaGrid, _write_cells
+from .copula import CopulaGrid, _cell_rows, _write_csv
 
 __all__ = [
     "DifferenceGrid",
@@ -388,5 +388,5 @@ def write_difference_csv(diff: DifferenceGrid, destination) -> None:
     Cell values are scaled by 1000 (per-mille), matching the reporting scale
     of the difference analysis.
     """
-    _write_cells(destination, "i,j,u_hi,v_hi,d_permille",
-                 [np.asarray(diff.values, dtype=float) * 1000.0], {})
+    _write_csv(destination, "i,j,u_hi,v_hi,d_permille",
+               _cell_rows([np.asarray(diff.values, dtype=float) * 1000.0], {}))

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import copuladyn
-from copuladyn import cli, copula, ingest, synth
+from copuladyn import cli, ingest, synth
 
 ALPHA_COUNT = 4  # default alpha list length
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -285,7 +285,7 @@ def test_input_errors_exit_3(tmp_path, price_file):
     proc = run_cli("copula", "--input", str(tmp_path / "missing.csv"),
                    "--out", str(tmp_path / "o1"))
     assert proc.returncode == 3
-    assert "input error" in proc.stderr
+    assert proc.stderr.startswith("copuladyn: input error: [Errno 2] No such file or directory")
 
     bad = tmp_path / "bad.csv"
     bad.write_text("timestamp,symbol,price\n2024-01-03T09:30:00,AAA,zero\n")
@@ -299,6 +299,39 @@ def test_input_errors_exit_3(tmp_path, price_file):
     out3 = tmp_path / "o3"
     assert not out3.exists() or not any(
         p for p in out3.rglob("*") if p.is_file())
+
+
+@pytest.mark.parametrize("flag", ["--input", "--calendar"])
+def test_input_that_is_not_a_regular_file_exits_3(tmp_path, price_file, flag):
+    # a FIFO is refused before it is opened: read once to its end, it would block the
+    # digest that opens it again, and with no writer even the first open blocks
+    fifo = tmp_path / "p.fifo"
+    os.mkfifo(fifo)
+    calendar = tmp_path / "cal.txt"
+    calendar.write_text("open=09:30\nclose=16:00\n")
+    inputs = {"--input": str(price_file), "--calendar": str(calendar)}
+    inputs[flag] = str(fifo)
+    proc = subprocess.run(
+        [sys.executable, "-m", "copuladyn", "taildep", "--input", inputs["--input"],
+         "--calendar", inputs["--calendar"], "--grid", "4", "--out", str(tmp_path / "o")],
+        capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 3
+    assert proc.stderr == f"copuladyn: input error: {flag} {fifo} is not a regular file\n"
+    assert not (tmp_path / "o").exists()
+
+
+def test_grid_too_large_for_memory_exits_3(tmp_path, price_file):
+    # 10^16 cells of counts: the 71.1 PiB request fails at once. The child's address space
+    # is capped at 1 GiB, so a run that built an O(m) array first would fail, not touch GiBs
+    script = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
+              "from copuladyn.cli import main; sys.exit(main(sys.argv[1:]))")
+    out = tmp_path / "o"
+    proc = subprocess.run(
+        [sys.executable, "-c", script, "taildep", "--input", str(price_file),
+         "--grid", "100000000", "--out", str(out)], capture_output=True, text=True)
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.startswith("copuladyn: out of memory: Unable to allocate 71.1 PiB")
+    assert not out.exists()
 
 
 def test_output_errors_exit_3_naming_the_output_side(tmp_path, price_file):
@@ -490,14 +523,13 @@ def test_failed_fork_runs_every_job_in_process(tmp_path, monkeypatch, price_file
     }[command]
     assert cli.main([*args, "--out", str(tmp_path / "one")]) == cli.EXIT_OK
     forks, streamed, parse = [], [], ingest._parse_prices
-    for module, minimum in ((ingest, "_PARALLEL_MIN_BYTES"), (copula, "_PARALLEL_MIN_CELLS"),
-                            (synth, "_PARALLEL_MIN_ROWS")):
+    for module, minimum in ((ingest, "_PARALLEL_MIN_BYTES"), (synth, "_PARALLEL_MIN_ROWS")):
         monkeypatch.setattr(module, minimum, 0)
         monkeypatch.setattr(module, "_usable_cpus", lambda: 2)
     monkeypatch.setattr(ingest, "_parse_prices", whole_file)
     monkeypatch.setattr(os, "fork", fork)
     assert cli.main([*args, "--out", str(tmp_path / "forked")]) == cli.EXIT_OK
-    # the load's ranges, then for dynamics the window files' pool
-    assert len(forks) == {"taildep": 1, "dynamics": 2, "synth": 1}[command]
+    # the load's ranges, or synth's sessions
+    assert len(forks) == 1
     assert streamed == []
     assert _contents(tmp_path / "forked") == _contents(tmp_path / "one")

@@ -1,12 +1,15 @@
 """The fork pool, whose caller is worker 0: it runs its own share of the jobs as it reads."""
 
+import ast
 import errno
 import os
 import signal
 import time
+from pathlib import Path
 
 import pytest
 
+import copuladyn
 from copuladyn._pool import ordered
 
 BIG = 1 << 20  # bytes in a result: far past a pipe's 64 KiB buffer
@@ -97,3 +100,25 @@ def test_caller_that_leaves_early_ends_the_workers():
     with ordered(work, [0, 1], 2) as results:
         assert next(results) == 0  # the caller's own job, then it leaves before the worker's
     # no_stray_processes (conftest.py) then finds no child process, running or unreaped
+
+
+def _imported_modules(tree) -> set:
+    """The modules that a ``copuladyn`` module's import statements name, relative ones
+    resolved, and for ``from X import Y`` both X and X.Y."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = ".".join(filter(None, ["copuladyn" if node.level else "", node.module]))
+            names.add(base)
+            names.update(f"{base}.{alias.name}" for alias in node.names)
+    return names
+
+
+def test_only_the_measured_steps_import_the_pool():
+    # each pooled step was measured to pay; a new one edits this set and logs its gate
+    package = Path(copuladyn.__file__).parent
+    users = {path.stem for path in package.glob("*.py")
+             if "copuladyn._pool" in _imported_modules(ast.parse(path.read_text("utf-8")))}
+    assert users == {"ingest", "synth"}

@@ -8,9 +8,8 @@ command here, load ``multiprocessing`` or ``concurrent.futures``. That covers
 a ``synth`` run that takes ``write_price_csv``'s worker pool (no minimum size,
 2 CPUs forced), a ``taildep`` run whose ``load_prices`` parses its input in
 2 byte ranges, one in a forked worker (no minimum size, 2 CPUs forced), and a
-``dynamics`` run that does the same and then formats its window files in
-``write_grid_csvs``'s pool (no minimum size, 2 CPUs forced): the pool forks its
-workers with ``os.fork`` alone.
+``dynamics`` run that does the same: the pools fork their workers with ``os.fork``
+alone.
 """
 
 import json
@@ -97,7 +96,7 @@ import json, sys
 from pathlib import Path
 
 out = Path(sys.argv[1])
-from copuladyn import copula, ingest
+from copuladyn import ingest
 from copuladyn.cli import main
 
 if main(["synth", "--assets", "3", "--length", "400", "--seed", "3", "--out", str(out / "data")]):
@@ -122,22 +121,10 @@ ingest._usable_cpus = lambda: 2
 if main(["taildep", "--input", str(out / "data" / "prices.csv"), "--grid", "4",
          "--out", str(out / "t")]):
     raise SystemExit("taildep failed")
-grid_workers = []
-real_workers = copula.worker_count
-
-
-def grid_worker_count(*args):
-    grid_workers.append(real_workers(*args))
-    return grid_workers[-1]
-
-
-copula.worker_count = grid_worker_count
-copula._PARALLEL_MIN_CELLS = 0
-copula._usable_cpus = lambda: 2
 if main(["dynamics", "--input", str(out / "data" / "prices.csv"), "--grid", "4",
          "--window-days", "2", "--out", str(out / "w")]):
     raise SystemExit("dynamics failed")
-print(json.dumps({"ranges": ranges, "grid workers": grid_workers, "loaded": sorted(
+print(json.dumps({"ranges": ranges, "loaded": sorted(
     m for m in ("scipy", "numpy.ma", "multiprocessing", "concurrent.futures")
     if m in sys.modules)}))
 """
@@ -147,6 +134,5 @@ def test_ingest_in_byte_ranges_loads_no_pool_module(tmp_path):
     proc = subprocess.run([sys.executable, "-c", POOLED_INGEST_SCRIPT, str(tmp_path)],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    # two ranges per load, all accepted: the file was never read as one stream; and the
-    # window files formatted by this process and one forked worker
-    assert json.loads(proc.stdout) == {"ranges": [2, 2], "grid workers": [2], "loaded": []}
+    # two ranges per load, all accepted: the file was never read as one stream
+    assert json.loads(proc.stdout) == {"ranges": [2, 2], "loaded": []}

@@ -153,23 +153,6 @@ def _grid_lists():
     }
 
 
-def use_grid_pool(mp, cpus, block_cells=copula._BLOCK_CELLS):
-    """Let write_grid_csvs format grids of any size in the pool on ``cpus`` CPUs, in jobs of
-    ``block_cells`` cells; returns a list that gets the worker count of each call."""
-    counts = []
-
-    def worker_count(*args):
-        counts.append(real(*args))
-        return counts[-1]
-
-    real = copula.worker_count
-    mp.setattr(copula, "_PARALLEL_MIN_CELLS", 0)
-    mp.setattr(copula, "_usable_cpus", lambda: cpus)
-    mp.setattr(copula, "_BLOCK_CELLS", block_cells)
-    mp.setattr(copula, "worker_count", worker_count)
-    return counts
-
-
 @pytest.mark.parametrize("cap", REPR_TABLE_CAPS.values(), ids=REPR_TABLE_CAPS.keys())
 @pytest.mark.parametrize("permille", [False, True])
 @pytest.mark.parametrize("destination", ["path", "stream"])
@@ -178,22 +161,15 @@ def test_grid_csvs_match_oracle(tmp_path, monkeypatch, name, destination, permil
     monkeypatch.setattr(copula, "_REPR_TABLE_CAP", cap)
     grids = _grid_lists()[name]
     expected = [grid_csv_text(grid, permille=permille) for grid in grids]
-    # looped so that the test ids stay: with the default settings (in this process: the
-    # grids are small), then in the pool on 2 CPUs, and on 3 CPUs in jobs of one grid row
-    for cpus, block_cells in ((None, None), (2, copula._BLOCK_CELLS), (3, 1)):
-        with monkeypatch.context() as mp:
-            counts = use_grid_pool(mp, cpus, block_cells) if cpus else []
-            if destination == "path":
-                targets = [tmp_path / f"grid{k}.csv" for k in range(len(grids))]
-                write_grid_csvs(grids, targets, permille=permille)
-                texts = [target.read_bytes().decode() for target in targets]
-            else:
-                streams = [io.StringIO() for _ in grids]
-                write_grid_csvs(iter(grids), iter(streams), permille)
-                texts = [stream.getvalue() for stream in streams]
-        assert texts == expected, cpus
-        # every grid has one job or more, so two grids make a job for each process
-        assert counts == ([cpus if len(grids) >= 2 else 0] if cpus else [])
+    if destination == "path":
+        targets = [tmp_path / f"grid{k}.csv" for k in range(len(grids))]
+        write_grid_csvs(grids, targets, permille=permille)
+        texts = [target.read_bytes().decode() for target in targets]
+    else:
+        streams = [io.StringIO() for _ in grids]
+        write_grid_csvs(iter(grids), iter(streams), permille)
+        texts = [stream.getvalue() for stream in streams]
+    assert texts == expected
 
 
 def test_grid_csvs_want_one_destination_per_grid():
@@ -233,66 +209,29 @@ def test_grid_csvs_format_each_distinct_value_once(tmp_path, monkeypatch):
         return repr(value)
 
     monkeypatch.setattr(copula, "repr", counted, raising=False)
-    monkeypatch.setattr(copula, "_usable_cpus", lambda: 1)  # in this process
     write_grid_csvs(grids, [io.StringIO() for _ in grids])
     # one repr per distinct value, plus the 50 u_hi/v_hi texts of each grid
     assert len(calls) == 14_178 + 20 * 50
 
 
-def _bits(values) -> list:
-    return np.asarray(values, dtype=float).ravel().view(np.int64).tolist()
-
-
-def test_pooled_grid_csvs_format_each_distinct_value_once_per_process(tmp_path, monkeypatch):
-    def counted(value):  # each process notes the bits of every value it formats
-        fd = os.open(log, os.O_WRONLY | os.O_APPEND | os.O_CREAT)
-        os.write(fd, f"{os.getpid()} {_bits(value)[0]}\n".encode())
-        os.close(fd)
-        return repr(value)
-
-    log, caller = tmp_path / "formatted", os.getpid()
-    panel = sample_panel(SynthSpec("gaussian", 5, 13 * 12, 4, 0.4))
-    grids = [rep.grid for rep in windowed_reports(panel, 2, 6, [0.1])]  # 6 windows, m = 6
-    counts = use_grid_pool(monkeypatch, 2)
-    monkeypatch.setattr(copula, "repr", counted, raising=False)
-    streams = [io.StringIO() for _ in grids]
-    write_grid_csvs(grids, streams)
-    assert counts == [2]
-    assert [s.getvalue() for s in streams] == [grid_csv_text(grid) for grid in grids]
-    formatted = {}
-    for line in log.read_text().splitlines():
-        pid, bits = line.split()
-        formatted.setdefault(int(pid), []).append(int(bits))
-    labels = _bits([i / 6 for i in range(1, 7)])
-    # one job a grid: this process formats grids 0, 2 and 4, the forked worker the others
-    assert len(formatted) == 2 and caller in formatted
-    for pid, share in formatted.items():
-        own = grids[0 if pid == caller else 1::2]
-        cells = {b for g in own for b in _bits(g.density) + _bits(g.cumulative[1:, 1:])}
-        # each of its distinct values once, and the u_hi/v_hi texts once per grid
-        assert sorted(share) == sorted(list(cells) + labels * len(own)), pid
-
-
-def test_pooled_grid_csvs_take_each_destination_once_its_first_job_is_done(monkeypatch):
-    def failing(values, start, table):  # the forked worker fails on its grid of m = 5
-        if values[0].shape[1] == 5 and os.getpid() != caller:
+def test_grid_csvs_take_each_destination_when_its_grid_is_reached(monkeypatch):
+    def failing(values, table):  # the formatter fails on grid 1, of m = 5
+        if values[0].shape[1] == 5:
             raise ValueError("the m = 5 grid failed")
-        return cell_rows(values, start, table)
+        return cell_rows(values, table)
 
     def destinations():
         for stream in streams:
             taken.append(stream)
             yield stream
 
-    caller, cell_rows, taken = os.getpid(), copula._cell_rows, []
+    cell_rows, taken = copula._cell_rows, []
     grids = [gaussian_grid(0.3, m) for m in (4, 5, 6)]
     streams = [io.StringIO() for _ in grids]
-    counts = use_grid_pool(monkeypatch, 2)
     monkeypatch.setattr(copula, "_cell_rows", failing)
     with pytest.raises(ValueError, match="the m = 5 grid failed"):
         write_grid_csvs(grids, destinations())
-    assert counts == [2]
-    assert taken == streams[:1]  # the m = 5 grid's destination was never taken
+    assert taken == streams[:2]  # grid 2's destination was never taken
     assert streams[0].getvalue() == grid_csv_text(grids[0])
 
 
@@ -488,18 +427,7 @@ class _RecordingStream(io.StringIO):
 
 @pytest.mark.parametrize("name", ["grid", "grid-permille", "difference", "grids",
                                   "grids-permille"])
-def test_grid_writers_write_one_grid_row_at_a_time(name, monkeypatch):
-    # looped so that the test ids stay: in this process, then in the pool on 2 CPUs in
-    # jobs of 3 grid rows (the difference writer has no pool)
-    for pooled in (False, True):
-        with monkeypatch.context() as mp:
-            counts = use_grid_pool(mp, 2, block_cells=3 * 7) if pooled else []
-            _check_grid_writes(name)
-        # a grid of 7 rows makes 3 jobs
-        assert counts == ([2] if pooled and name != "difference" else [])
-
-
-def _check_grid_writes(name):
+def test_grid_writers_write_one_grid_row_at_a_time(name):
     m = 7
     grid = gaussian_grid(0.4, m)
     # each writer fills the first stream, or one stream per grid
