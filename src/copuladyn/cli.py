@@ -15,11 +15,13 @@ manifest's ``config`` records every option of the command except ``--out``
 and ``--threads``, under its argparse name, with ``dt`` recorded as
 ``dt_minutes`` and a missing ``--calendar`` as the default calendar's text;
 ``synth`` also records its random generator.
+Importing this module calls ``gc.freeze()``: no collection or exit walks its imports' heap.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import hashlib
 import json
 import os
@@ -42,6 +44,9 @@ from .taildep import (
     write_relation_csv,
     write_tail_curve_csv,
 )
+
+# the imports' objects live until exit, so neither later collections nor shutdown walk them
+gc.freeze()
 
 EXIT_OK = 0
 EXIT_USAGE = 2

@@ -533,3 +533,108 @@ def test_failed_fork_runs_every_job_in_process(tmp_path, monkeypatch, price_file
     assert len(forks) == 1
     assert streamed == []
     assert _contents(tmp_path / "forked") == _contents(tmp_path / "one")
+
+
+FREEZE_SCRIPT = """
+import gc, json, sys
+
+out = sys.argv[1]
+import copuladyn
+counts = {"import copuladyn": gc.get_freeze_count()}
+from copuladyn import cli
+counts["import copuladyn.cli"] = gc.get_freeze_count()
+enabled = gc.isenabled()
+probe = [out]  # alive across both runs
+for argv in (["synth", "--assets", "3", "--length", "26", "--seed", "3", "--out", out],
+             ["taildep", "--input", out + "/prices.csv", "--grid", "4", "--out", out + "/t"]):
+    if cli.main(argv):
+        raise SystemExit(argv[0] + " failed")
+counts["two runs"] = gc.get_freeze_count()
+# gc.get_objects() lists no frozen object
+probe_frozen = not any(obj is probe for obj in gc.get_objects())
+print(json.dumps({"counts": counts, "enabled": enabled, "probe frozen": probe_frozen}))
+"""
+
+
+def test_only_the_cli_import_freezes_the_heap(tmp_path):
+    # a fresh interpreter: this test process imported copuladyn.cli long ago
+    proc = subprocess.run([sys.executable, "-c", FREEZE_SCRIPT, str(tmp_path)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout)
+    counts = seen["counts"]
+    assert counts["import copuladyn"] == 0
+    assert counts["import copuladyn.cli"] > 0
+    assert seen["enabled"]
+    # main freezes nothing more: a per-call freeze would keep each caller's garbage. Frozen
+    # objects that the runs free leave the count, so it may only fall
+    assert not seen["probe frozen"]
+    assert counts["two runs"] <= counts["import copuladyn.cli"]
+
+
+def _doubled(rows):
+    # doubling is exact in binary floating point, so every return is bit-identical
+    for row in rows:
+        stamp, symbol, price = row.split(",")
+        yield f"{stamp},{symbol},{float(price) * 2!r}"
+
+
+def _grouped_by_symbol(rows):
+    return sorted(rows, key=lambda row: row.split(",")[1])  # stable: each symbol keeps its order
+
+
+def _with_pre_open_rows(rows):
+    opened = set()
+    for row in rows:
+        stamp, symbol, _ = row.split(",")
+        day = stamp[:10]
+        if (day, symbol) not in opened:
+            opened.add((day, symbol))
+            yield f"{day}T09:29:59,{symbol},1.0"
+        yield row
+
+
+@pytest.mark.parametrize("relation", [_doubled, _grouped_by_symbol, _with_pre_open_rows],
+                         ids=["prices doubled", "rows grouped by symbol", "pre-open rows"])
+def test_metamorphic_tape_keeps_every_output(tmp_path, price_file, relation):
+    # SYN000 never quotes at the open, so a pre-open quote let through would set its open price
+    lines = price_file.read_text().splitlines()
+    header, *rows = (row for row in lines if "T09:30:00,SYN000," not in row)
+    assert len(rows) == len(lines) - 11  # one open quote in each of the 10 sessions removed
+    original, altered = tmp_path / "original.csv", tmp_path / "altered.csv"
+    original.write_text("\n".join([header, *rows]) + "\n")
+    altered.write_text("\n".join([header, *relation(rows)]) + "\n")
+    assert altered.read_bytes() != original.read_bytes()
+    digest = {path: hashlib.sha256(path.read_bytes()).hexdigest() for path in (original, altered)}
+    for command in ("copula", "taildep"):
+        outputs = []
+        for tape in (original, altered):
+            out = tmp_path / f"{command}-{tape.stem}"
+            argv = [command, "--input", str(tape), "--grid", "10", "--out", str(out)]
+            assert cli.main(argv) == cli.EXIT_OK
+            files = _contents(out)
+            # the input's path and digest are the only texts the manifest may change
+            files["manifest.json"] = (files["manifest.json"].decode()
+                                      .replace(str(tape), "INPUT").replace(digest[tape], "DIGEST"))
+            outputs.append(files)
+        assert outputs[0] == outputs[1], command
+
+
+def test_one_window_over_the_panel_is_the_whole_panel_run(tmp_path, price_file):
+    # price_file holds 10 sessions, so 10-day windows give exactly one
+    for argv in (["copula"], ["taildep"], ["dynamics", "--window-days", "10"]):
+        out = str(tmp_path / argv[0])
+        assert cli.main([*argv, "--input", str(price_file), "--grid", "10", "--out", out]) == 0
+    windows = sorted(p.name for p in (tmp_path / "dynamics" / "windows").iterdir())
+    assert windows == ["window_0001.csv"]
+    grid = (tmp_path / "copula" / "grid.csv").read_bytes()
+    assert (tmp_path / "dynamics" / "windows" / "window_0001.csv").read_bytes() == grid
+
+    def columns(path, names):
+        header, *rows = path.read_text().splitlines()
+        at = [header.split(",").index(name) for name in names]
+        return [[row.split(",")[k] for k in at] for row in rows]
+
+    names = ["alpha", "lambda_lower", "lambda_upper"]
+    relation = columns(tmp_path / "dynamics" / "relation.csv", names)
+    assert relation == columns(tmp_path / "taildep" / "tail_curve.csv", names)
