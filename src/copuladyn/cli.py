@@ -197,7 +197,7 @@ def run(args) -> int:
                 raise ValueError(f"{flag} {name} is not a regular file")
         calendar = load_calendar(args.calendar) if args.calendar else TradingCalendar()
         if args.command != "synth":
-            matrix = compute_returns(load_prices(args.input, calendar), args.dt)
+            matrix = compute_returns(load_prices(args.input, calendar, interval=args.dt), args.dt)
         digests = {name: _sha256(name)
                    for name in (getattr(args, "input", None), args.calendar) if name}
         side = "output"

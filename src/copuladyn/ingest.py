@@ -5,7 +5,9 @@ Input CSV is UTF-8 (a leading byte-order mark is allowed) with header
 per (timestamp, symbol). Rows outside the trading calendar's sessions are
 dropped and counted; rows inside are kept as parsed, one time-ordered quote
 run per asset, so the panel grows with the row count and not with assets x
-timestamps.
+timestamps. Given a return interval, ingest keeps only the last quote of each
+asset, session and slot between two endpoints, so the panel grows with the
+endpoints instead.
 
 The input is read in text blocks of whole lines, about ``_READ_BLOCK_CHARS``
 characters each, whose line ends and commas numpy finds. A plain block (no
@@ -17,18 +19,24 @@ handles quoted fields and records spanning lines. It stops at the first record
 boundary at or after the block's end; the next block is tried column-wise.
 ``_columns`` converts each block's fields and words every value fault; the row
 loop words only field counts and tokeniser errors. The first row fault in the file
-is reported, by its physical line.
+is reported, by its physical line. ``_Quotes`` then drops the block's off-session
+rows, groups the rest by symbol and, given an interval, keeps each slot's last
+quote. It notes the earliest per-symbol timestamp regression, which is raised
+after the last block, so that a value fault anywhere in the file is reported first.
 
 A path to a regular file of at least ``_PARALLEL_MIN_BYTES`` bytes whose header
 is one plain line is parsed in byte ranges, one per CPU this process may use,
 when there are two or more such CPUs, no other thread runs and the platform can
 fork. The ranges are cut at line starts; this process parses the first and
 forked workers the others (this process all of them if a fork fails), each
-block by block as above, with its own symbol codes and line numbers, which are
-then merged in file order. A range with a block that is not plain, a value
-fault or a byte that is not UTF-8 drops every range and ends the workers still
-parsing, and the file is read again as one stream, so faults are worded as
-above.
+block by block as above, with its own symbol codes. A range hands back only its
+kept quotes, its off-session row count and each symbol's first and last
+in-session timestamp; the codes are merged in file order, and each symbol's
+first timestamp in a range must be later than its last in the ranges before. A
+range with a block that is not plain, a value fault, a timestamp regression or
+a byte that is not UTF-8, or a regression at a range boundary, drops every range
+and ends the workers still parsing, and the file is read again as one stream,
+so faults are worded as above.
 
 Returns are arithmetic, r(t) = (P(t + dt) - P(t)) / P(t), computed on a fixed
 per-session endpoint grid (session open, open + dt, ...). Prices at endpoints
@@ -169,7 +177,9 @@ class PricePanel:
     Asset ``asset_ids[k]`` quotes at ``quote_ts[offsets[k]:offsets[k + 1]]``
     (strictly increasing) with prices ``quote_px`` over the same slice; assets
     are in alphabetical order. ``excluded_count`` reports how many input rows
-    fell outside trading sessions and were dropped.
+    fell outside trading sessions and were dropped. A panel that ``load_prices``
+    cut to one return interval holds only the quotes that ``compute_returns``
+    reads at that interval and at its multiples, and serves no other interval.
     """
 
     asset_ids: list
@@ -269,51 +279,63 @@ _HEADER_LINES = tuple(bom + ",".join(_HEADER).encode() + end
                       for bom in (b"", codecs.BOM_UTF8) for end in (b"\n", b"\r\n"))
 
 
-def load_prices(source, calendar: TradingCalendar) -> PricePanel:
+def load_prices(source, calendar: TradingCalendar, interval=None) -> PricePanel:
     """Parse a price CSV text stream or path into a PricePanel.
 
     Rows with timestamps outside the calendar's sessions are dropped and
     counted in ``excluded_count``. Malformed rows, non-positive prices, and
     per-symbol timestamp regressions fail with the offending line number.
     Assets are ordered alphabetically in the panel.
+
+    With an ``interval`` in minutes, only the last quote of each asset, session
+    and slot between two endpoints is kept (see ``_Quotes``); the panel then
+    serves ``compute_returns`` at that interval and at its multiples, and no other.
     """
+    if interval is not None:
+        _intervals_per_session(calendar, interval)
     if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
-        parsed = _parse_in_ranges(source)
+        parsed = _parse_in_ranges(source, calendar, interval)
         if parsed is not None:
             return _panel(*parsed, calendar)
         # utf-8-sig drops a leading byte-order mark, as Excel's "CSV UTF-8" writes
         with open(source, "r", encoding="utf-8-sig", newline="") as fh:
-            return _parse_prices(fh, calendar, own_file=True)
-    return _parse_prices(source, calendar)
+            return _parse_prices(fh, calendar, interval, own_file=True)
+    return _parse_prices(source, calendar, interval)
 
 
-def _parse_in_ranges(path):
-    """(symbol codes, blocks of columns) of a large regular file parsed in byte ranges, or
-    None for ``_parse_prices`` to read it as one stream, which words every fault.
+def _parse_in_ranges(path, calendar, interval):
+    """(symbol codes, blocks of in-session quotes, off-session row count) of a large regular
+    file parsed in byte ranges, or None for ``_parse_prices`` to read it as one stream, which
+    words every fault.
 
     This process parses the first range while forked workers parse the others; the first
-    range in file order that is refused ends them all.
+    range in file order that is refused ends them all. A symbol's first quote in a range must
+    be later than its last in the ranges before; if not, the stream words the regression.
     """
     info = os.stat(path)
     n_ranges = _range_count(info.st_size) if stat.S_ISREG(info.st_mode) else 0
     ranges = _byte_ranges(path, info.st_size, n_ranges) if n_ranges else None
     if ranges is None:
         return None
-    with ordered(partial(_parse_range, path), ranges, n_ranges) as results:
+    jobs = [(start, stop, calendar, interval) for start, stop in ranges]
+    with ordered(partial(_parse_range, path), jobs, n_ranges) as results:
         # the first refused range ends the read, and leaving the block ends the workers
         parsed = list(takewhile(lambda part: part is not None, results))
     if len(parsed) < n_ranges:
         return None
-    codes, blocks, offset = {}, [], 1  # the header is line 1
-    for range_blocks, symbols, lines in parsed:
-        # local codes and line numbers become the file's, one block at a time, in place
+    codes, blocks, excluded, last = {}, [], 0, np.empty(0, np.int64)
+    for range_blocks, range_excluded, symbols, range_first, range_last in parsed:
+        # local codes become the file's, one block at a time, in place
         remap = np.array([codes.setdefault(s, len(codes)) for s in symbols], dtype=np.intp)
-        for _, code, _, linenos in range_blocks:
+        last = np.append(last, np.full(len(codes) - last.size, _EARLIEST))
+        if (range_first <= last[remap]).any():
+            return None
+        last[remap] = np.maximum(last[remap], range_last)
+        for _, code, _ in range_blocks:
             code[:] = remap[code]
-            linenos += offset
         blocks += range_blocks
-        offset += lines
-    return codes, blocks
+        excluded += range_excluded
+    return codes, blocks, excluded
 
 
 def _byte_ranges(path, size: int, n: int):
@@ -336,16 +358,18 @@ def _range_count(size: int) -> int:
     return worker_count(size, cpus, _PARALLEL_MIN_BYTES, cpus)
 
 
-def _parse_range(path, bounds):
-    """(blocks of columns, symbols in order of first appearance, physical lines) of the
-    file's bytes in ``range(*bounds)``, which start at a line start; None if a block is not
-    plain, has a value fault or is not UTF-8.
+def _parse_range(path, job):
+    """(blocks of in-session quotes, off-session row count, symbols in order of first
+    appearance, each symbol's first and last in-session timestamp) of the file's bytes from
+    ``start`` to ``stop``, for ``job`` = (start, stop, calendar, interval); None if a block is
+    not plain, has a value fault or is not UTF-8, or a symbol's timestamps regress.
 
-    The bytes are read in blocks of whole lines, as ``_blocks`` reads a file. Symbol codes
-    and line numbers are local: the range's first line is line 1.
+    ``start`` is a line start. The bytes are read in blocks of whole lines, as ``_blocks``
+    reads a file, and each block goes through ``_Quotes``. Symbol codes are local.
     """
-    start, stop = bounds
-    codes, blocks, lines = {}, [], 0
+    start, stop, calendar, interval = job
+    codes = {}
+    quotes = _Quotes(calendar, interval, codes)
     with open(path, "rb") as raw:
         raw.seek(start)
         while start < stop:
@@ -356,15 +380,16 @@ def _parse_range(path, bounds):
                 break
             start += len(data)
             try:
-                parsed = _parse_plain_block(data.decode(), lines)
+                parsed = _parse_plain_block(data.decode(), 0)
                 if parsed is None:
                     return None
-                blocks.append(_columns(*parsed[0], codes))
+                quotes.add(*_columns(*parsed[0], codes))
             except (UnicodeDecodeError, PriceDataError):
                 return None
-            lines += parsed[1]
+            if quotes.regression:
+                return None
             del data, parsed  # the block's bytes and field texts, before the next block
-    return blocks, list(codes), lines
+    return quotes.blocks, quotes.excluded, list(codes), quotes.first, quotes.last
 
 
 def _blocks(stream, own_file):
@@ -384,7 +409,7 @@ def _blocks(stream, own_file):
         yield text, lines
 
 
-def _parse_prices(stream, calendar: TradingCalendar, own_file=False) -> PricePanel:
+def _parse_prices(stream, calendar: TradingCalendar, interval, own_file=False) -> PricePanel:
     reader = csv.reader(stream)
     try:
         header = next(reader)
@@ -396,7 +421,7 @@ def _parse_prices(stream, calendar: TradingCalendar, own_file=False) -> PricePan
         raise PriceDataError(f"line 1: header must be {','.join(_HEADER)!r}")
 
     codes = {}  # symbol -> integer code, in order of first appearance
-    blocks = []  # (timestamps, codes, prices, line numbers) per block of rows
+    quotes = _Quotes(calendar, interval, codes)
     lineno = reader.line_num  # physical lines consumed so far
     for text, lines in _blocks(stream, own_file):
         parsed = _parse_plain_block(text, lineno)
@@ -407,44 +432,99 @@ def _parse_prices(stream, calendar: TradingCalendar, own_file=False) -> PricePan
             lines = lines or io.StringIO(text, newline="").readlines()
             reader = csv.reader(chain(lines, stream))
             parsed = _parse_price_rows(reader, lineno, len(lines)), reader.line_num
-        blocks.append(_columns(*parsed[0], codes))
+        quotes.add(*_columns(*parsed[0], codes))
         lineno += parsed[1]
         del parsed  # the block's field texts, before the next block is split
-    return _panel(codes, blocks, calendar)
+    if quotes.regression:  # after the last block, so that a value fault anywhere wins
+        line, code = quotes.regression
+        raise PriceDataError(f"line {line}: timestamps for symbol {list(codes)[code]!r} "
+                             "must be strictly increasing")
+    return _panel(codes, quotes.blocks, quotes.excluded, calendar)
 
 
-def _panel(codes, blocks, calendar: TradingCalendar) -> PricePanel:
-    """The panel of the parsed blocks, whose ``codes`` map symbols in order of first
-    appearance; empties ``blocks``."""
+# sentinels of _Quotes' per-symbol timestamps: no valid timestamp is as early or as late
+_EARLIEST, _LATEST = np.iinfo(np.int64).min, np.iinfo(np.int64).max
+
+
+class _Quotes:
+    """The in-session quotes of the blocks of a file or a byte range, and the earliest
+    per-symbol timestamp regression among them.
+
+    ``add`` takes one block's columns. It drops off-session rows and counts them, groups the
+    rest by symbol code in file order (one stable radix sort on 16-bit keys), and finds any
+    quote not later than its symbol's previous in-session quote, in this block or an earlier
+    one. With an ``interval``, it then keeps only the last quote of each (symbol, session,
+    slot): slot s covers (open + (s - 1) dt, open + s dt], so slot 0 is the opening second,
+    and the quotes after the last endpoint form one more slot. ``compute_returns`` reads each
+    endpoint's price from the last quote at or before it in its session, so it reads nothing
+    else at ``interval`` or at its multiples. A slot that a block or a range boundary cuts
+    keeps one quote on each side, which changes no return.
+    """
+
+    def __init__(self, calendar: TradingCalendar, interval, codes: dict):
+        self.calendar, self.codes = calendar, codes
+        self.blocks = []  # (timestamps, symbol codes, prices) of each block's kept quotes
+        self.excluded = 0
+        # per symbol code: first and last in-session timestamp, in seconds
+        self.first, self.last = np.empty(0, np.int64), np.empty(0, np.int64)
+        self.regression = None  # (line, symbol code) of the earliest regressing quote
+        self.step = None if interval is None else interval * 60
+        if interval is not None:
+            self.open_s = int(calendar.open_offset.astype(np.int64))
+            self.slots = _intervals_per_session(calendar, interval) + 2
+
+    def add(self, ts, code, px, linenos):
+        grow = len(self.codes) - self.last.size
+        self.first = np.append(self.first, np.full(grow, _LATEST))
+        self.last = np.append(self.last, np.full(grow, _EARLIEST))
+        keep = self.calendar.in_session_mask(ts)
+        self.excluded += keep.size - int(np.count_nonzero(keep))
+        if not keep.all():
+            ts, code, px, linenos = ts[keep], code[keep], px[keep], linenos[keep]
+        if not ts.size:
+            return
+        key = code.astype(np.uint16) if len(self.codes) <= 1 << 16 else code
+        order = np.argsort(key, kind="stable")
+        code, secs, px = code[order], ts.view(np.int64)[order], px[order]
+        head = np.ones(code.size, dtype=bool)  # each symbol's first quote in the block
+        np.not_equal(code[1:], code[:-1], out=head[1:])
+        prev = np.empty_like(secs)
+        prev[1:] = secs[:-1]
+        prev[head] = self.last[code[head]]
+        regress = np.flatnonzero(secs <= prev)
+        if regress.size and self.regression is None:
+            at = regress[order[regress].argmin()]  # the earliest row in the file
+            self.regression = int(linenos[order[at]]), int(code[at])
+        tail = np.append(head[1:], True)  # each symbol's last quote in the block
+        self.first[code[head]] = np.minimum(self.first[code[head]], secs[head])
+        self.last[code[tail]] = secs[tail]
+        if self.step:
+            day, clock = np.divmod(secs - self.open_s, 86400)  # clock: seconds after open
+            slot = day * self.slots - (-clock // self.step)  # ceil(clock / step) in the day
+            keep = tail | np.append(slot[1:] != slot[:-1], True)  # each slot's last quote
+            code, secs, px = code[keep], secs[keep], px[keep]
+        self.blocks.append((secs.view("datetime64[s]"), code, px))
+
+
+def _panel(codes, blocks, excluded: int, calendar: TradingCalendar) -> PricePanel:
+    """The panel of ``blocks`` of in-session quotes, each grouped by symbol in file order,
+    whose ``codes`` map symbols in order of first appearance; empties ``blocks``."""
     if not sum(block[0].size for block in blocks):
-        raise PriceDataError("input contains no data rows")
-    ts, code, px, linenos = (np.concatenate(column) for column in zip(*blocks))
-    blocks.clear()  # the caller's list too: each column is held once from here on
-
-    keep = calendar.in_session_mask(ts)
-    excluded = int(np.count_nonzero(~keep))
+        raise PriceDataError("all rows fall outside trading sessions" if excluded
+                             else "input contains no data rows")
     if excluded:
         logger.info("load_prices: excluded %d rows outside trading sessions", excluded)
-    if not keep.any():
-        raise PriceDataError("all rows fall outside trading sessions")
-    ts, code, px = ts[keep], code[keep], px[keep]
+    ts, code, px = (np.concatenate(column) for column in zip(*blocks))
+    blocks.clear()  # the caller's list too: each column is held once from here on
 
     names = list(codes)
     symbols = sorted(names[c] for c in np.flatnonzero(np.bincount(code)).tolist())
     row_of = np.empty(len(codes), dtype=np.uint16 if len(symbols) <= 1 << 16 else np.intp)
     row_of[[codes[s] for s in symbols]] = np.arange(len(symbols))
-    # one stable sort (radix, on 16-bit keys) groups each asset's quotes in file order;
-    # each quote must be later than the one before, and the earliest offending row is reported
+    # one stable sort (radix, on 16-bit keys) orders the assets, each one's quotes in file order
     order = np.argsort(row_of[code], kind="stable")
     row, ts, px = row_of[code[order]], ts[order], px[order]
-    regress = (np.diff(row) == 0) & (np.diff(ts).astype(np.int64) <= 0)
-    if regress.any():
-        first = order[1:][regress].min()
-        raise PriceDataError(
-            f"line {linenos[np.flatnonzero(keep)[first]]}: timestamps for symbol "
-            f"{names[code[first]]!r} must be strictly increasing"
-        )
-    del code, linenos, keep  # 17 bytes a row; free them before the panel's checks
+    del code  # 8 bytes a row; free it before the panel's checks
     return PricePanel(
         asset_ids=symbols,
         offsets=np.searchsorted(row, np.arange(len(symbols) + 1)),
@@ -565,6 +645,19 @@ def _distinct_sorted(values: np.ndarray) -> np.ndarray:
     return values[keep]
 
 
+def _intervals_per_session(calendar: TradingCalendar, interval) -> int:
+    """The return intervals in one session of ``calendar``; refuses an ``interval`` that is
+    not positive or is longer than a session."""
+    if interval <= 0:
+        raise PriceDataError("interval must be positive")
+    session_minutes = calendar.session_minutes
+    if interval > session_minutes:
+        raise PriceDataError(
+            f"interval {interval} min exceeds the {session_minutes} min session"
+        )
+    return session_minutes // interval
+
+
 def compute_returns(panel: PricePanel, interval: int) -> ReturnMatrix:
     """Arithmetic returns on a fixed per-session endpoint grid.
 
@@ -575,14 +668,7 @@ def compute_returns(panel: PricePanel, interval: int) -> ReturnMatrix:
     column touching that endpoint is dropped for all assets, keeping the panel
     aligned and every kept return spanning exactly one interval.
     """
-    if interval <= 0:
-        raise PriceDataError("interval must be positive")
-    session_minutes = panel.calendar.session_minutes
-    if interval > session_minutes:
-        raise PriceDataError(
-            f"interval {interval} min exceeds the {session_minutes} min session"
-        )
-    per_session = session_minutes // interval
+    per_session = _intervals_per_session(panel.calendar, interval)
 
     days = _distinct_sorted(panel.quote_ts.astype("datetime64[D]"))
     step = np.timedelta64(interval * 60, "s")

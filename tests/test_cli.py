@@ -1,5 +1,6 @@
 """End-to-end command line runs: outputs, manifests, determinism, exit codes."""
 
+import datetime as dt
 import errno
 import hashlib
 import json
@@ -594,8 +595,20 @@ def _with_pre_open_rows(rows):
         yield row
 
 
-@pytest.mark.parametrize("relation", [_doubled, _grouped_by_symbol, _with_pre_open_rows],
-                         ids=["prices doubled", "rows grouped by symbol", "pre-open rows"])
+def _with_ticks_inside_slots(rows):
+    # a tick one second before each endpoint but the open: each slot's last tick stays its own
+    for row in rows:
+        stamp, symbol, _ = row.split(",")
+        if not stamp.endswith("T09:30:00"):
+            before = dt.datetime.fromisoformat(stamp) - dt.timedelta(seconds=1)
+            yield f"{before.isoformat()},{symbol},1.0"
+        yield row
+
+
+@pytest.mark.parametrize("relation", [_doubled, _grouped_by_symbol, _with_pre_open_rows,
+                                      _with_ticks_inside_slots],
+                         ids=["prices doubled", "rows grouped by symbol", "pre-open rows",
+                              "ticks inside slots"])
 def test_metamorphic_tape_keeps_every_output(tmp_path, price_file, relation):
     # SYN000 never quotes at the open, so a pre-open quote let through would set its open price
     lines = price_file.read_text().splitlines()

@@ -342,6 +342,21 @@ def test_returns_interval_validation():
         compute_returns(panel, 391)
 
 
+@pytest.mark.parametrize("interval, message", [
+    (0, "interval must be positive"),
+    (-30, "interval must be positive"),
+    (391, "interval 391 min exceeds the 390 min session"),
+])
+def test_load_prices_refuses_the_intervals_that_compute_returns_refuses(interval, message):
+    rows = ["2024-01-03T09:30:00,AAA,1.0"]
+    panel = load_prices(csv_stream(rows), CAL)
+    for refuse in (lambda: load_prices(csv_stream(rows), CAL, interval=interval),
+                   lambda: compute_returns(panel, interval)):
+        with pytest.raises(PriceDataError) as excinfo:
+            refuse()
+        assert str(excinfo.value) == message
+
+
 def test_returns_scale_invariance():
     rows_a = full_session_rows("AAA", "2024-01-03", [100.0 + 3 * k for k in range(14)])
     rows_b = full_session_rows("AAA", "2024-01-03",
@@ -493,6 +508,31 @@ def test_ingest_peak_memory_per_row_from_a_path_in_one_process(tmp_path, monkeyp
     monkeypatch.setattr(ingest, "_PARALLEL_MIN_BYTES", path.stat().st_size + 1)
     monkeypatch.setattr(os, "fork", no_fork)
     assert load_peak_per_row(path, rows) < 128
+
+
+def load_peak(path, interval):
+    """Peak traced bytes of load_prices on ``path``, read in this process."""
+    tracemalloc.start()
+    try:
+        load_prices(path, CAL, interval=interval)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_ingest_peak_memory_cut_to_an_interval_does_not_grow_with_ticks(tmp_path, monkeypatch):
+    # 30 symbols and 6 sessions throughout: about 5 ticks per symbol and 30-minute slot,
+    # then about 50
+    few, many, one_block = (tmp_path / name for name in ("few.csv", "many.csv", "block.csv"))
+    few.write_text(async_tape(30, 12_000, seed=3, sessions=6))
+    many.write_text(async_tape(30, 120_000, seed=3, sessions=6))
+    one_block.write_text(few.read_text()[:ingest._READ_BLOCK_CHARS].rsplit("\n", 1)[0] + "\n")
+    monkeypatch.setattr(ingest, "_PARALLEL_MIN_BYTES", many.stat().st_size + 1)
+    monkeypatch.setattr(os, "fork", no_fork)
+    block = load_peak(one_block, 30)  # one block's working memory, and its few quotes
+    assert load_peak(many, 30) - load_peak(few, 30) < block
+    # every quote kept, the panel alone grows by 24 bytes a row: more than the block
+    assert load_peak(many, None) - load_peak(few, None) > block
 
 
 def test_files_from_the_size_gate_on_are_cut_into_ranges(monkeypatch):

@@ -67,17 +67,25 @@ POOL_CPUS = (2, 3)
 # newline="" splits lines as load_prices opens a file: at "\n", "\r\n" and a lone "\r".
 # Each case is also read from a file, which load_prices reads with its own block reader,
 # and then in byte ranges: the first in this process, the others in forked workers.
-def library_panel(text, calendar, block_chars=ingest._READ_BLOCK_CHARS, pool_cpus=POOL_CPUS):
+def library_loads(text, calendar, block_chars=ingest._READ_BLOCK_CHARS, pool_cpus=POOL_CPUS,
+                  interval=None):
+    """The outcomes of load_prices from a stream, from a file, and from the file in byte
+    ranges on each of ``pool_cpus`` CPUs."""
     with pytest.MonkeyPatch.context() as mp, tempfile.TemporaryDirectory() as tmp:
         mp.setattr(ingest, "_READ_BLOCK_CHARS", block_chars)
-        got = outcome(load_prices, io.StringIO(text, newline=""), calendar)
+        loads = [outcome(load_prices, io.StringIO(text, newline=""), calendar, interval)]
         path = Path(tmp) / "prices.csv"
         path.write_text(text, encoding="utf-8", newline="")
-        from_file = [outcome(load_prices, path, calendar)]
+        loads.append(outcome(load_prices, path, calendar, interval))
         for cpus in pool_cpus:
             with pytest.MonkeyPatch.context() as pool:
                 use_ranges(pool, cpus)
-                from_file.append(outcome(load_prices, path, calendar))
+                loads.append(outcome(load_prices, path, calendar, interval))
+    return loads
+
+
+def library_panel(text, calendar, block_chars=ingest._READ_BLOCK_CHARS, pool_cpus=POOL_CPUS):
+    got, *from_file = library_loads(text, calendar, block_chars, pool_cpus)
     for each in from_file:
         if isinstance(got, str):
             assert each == got
@@ -176,6 +184,33 @@ def test_tick_tape_matches_row_oracle(seed):
             assert got == want
         else:
             assert_same_returns(got, want)
+
+
+# the intervals that load_prices cuts a tape to, each a multiple of the first
+THINNED_AT = (30, 60, 120, 240)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_tick_tape_cut_to_an_interval_keeps_the_returns(seed):
+    calendar = CALENDARS[seed % 2]
+    for blanks in (True, False):
+        text = tick_tape(seed, calendar, blanks)
+        full = oracle_panel(text, calendar)
+        quotes = np.count_nonzero(~np.isnan(full.prices))
+        for block_chars in BLOCK_CHARS:
+            for interval in THINNED_AT:
+                # the panel cut at the shortest interval serves its multiples too
+                multiples = THINNED_AT if interval == THINNED_AT[0] else (interval,)
+                for panel in library_loads(text, calendar, block_chars, interval=interval):
+                    # 64-character blocks hold a line or two, so they may keep every quote
+                    assert panel.quote_ts.size < quotes or block_chars == 64
+                    for dt in multiples:
+                        got, want = outcome(compute_returns, panel, dt), outcome(
+                            session_returns, full, dt)
+                        if isinstance(want, str):
+                            assert got == want
+                        else:
+                            assert_same_returns(got, want)
 
 
 def test_returns_asset_without_quotes_matches_oracle():
@@ -666,7 +701,7 @@ def test_lone_surrogate_in_a_stream_stays_on_the_block_parser(monkeypatch):
     assert "B\ud800B" in got.asset_ids
 
 
-def load_file(tmp_path, data, cpus, block_chars=ingest._READ_BLOCK_CHARS):
+def load_file(tmp_path, data, cpus, block_chars=ingest._READ_BLOCK_CHARS, interval=None):
     """(outcome, use_ranges record, byte ranges) of loading ``data`` from a file in byte
     ranges on ``cpus`` CPUs."""
     path = tmp_path / "prices.csv"
@@ -674,7 +709,7 @@ def load_file(tmp_path, data, cpus, block_chars=ingest._READ_BLOCK_CHARS):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ingest, "_READ_BLOCK_CHARS", block_chars)
         seen = use_ranges(mp, cpus)
-        got = outcome(load_prices, path, CALENDARS[0])
+        got = outcome(load_prices, path, CALENDARS[0], interval)
     return got, seen, ingest._byte_ranges(path, len(data), cpus)
 
 
@@ -729,7 +764,7 @@ def test_blank_lines_at_a_cut(tmp_path, cpus):
             assert got == oracle_panel(text, CALENDARS[0])
             assert got == (f"line {len(lines) + len(blanks) + 1}: timestamps for symbol 'AAA' "
                            "must be strictly increasing")
-            assert seen == [cpus]
+            assert seen == [cpus, "whole file"]  # the ranges count no lines: the stream words it
             loaded += 1
     assert loaded >= cpus - 1
 
@@ -757,15 +792,55 @@ def test_quoted_record_in_the_last_range(tmp_path, cpus, block_chars):
 @pytest.mark.parametrize("cpus", POOL_CPUS)
 @pytest.mark.parametrize("last, message, seen_after", [
     (b"2024-01-03T10:00:00,AAA,cheap\n", "line 62: unparseable price 'cheap'", ["whole file"]),
-    # a regression is found once the ranges are merged, with the file's line number
+    # a regression drops the ranges too, which count no lines
     (f"{GOOD}\n".encode(), "line 62: timestamps for symbol 'AAA' must be strictly increasing",
-     []),
+     ["whole file"]),
 ])
 def test_fault_in_the_last_range_names_the_files_line(tmp_path, cpus, last, message,
                                                       seen_after):
     got, seen, data = last_range_case(tmp_path, cpus, last)
     assert got == oracle_panel(data.decode(), CALENDARS[0]) == message
     assert seen == [cpus, *seen_after]
+
+
+def regression_at(line):
+    return f"line {line}: timestamps for symbol 'AAA' must be strictly increasing"
+
+
+def test_regression_on_a_quote_that_the_cut_drops():
+    # cut to 30 minutes, the slot keeps only its last quote, 09:50, and not the regressing 09:40
+    text = HEADER_LINE + "".join(f"2024-01-03T09:{m}:00,AAA,1.0\n" for m in (45, 40, 50))
+    assert oracle_panel(text, CALENDARS[0]) == regression_at(3)
+    for block_chars in BLOCK_CHARS:
+        assert library_loads(text, CALENDARS[0], block_chars, interval=30) == (
+            LOADS * [regression_at(3)])
+
+
+@pytest.mark.parametrize("block_chars", BLOCK_CHARS)
+def test_regression_across_a_block_boundary_when_cut(block_chars):
+    lines = good_lines(3 * block_chars // 30 + 9)
+    third = block_starts(lines, block_chars)[2]
+    lines[third - 2] = lines[0]  # AAA at the opening second again opens the third block
+    text = HEADER_LINE + "".join(lines)
+    assert oracle_panel(text, CALENDARS[0]) == regression_at(third)
+    assert library_loads(text, CALENDARS[0], block_chars, interval=30) == (
+        LOADS * [regression_at(third)])
+
+
+@pytest.mark.parametrize("cpus", POOL_CPUS)
+def test_regression_across_a_range_boundary_when_cut(tmp_path, cpus):
+    lines = good_lines(60)
+    data = (HEADER_LINE + "".join(lines)).encode()
+    path = tmp_path / "prices.csv"
+    path.write_bytes(data)
+    # every line is 30 bytes long, so the cuts stay where they are when one line is replaced
+    first = (ingest._byte_ranges(path, len(data), cpus)[-1][0] - len(HEADER_LINE)) // 30
+    lines[first] = lines[0]  # the last range's first line: AAA at the opening second again
+    data = (HEADER_LINE + "".join(lines)).encode()
+    got, seen, ranges = load_file(tmp_path, data, cpus, interval=30)
+    assert ranges[-1][0] == len(HEADER_LINE) + 30 * first
+    assert got == oracle_panel(data.decode(), CALENDARS[0]) == regression_at(first + 2)
+    assert seen == [cpus, "whole file"]  # found at the cut, and worded by the stream
 
 
 @pytest.mark.parametrize("cpus", POOL_CPUS)
