@@ -9,34 +9,34 @@ timestamps. Given a return interval, ingest keeps only the last quote of each
 asset, session and slot between two endpoints, so the panel grows with the
 endpoints instead.
 
-The input is read in text blocks of whole lines, about ``_READ_BLOCK_CHARS``
-characters each, whose line ends and commas numpy finds. A plain block (no
-quote, no lone carriage return, two commas on every line that is not empty, no
-line over ``csv.field_size_limit()``) is parsed column-wise with whole-block
-calls; it skips empty lines, as ``csv.reader`` does, and a line of spaces is
-not empty. Any other block goes to a row-at-a-time ``csv.reader`` loop, which
-handles quoted fields and records spanning lines. It stops at the first record
-boundary at or after the block's end; the next block is tried column-wise.
-``_columns`` converts each block's fields and words every value fault; the row
-loop words only field counts and tokeniser errors. The first row fault in the file
-is reported, by its physical line. ``_Quotes`` then drops the block's off-session
-rows, groups the rest by symbol and, given an interval, keeps each slot's last
-quote. It notes the earliest per-symbol timestamp regression, which is raised
-after the last block, so that a value fault anywhere in the file is reported first.
+A path to a regular file whose header is one plain line is parsed in byte
+ranges cut at line starts: one per CPU this process may use, or one, parsed in
+this process, below ``_PARALLEL_MIN_BYTES`` bytes, on one CPU, while another
+thread runs or where the platform cannot fork. This process parses the first
+and forked workers the others (this process all of them if a fork fails). A
+range is read in blocks of whole lines, about ``_READ_BLOCK_CHARS`` bytes each,
+whose line ends and commas numpy finds. Each must be plain (no quote, no lone
+carriage return, two commas on every line that is not empty, no line over
+``csv.field_size_limit()``), and is split column-wise with whole-block calls,
+skipping empty lines as ``csv.reader`` does (a line of spaces is not empty).
+``_columns`` converts its fields, and ``_Quotes`` drops its off-session rows,
+groups the rest by symbol and, given an interval, keeps each slot's last quote.
+A range hands back its kept quotes, its off-session row count and each symbol's
+first and last in-session timestamp under its own symbol codes, which are
+merged in file order; each symbol's first timestamp in a range must be later
+than its last in the ranges before.
 
-A path to a regular file of at least ``_PARALLEL_MIN_BYTES`` bytes whose header
-is one plain line is parsed in byte ranges, one per CPU this process may use,
-when there are two or more such CPUs, no other thread runs and the platform can
-fork. The ranges are cut at line starts; this process parses the first and
-forked workers the others (this process all of them if a fork fails), each
-block by block as above, with its own symbol codes. A range hands back only its
-kept quotes, its off-session row count and each symbol's first and last
-in-session timestamp; the codes are merged in file order, and each symbol's
-first timestamp in a range must be later than its last in the ranges before. A
-range with a block that is not plain, a value fault, a timestamp regression or
-a byte that is not UTF-8, or a regression at a range boundary, drops every range
-and ends the workers still parsing, and the file is read again as one stream,
-so faults are worded as above.
+A block that is not plain, a value fault, a timestamp regression, a byte that is
+not UTF-8 or a regression at a range boundary drops every range and ends the
+workers still parsing. The file is then read as one stream in ``readlines``
+blocks, as are a caller's stream, any other path and a file with another header.
+A stream's plain blocks are parsed as above, and any other block by a row loop on
+``csv.reader``, which handles quoted fields and records spanning lines, up to the
+first record boundary at or after the block's end. ``_columns`` words every value
+fault, the row loop only field counts and tokeniser errors; the first row fault
+in the file is reported, by its physical line. ``_Quotes`` notes the earliest
+per-symbol timestamp regression, raised after the last block, so that a value
+fault anywhere in the file is reported first.
 
 Returns are arithmetic, r(t) = (P(t + dt) - P(t)) / P(t), computed on a fixed
 per-session endpoint grid (session open, open + dt, ...). Prices at endpoints
@@ -49,8 +49,6 @@ from __future__ import annotations
 import codecs
 import csv
 import datetime as dt
-import io
-import logging
 import math
 import os
 import re
@@ -73,8 +71,6 @@ __all__ = [
     "load_prices",
     "compute_returns",
 ]
-
-logger = logging.getLogger(__name__)
 
 
 class PriceDataError(ValueError):
@@ -177,9 +173,10 @@ class PricePanel:
     Asset ``asset_ids[k]`` quotes at ``quote_ts[offsets[k]:offsets[k + 1]]``
     (strictly increasing) with prices ``quote_px`` over the same slice; assets
     are in alphabetical order. ``excluded_count`` reports how many input rows
-    fell outside trading sessions and were dropped. A panel that ``load_prices``
-    cut to one return interval holds only the quotes that ``compute_returns``
-    reads at that interval and at its multiples, and serves no other interval.
+    fell outside trading sessions and were dropped. ``interval`` is None unless
+    ``load_prices`` cut the panel to that return interval, in minutes; it then
+    holds only the quotes that ``compute_returns`` reads at that interval and at
+    its multiples, and ``compute_returns`` refuses any other interval.
     """
 
     asset_ids: list
@@ -188,6 +185,7 @@ class PricePanel:
     quote_px: np.ndarray
     calendar: TradingCalendar
     excluded_count: int = 0
+    interval: int | None = None
 
     def __post_init__(self):
         offsets = np.asarray(self.offsets)
@@ -267,7 +265,7 @@ class ReturnMatrix:
 
 
 _HEADER = ["timestamp", "symbol", "price"]
-# characters the column-wise parser reads at a time; its working memory scales with this
+# bytes a range (characters a stream) is read in at a time; working memory scales with this
 _READ_BLOCK_CHARS = 1 << 18
 _ASCII_SPACES = " \t\x0b\x0c\x1c\x1d\x1e\x1f"  # what str.strip removes in ASCII, bar line ends
 # file size from which load_prices parses a path in byte ranges (_parse_in_ranges); on 2
@@ -288,33 +286,38 @@ def load_prices(source, calendar: TradingCalendar, interval=None) -> PricePanel:
     Assets are ordered alphabetically in the panel.
 
     With an ``interval`` in minutes, only the last quote of each asset, session
-    and slot between two endpoints is kept (see ``_Quotes``); the panel then
-    serves ``compute_returns`` at that interval and at its multiples, and no other.
+    and slot between two endpoints is kept (see ``_Quotes``); the panel records
+    it as ``interval`` and serves ``compute_returns`` at that interval and at its
+    multiples, and no other. A regular file with a plain header is parsed in
+    byte ranges; any other source, or a file whose ranges refused, as one stream.
     """
     if interval is not None:
         _intervals_per_session(calendar, interval)
     if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
         parsed = _parse_in_ranges(source, calendar, interval)
         if parsed is not None:
-            return _panel(*parsed, calendar)
+            return _panel(*parsed, calendar, interval)
         # utf-8-sig drops a leading byte-order mark, as Excel's "CSV UTF-8" writes
         with open(source, "r", encoding="utf-8-sig", newline="") as fh:
-            return _parse_prices(fh, calendar, interval, own_file=True)
+            return _parse_prices(fh, calendar, interval)
     return _parse_prices(source, calendar, interval)
 
 
 def _parse_in_ranges(path, calendar, interval):
-    """(symbol codes, blocks of in-session quotes, off-session row count) of a large regular
-    file parsed in byte ranges, or None for ``_parse_prices`` to read it as one stream, which
-    words every fault.
+    """(symbol codes, blocks of in-session quotes, off-session row count) of a regular file
+    with a plain header parsed in byte ranges, or None for ``_parse_prices`` to read it as one
+    stream, which words every fault.
 
-    This process parses the first range while forked workers parse the others; the first
-    range in file order that is refused ends them all. A symbol's first quote in a range must
-    be later than its last in the ranges before; if not, the stream words the regression.
+    This process parses the first range, the only one below ``_PARALLEL_MIN_BYTES``, while
+    forked workers parse the others; the first range in file order that is refused ends them
+    all. A symbol's first quote in a range must be later than its last in the ranges before;
+    if not, the stream words the regression.
     """
     info = os.stat(path)
-    n_ranges = _range_count(info.st_size) if stat.S_ISREG(info.st_mode) else 0
-    ranges = _byte_ranges(path, info.st_size, n_ranges) if n_ranges else None
+    if not stat.S_ISREG(info.st_mode):
+        return None
+    n_ranges = _range_count(info.st_size)
+    ranges = _byte_ranges(path, info.st_size, n_ranges)
     if ranges is None:
         return None
     jobs = [(start, stop, calendar, interval) for start, stop in ranges]
@@ -353,9 +356,10 @@ def _byte_ranges(path, size: int, n: int):
 
 
 def _range_count(size: int) -> int:
-    """Byte ranges for a ``size``-byte file, the first parsed in this process; 0 for none."""
+    """Byte ranges for a ``size``-byte file, the first parsed in this process: one per usable
+    CPU, or one below ``_PARALLEL_MIN_BYTES``, on one CPU or while another thread runs."""
     cpus = _usable_cpus()
-    return worker_count(size, cpus, _PARALLEL_MIN_BYTES, cpus)
+    return worker_count(size, cpus, _PARALLEL_MIN_BYTES, cpus) or 1
 
 
 def _parse_range(path, job):
@@ -364,8 +368,9 @@ def _parse_range(path, job):
     ``start`` to ``stop``, for ``job`` = (start, stop, calendar, interval); None if a block is
     not plain, has a value fault or is not UTF-8, or a symbol's timestamps regress.
 
-    ``start`` is a line start. The bytes are read in blocks of whole lines, as ``_blocks``
-    reads a file, and each block goes through ``_Quotes``. Symbol codes are local.
+    ``start`` is a line start. The bytes are read in blocks of whole lines, about
+    ``_READ_BLOCK_CHARS`` bytes each, and each plain block goes through ``_columns`` and
+    ``_Quotes``. Symbol codes are local.
     """
     start, stop, calendar, interval = job
     codes = {}
@@ -392,24 +397,14 @@ def _parse_range(path, job):
     return quotes.blocks, quotes.excluded, list(codes), quotes.first, quotes.last
 
 
-def _blocks(stream, own_file):
-    """(text, lines) per block of whole lines; ``lines`` is None for a file load_prices opened.
-
-    That file gives the text ``readlines`` would, as it stops once its total exceeds the
-    hint. A caller's stream keeps ``readlines``: its newline mode decides where lines end.
-    """
-    while True:
-        if own_file:
-            text, lines = stream.read(_READ_BLOCK_CHARS) + stream.readline(), None
-        else:
-            lines = stream.readlines(_READ_BLOCK_CHARS)
-            text = "".join(lines)
-        if not text:
-            return
-        yield text, lines
+def _blocks(stream):
+    """(text, lines) per block of whole lines, as ``readlines`` splits them: the stream's
+    newline mode decides where its lines end."""
+    while lines := stream.readlines(_READ_BLOCK_CHARS):
+        yield "".join(lines), lines
 
 
-def _parse_prices(stream, calendar: TradingCalendar, interval, own_file=False) -> PricePanel:
+def _parse_prices(stream, calendar: TradingCalendar, interval) -> PricePanel:
     reader = csv.reader(stream)
     try:
         header = next(reader)
@@ -423,13 +418,12 @@ def _parse_prices(stream, calendar: TradingCalendar, interval, own_file=False) -
     codes = {}  # symbol -> integer code, in order of first appearance
     quotes = _Quotes(calendar, interval, codes)
     lineno = reader.line_num  # physical lines consumed so far
-    for text, lines in _blocks(stream, own_file):
+    for text, lines in _blocks(stream):
         parsed = _parse_plain_block(text, lineno)
-        if parsed is None or lines and len(lines) != parsed[1]:
+        if parsed is None or len(lines) != parsed[1]:
             # the row loop takes this block, or one whose stream ends lines elsewhere than
             # at "\n" (found before any value is read), and the rest of a record that
             # spans past its end; the block parser then tries the next block
-            lines = lines or io.StringIO(text, newline="").readlines()
             reader = csv.reader(chain(lines, stream))
             parsed = _parse_price_rows(reader, lineno, len(lines)), reader.line_num
         quotes.add(*_columns(*parsed[0], codes))
@@ -439,7 +433,7 @@ def _parse_prices(stream, calendar: TradingCalendar, interval, own_file=False) -
         line, code = quotes.regression
         raise PriceDataError(f"line {line}: timestamps for symbol {list(codes)[code]!r} "
                              "must be strictly increasing")
-    return _panel(codes, quotes.blocks, quotes.excluded, calendar)
+    return _panel(codes, quotes.blocks, quotes.excluded, calendar, interval)
 
 
 # sentinels of _Quotes' per-symbol timestamps: no valid timestamp is as early or as late
@@ -506,14 +500,12 @@ class _Quotes:
         self.blocks.append((secs.view("datetime64[s]"), code, px))
 
 
-def _panel(codes, blocks, excluded: int, calendar: TradingCalendar) -> PricePanel:
+def _panel(codes, blocks, excluded: int, calendar: TradingCalendar, interval) -> PricePanel:
     """The panel of ``blocks`` of in-session quotes, each grouped by symbol in file order,
     whose ``codes`` map symbols in order of first appearance; empties ``blocks``."""
     if not sum(block[0].size for block in blocks):
         raise PriceDataError("all rows fall outside trading sessions" if excluded
                              else "input contains no data rows")
-    if excluded:
-        logger.info("load_prices: excluded %d rows outside trading sessions", excluded)
     ts, code, px = (np.concatenate(column) for column in zip(*blocks))
     blocks.clear()  # the caller's list too: each column is held once from here on
 
@@ -532,6 +524,7 @@ def _panel(codes, blocks, excluded: int, calendar: TradingCalendar) -> PricePane
         quote_px=px,
         calendar=calendar,
         excluded_count=excluded,
+        interval=interval,
     )
 
 
@@ -666,9 +659,13 @@ def compute_returns(panel: PricePanel, interval: int) -> ReturnMatrix:
     return intervals. Endpoint prices resolve by previous tick within the
     session. If any asset has no price at or before an endpoint, every return
     column touching that endpoint is dropped for all assets, keeping the panel
-    aligned and every kept return spanning exactly one interval.
+    aligned and every kept return spanning exactly one interval. A panel that
+    ``load_prices`` cut to an interval serves only its multiples.
     """
     per_session = _intervals_per_session(panel.calendar, interval)
+    if panel.interval is not None and interval % panel.interval:
+        raise PriceDataError(f"interval {interval} min is not a multiple of the "
+                             f"{panel.interval} min interval that the panel was cut to")
 
     days = _distinct_sorted(panel.quote_ts.astype("datetime64[D]"))
     step = np.timedelta64(interval * 60, "s")

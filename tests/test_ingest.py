@@ -2,6 +2,7 @@
 
 import csv
 import datetime as dt
+import importlib.util
 import io
 import os
 import signal
@@ -9,6 +10,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -357,6 +359,31 @@ def test_load_prices_refuses_the_intervals_that_compute_returns_refuses(interval
         assert str(excinfo.value) == message
 
 
+def test_panel_cut_to_an_interval_refuses_any_other_but_its_multiples(tmp_path, monkeypatch):
+    # the ticks-async benchmark tape at seed 1; cut at 60 minutes, the panel lacks quotes
+    # that returns at 30 minutes read, which it would give in 152 columns against 153
+    spec = importlib.util.spec_from_file_location(
+        "_perfbench_workloads", Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclass looks itself up
+    spec.loader.exec_module(workloads)
+    path = tmp_path / "ticks.csv"
+    workloads.write_tick_tape(path, 1)
+    full, cut = load_prices(path, CAL), load_prices(path, CAL, interval=60)
+    assert (full.interval, cut.interval) == (None, 60)
+    assert cut.quote_ts.size < full.quote_ts.size
+    with pytest.raises(PriceDataError) as excinfo:
+        compute_returns(cut, 30)
+    assert str(excinfo.value) == ("interval 30 min is not a multiple of the 60 min interval "
+                                  "that the panel was cut to")
+    assert compute_returns(full, 30).n_observations == 153
+    for interval in (60, 120):
+        got, want = compute_returns(cut, interval), compute_returns(full, interval)
+        assert got.returns.tobytes() == want.returns.tobytes()
+        assert np.array_equal(got.timestamps, want.timestamps)
+        assert np.array_equal(got.session_dates, want.session_dates)
+
+
 def test_returns_scale_invariance():
     rows_a = full_session_rows("AAA", "2024-01-03", [100.0 + 3 * k for k in range(14)])
     rows_b = full_session_rows("AAA", "2024-01-03",
@@ -501,7 +528,7 @@ def no_fork():
 
 def test_ingest_peak_memory_per_row_from_a_path_in_one_process(tmp_path, monkeypatch):
     # the file above may be large enough for byte ranges, whose workers tracemalloc
-    # does not see; read whole, it is held to the same bound
+    # does not see; parsed as one range in this process, it is held to the same bound
     rows = 120_000
     path = tmp_path / "prices.csv"
     path.write_text(async_tape(30, rows, seed=3, sessions=6))
@@ -537,7 +564,7 @@ def test_ingest_peak_memory_cut_to_an_interval_does_not_grow_with_ticks(tmp_path
 
 def test_files_from_the_size_gate_on_are_cut_into_ranges(monkeypatch):
     monkeypatch.setattr(ingest, "_usable_cpus", lambda: 2)
-    assert ingest._range_count(ingest._PARALLEL_MIN_BYTES - 1) == 0
+    assert ingest._range_count(ingest._PARALLEL_MIN_BYTES - 1) == 1  # parsed in this process
     assert ingest._range_count(ingest._PARALLEL_MIN_BYTES) == 2
 
 

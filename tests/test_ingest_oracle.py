@@ -3,6 +3,7 @@
 import csv
 import datetime as dt
 import io
+import os
 import tempfile
 from pathlib import Path
 
@@ -65,8 +66,9 @@ POOL_CPUS = (2, 3)
 
 
 # newline="" splits lines as load_prices opens a file: at "\n", "\r\n" and a lone "\r".
-# Each case is also read from a file, which load_prices reads with its own block reader,
-# and then in byte ranges: the first in this process, the others in forked workers.
+# Each case is also read from a file, which load_prices parses as one byte range in this
+# process, and then in 2 and 3 byte ranges: the first in this process, the others in forked
+# workers. A file whose ranges refuse is read as one stream.
 def library_loads(text, calendar, block_chars=ingest._READ_BLOCK_CHARS, pool_cpus=POOL_CPUS,
                   interval=None):
     """The outcomes of load_prices from a stream, from a file, and from the file in byte
@@ -622,36 +624,22 @@ READER_CASES = {
 }
 
 
-def header_then(path, block_chars, read_blocks):
-    """The blocks that ``read_blocks`` takes from ``path`` opened as load_prices opens it,
-    after the header line, at ``block_chars``."""
-    with pytest.MonkeyPatch.context() as mp, open(path, encoding="utf-8-sig", newline="") as fh:
-        mp.setattr(ingest, "_READ_BLOCK_CHARS", block_chars)
-        fh.readline()
-        return read_blocks(fh)
-
-
 @pytest.mark.parametrize("block_chars", [29, 30, 31, 64, ingest._READ_BLOCK_CHARS])
 @pytest.mark.parametrize("case", READER_CASES)
-def test_file_blocks_are_the_lines_of_readlines(tmp_path, case, block_chars):
+def test_file_blocks_are_the_lines_of_readlines(case, block_chars):
     body = READER_CASES[case]
     if case == "crlf":
         assert body[29:31] == "\r\n"
     elif case == "lone-cr":
         assert body[29:31] == "\r2"
-    path = tmp_path / "prices.csv"
-    path.write_text(HEADER_LINE + body, encoding="utf-8", newline="")
-    got = header_then(path, block_chars, lambda fh: list(ingest._blocks(fh, True)))
-    want = header_then(path, block_chars,
-                       lambda fh: list(iter(lambda: fh.readlines(block_chars), [])))
-    assert [text for text, _ in got] == ["".join(lines) for lines in want]
-    assert all(lines is None for _, lines in got)
+    reference = io.StringIO(body, newline="")
+    want = list(iter(lambda: reference.readlines(block_chars), []))
     assert len(want) > 1 or block_chars > len(body)
-    # a caller's stream keeps its own lines
+    # a stream's blocks are its own lines: its newline mode decides where they end
     stream = io.StringIO(body, newline="")
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ingest, "_READ_BLOCK_CHARS", block_chars)
-        assert list(ingest._blocks(stream, False)) == [("".join(lines), lines) for lines in want]
+        assert list(ingest._blocks(stream)) == [("".join(lines), lines) for lines in want]
 
 
 # every character that str.strip removes and a field may hold: all the ASCII ones
@@ -718,6 +706,45 @@ def assert_same_outcome(got, want):
         assert got == want
     else:
         assert_same_panel(got, want)
+
+
+def test_plain_file_below_the_gate_is_one_range_in_this_process(tmp_path, monkeypatch):
+    def no_fork():
+        raise AssertionError("a process was started")
+
+    def whole_file(*args, **kwargs):
+        streamed.append(args)
+        return parse(*args, **kwargs)
+
+    streamed, parse = [], ingest._parse_prices
+    monkeypatch.setattr(ingest, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(ingest, "_parse_prices", whole_file)
+    monkeypatch.setattr(os, "fork", no_fork)
+    calendar, path = CALENDARS[0], tmp_path / "prices.csv"
+    text = tick_tape(1, calendar, blanks=False)  # padded fields and off-session rows
+    path.write_bytes(text.encode())
+    assert path.stat().st_size < ingest._PARALLEL_MIN_BYTES
+    assert_same_panel(load_prices(path, calendar), oracle_panel(text, calendar))
+    assert streamed == []
+    # one quoted record: the range refuses it, and the stream reads the file once
+    header, first, second, *rest = text.splitlines(keepends=True)
+    stamp_text, symbol, price = second.split(",")
+    quoted = "".join([header, first, f'{stamp_text},"{symbol}",{price}', *rest])
+    faults = {
+        "": None,
+        f"{stamp(DAYS[-1], 36000)},S0,cheap\n": "unparseable price 'cheap'",
+        f"{stamp(DAYS[0], 34200)},S0,1.0\n": "timestamps for symbol 'S0' must be strictly",
+    }
+    for last, message in faults.items():
+        path.write_bytes((quoted + last).encode())
+        streamed.clear()
+        got, want = outcome(load_prices, path, calendar), oracle_panel(quoted + last, calendar)
+        assert len(streamed) == 1
+        if message is None:
+            assert_same_panel(got, want)
+        else:
+            assert got == want
+            assert message in got
 
 
 @pytest.mark.parametrize("block_chars", BLOCK_CHARS)

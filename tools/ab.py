@@ -11,7 +11,9 @@ and attempted runs of each tree, then for each end-to-end metric both trees'
 medians, the parent's quartiles, in how many pairs the change read better (a
 tie counts for neither tree), and whether a gain claim holds: the change better
 in at least 9 pairs in 10, and its median better than the parent's by more than
-the parent's interquartile range.
+the parent's interquartile range. It then prints whether the no-regression rule
+holds: the change's median no worse than the parent's by more than the metric's
+``BENCHMARK.json`` ``bound``, a fraction of the parent's median.
 
 A harness run that prints no result counts as one failed run of its tree, and
 its pair is left out of the metrics.
@@ -61,7 +63,7 @@ def main() -> int:
         for cache in list(tree.rglob("__pycache__")):
             shutil.rmtree(cache)
     spec = json.loads((trees["change"] / "BENCHMARK.json").read_text())
-    lower_is_better = {m["name"]: m["better"] == "lower" for m in spec["end_to_end"]}
+    metrics = {m["name"]: m for m in spec["end_to_end"]}
 
     pairs, failed, attempted = [], dict.fromkeys(trees, 0), dict.fromkeys(trees, 0)
     for k in range(opts.pairs):
@@ -90,7 +92,8 @@ def main() -> int:
         parent = [pair["parent"][name] for pair in pairs]
         change = [pair["change"][name] for pair in pairs]
         # a workload's metric is named "<workload>.<metric>" when the harness runs them all
-        sign = 1 if lower_is_better.get(name.rsplit(".", 1)[-1], True) else -1
+        metric = metrics.get(name.rsplit(".", 1)[-1], {})
+        sign = -1 if metric.get("better") == "higher" else 1
         q1, _, q3 = statistics.quantiles(parent, n=4)
         better = sum(sign * (p - c) > 0 for p, c in zip(parent, change))
         gap = sign * (statistics.median(parent) - statistics.median(change))
@@ -99,6 +102,11 @@ def main() -> int:
               f"{q3:.4g}), change median {statistics.median(change):.4g}, "
               f"change better {better}/{len(pairs)}; gain claim "
               f"{'holds' if claim else 'does not hold'}")
+        if "bound" in metric:
+            allowed = metric["bound"] * abs(statistics.median(parent))
+            print(f"{name}: change worse by {-gap:.4g} against {allowed:.4g} allowed "
+                  f"({metric['bound']:.0%} of the parent's median); no-regression rule "
+                  f"{'holds' if -gap <= allowed else 'FAILS'}")
     return 0
 
 
