@@ -13,14 +13,15 @@ def usable_cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
-def worker_count(size: int, n_jobs: int, min_size: int, cpus: int) -> int:
-    """Workers for ``n_jobs`` jobs on ``cpus`` CPUs, this process included; 0 to run them
-    all in this process, as for an input whose ``size`` (rows or bytes: the unit of
-    ``min_size``) is below ``min_size``. A fork could copy a lock that another thread
-    holds, so none may run."""
-    workers = min(cpus, n_jobs)
-    can_fork = hasattr(os, "fork") and threading.active_count() == 1
-    return workers if can_fork and size >= min_size and workers > 1 else 0
+def processes(size: int, min_size: int, n_jobs=None) -> int:
+    """Processes that a step of ``n_jobs`` jobs (None: any number) uses on
+    an input of ``size`` (rows or bytes: the unit of ``min_size``), this one included: one
+    per CPU this process may use (so ``taskset`` limits them) and at most one per job, from
+    ``min_size`` on. Otherwise 1, this process alone, as where the platform cannot fork or
+    another thread runs: a fork could copy a lock that the thread holds."""
+    if size < min_size or not hasattr(os, "fork") or threading.active_count() > 1:
+        return 1
+    return min(usable_cpus(), n_jobs or usable_cpus())
 
 
 @contextmanager

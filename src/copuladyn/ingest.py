@@ -9,34 +9,34 @@ timestamps. Given a return interval, ingest keeps only the last quote of each
 asset, session and slot between two endpoints, so the panel grows with the
 endpoints instead.
 
-A path to a regular file whose header is one plain line is parsed in byte
-ranges cut at line starts: one per CPU this process may use, or one, parsed in
-this process, below ``_PARALLEL_MIN_BYTES`` bytes, on one CPU, while another
-thread runs or where the platform cannot fork. This process parses the first
-and forked workers the others (this process all of them if a fork fails). A
-range is read in blocks of whole lines, about ``_READ_BLOCK_CHARS`` bytes each,
-whose line ends and commas numpy finds. Each must be plain (no quote, no lone
-carriage return, two commas on every line that is not empty, no line over
+A path to a regular file whose header is one plain line is parsed in byte ranges
+cut at line starts, one per process that ``_pool.processes`` grants a file of
+its size, with ``_PARALLEL_MIN_BYTES`` as the gate. This process parses the
+first and forked workers the others (this process all of them if a fork fails).
+A range is read in blocks of whole lines, about ``_READ_BLOCK_CHARS`` bytes
+each, whose line ends and commas numpy finds. Each must be plain (no quote, no
+lone carriage return, two commas on every line that is not empty, no line over
 ``csv.field_size_limit()``), and is split column-wise with whole-block calls,
 skipping empty lines as ``csv.reader`` does (a line of spaces is not empty).
 ``_columns`` converts its fields, and ``_Quotes`` drops its off-session rows,
 groups the rest by symbol and, given an interval, keeps each slot's last quote.
 A range hands back its kept quotes, its off-session row count and each symbol's
-first and last in-session timestamp under its own symbol codes, which are
-merged in file order; each symbol's first timestamp in a range must be later
-than its last in the ranges before.
+first and last in-session timestamp under its own symbol codes, which are merged
+in file order; each symbol's first timestamp in a range must be later than its
+last in the ranges before.
 
 A block that is not plain, a value fault, a timestamp regression, a byte that is
 not UTF-8 or a regression at a range boundary drops every range and ends the
 workers still parsing. The file is then read as one stream in ``readlines``
 blocks, as are a caller's stream, any other path and a file with another header.
-A stream's plain blocks are parsed as above, and any other block by a row loop on
-``csv.reader``, which handles quoted fields and records spanning lines, up to the
-first record boundary at or after the block's end. ``_columns`` words every value
-fault, the row loop only field counts and tokeniser errors; the first row fault
-in the file is reported, by its physical line. ``_Quotes`` notes the earliest
-per-symbol timestamp regression, raised after the last block, so that a value
-fault anywhere in the file is reported first.
+A stream's plain blocks are parsed as above, and any other block by a row loop
+on ``csv.reader``, which handles quoted fields and records spanning lines, up to
+the first record boundary at or after the block's end. ``_columns`` words every
+value fault, the row loop only field counts and tokeniser errors; the first row
+fault in the file is reported, by its physical line. ``_utf8`` words a byte that
+is not UTF-8 by its line when its block is read, before the block's rows.
+``_Quotes`` notes the earliest per-symbol timestamp regression, raised after the
+last block, so that a value fault anywhere in the file is reported first.
 
 Returns are arithmetic, r(t) = (P(t + dt) - P(t)) / P(t), computed on a fixed
 per-session endpoint grid (session open, open + dt, ...). Prices at endpoints
@@ -59,7 +59,7 @@ from itertools import chain, takewhile
 
 import numpy as np
 
-from ._pool import ordered, usable_cpus as _usable_cpus, worker_count
+from ._pool import ordered, processes
 
 __all__ = [
     "PriceDataError",
@@ -275,6 +275,8 @@ _PARALLEL_MIN_BYTES = 4 << 20
 # as one physical line holding exactly the header's fields
 _HEADER_LINES = tuple(bom + ",".join(_HEADER).encode() + end
                       for bom in (b"", codecs.BOM_UTF8) for end in (b"\n", b"\r\n"))
+# what a byte that is not UTF-8 decodes to under errors="surrogateescape"
+_NOT_UTF8 = re.compile("[\udc80-\udcff]")
 
 
 def load_prices(source, calendar: TradingCalendar, interval=None) -> PricePanel:
@@ -297,8 +299,10 @@ def load_prices(source, calendar: TradingCalendar, interval=None) -> PricePanel:
         parsed = _parse_in_ranges(source, calendar, interval)
         if parsed is not None:
             return _panel(*parsed, calendar, interval)
-        # utf-8-sig drops a leading byte-order mark, as Excel's "CSV UTF-8" writes
-        with open(source, "r", encoding="utf-8-sig", newline="") as fh:
+        # utf-8-sig drops a leading byte-order mark, as Excel's "CSV UTF-8" writes; _utf8
+        # finds the line of a byte that is not UTF-8
+        with open(source, "r", encoding="utf-8-sig", errors="surrogateescape",
+                  newline="") as fh:
             return _parse_prices(fh, calendar, interval)
     return _parse_prices(source, calendar, interval)
 
@@ -308,15 +312,15 @@ def _parse_in_ranges(path, calendar, interval):
     with a plain header parsed in byte ranges, or None for ``_parse_prices`` to read it as one
     stream, which words every fault.
 
-    This process parses the first range, the only one below ``_PARALLEL_MIN_BYTES``, while
-    forked workers parse the others; the first range in file order that is refused ends them
-    all. A symbol's first quote in a range must be later than its last in the ranges before;
+    One range per process of ``_pool.processes``: this process parses the first, forked
+    workers the others; the first range in file order that is refused ends them all. A
+    symbol's first quote in a range must be later than its last in the ranges before;
     if not, the stream words the regression.
     """
     info = os.stat(path)
     if not stat.S_ISREG(info.st_mode):
         return None
-    n_ranges = _range_count(info.st_size)
+    n_ranges = processes(info.st_size, _PARALLEL_MIN_BYTES)
     ranges = _byte_ranges(path, info.st_size, n_ranges)
     if ranges is None:
         return None
@@ -353,13 +357,6 @@ def _byte_ranges(path, size: int, n: int):
             raw.readline()  # to the first line start at or after the k-th share
             cuts.append(raw.tell())
     return list(zip(cuts, cuts[1:] + [size]))
-
-
-def _range_count(size: int) -> int:
-    """Byte ranges for a ``size``-byte file, the first parsed in this process: one per usable
-    CPU, or one below ``_PARALLEL_MIN_BYTES``, on one CPU or while another thread runs."""
-    cpus = _usable_cpus()
-    return worker_count(size, cpus, _PARALLEL_MIN_BYTES, cpus) or 1
 
 
 def _parse_range(path, job):
@@ -404,8 +401,18 @@ def _blocks(stream):
         yield "".join(lines), lines
 
 
+def _utf8(lines, lineno: int):
+    """Yield ``lines``, the first of which is line ``lineno + 1``; raise PriceDataError at the
+    first that holds a byte that is not UTF-8, which a file read by ``load_prices`` decodes to
+    one of U+DC80 to U+DCFF."""
+    for n, line in enumerate(lines, lineno + 1):
+        if not line.isascii() and (bad := _NOT_UTF8.search(line)):
+            raise PriceDataError(f"line {n}: byte {ord(bad[0]) - 0xDC00:#04x} is not UTF-8")
+        yield line
+
+
 def _parse_prices(stream, calendar: TradingCalendar, interval) -> PricePanel:
-    reader = csv.reader(stream)
+    reader = csv.reader(_utf8(stream, 0))
     try:
         header = next(reader)
     except StopIteration:
@@ -419,12 +426,14 @@ def _parse_prices(stream, calendar: TradingCalendar, interval) -> PricePanel:
     quotes = _Quotes(calendar, interval, codes)
     lineno = reader.line_num  # physical lines consumed so far
     for text, lines in _blocks(stream):
+        if not text.isascii() and _NOT_UTF8.search(text):
+            list(_utf8(lines, lineno))  # raises at its line, before any row of the block
         parsed = _parse_plain_block(text, lineno)
         if parsed is None or len(lines) != parsed[1]:
             # the row loop takes this block, or one whose stream ends lines elsewhere than
             # at "\n" (found before any value is read), and the rest of a record that
             # spans past its end; the block parser then tries the next block
-            reader = csv.reader(chain(lines, stream))
+            reader = csv.reader(chain(lines, _utf8(stream, lineno + len(lines))))
             parsed = _parse_price_rows(reader, lineno, len(lines)), reader.line_num
         quotes.add(*_columns(*parsed[0], codes))
         lineno += parsed[1]

@@ -6,13 +6,11 @@ Gaussian panels use a single common factor plus idiosyncratic noise for c >= 0
 (exact population correlation c between every pair); mildly negative
 equicorrelation falls back to a Cholesky factor of the equicorrelation matrix.
 
-``write_price_csv`` formats one session at a time. A panel of at least
-``_PARALLEL_MIN_ROWS`` output rows has its sessions shared between this process
-and forked worker processes, one process per CPU this process may use (so
-``taskset`` limits them) and at most one per session, when that makes two or
-more and no other thread runs. The workers send UTF-8 bytes back over pipes,
-and a path gets them unchanged; the bytes it writes do not depend on the number
-of workers.
+``write_price_csv`` formats one session at a time, shared between this
+process and forked worker processes: as many as ``_pool.processes`` grants its
+output rows, with ``_PARALLEL_MIN_ROWS`` as the gate and sessions as jobs. The
+workers send UTF-8 bytes back over pipes, and a path gets them unchanged; the
+bytes it writes do not depend on the number of workers.
 """
 
 from __future__ import annotations
@@ -24,7 +22,7 @@ from itertools import chain
 
 import numpy as np
 
-from ._pool import ordered, usable_cpus as _usable_cpus, worker_count
+from ._pool import ordered, processes
 from .copula import _rows_text, _write_texts
 from .ingest import _HEADER, ReturnMatrix, TradingCalendar
 
@@ -153,12 +151,9 @@ def write_price_csv(
     requires; this is checked before ``destination`` is opened, so a rejected
     call leaves an existing file as it was and starts no process.
 
-    The rows are formatted one session at a time and written in order. A
-    panel of at least ``_PARALLEL_MIN_ROWS`` rows has its sessions shared
-    between this process and forked worker processes, one process per usable
-    CPU and at most one per session, when that makes two or more, no other
-    thread runs and the platform can fork; otherwise this process formats them
-    all. The bytes are the same either way.
+    The rows are formatted one session at a time, in the processes that
+    ``_pool.processes`` grants (see the module docstring), and written in
+    order. The bytes are the same whatever the number of processes.
     """
     if not (math.isfinite(base_price) and base_price > 0.0):
         raise ValueError(f"base_price must be finite and positive, got {base_price!r}")
@@ -190,7 +185,7 @@ def write_price_csv(
 
     header = ",".join(_HEADER) + "\n"
     inputs = (paths, list(matrix.asset_ids), opens, cols, step)
-    workers = _worker_count((matrix.n_observations + days.size) * k, days.size)
+    workers = processes((matrix.n_observations + days.size) * k, _PARALLEL_MIN_ROWS, days.size)
 
     def work(session):  # forked workers see the price paths through this closure
         return _format_session(inputs, session).encode()
@@ -217,8 +212,3 @@ def _format_session(inputs, session: int) -> str:
     prices = map(repr, paths[:, first:last + 1].T.ravel().tolist())
     return _rows_text([[iso for iso in stamps for _ in names], names * len(stamps), prices])
 
-
-def _worker_count(rows: int, n_sessions: int) -> int:
-    """Processes, this one included, for ``n_sessions`` sessions of ``rows`` rows in all; 0
-    to format in this process alone."""
-    return worker_count(rows, n_sessions, _PARALLEL_MIN_ROWS, _usable_cpus())

@@ -261,10 +261,7 @@ def windowed_reports(
 ) -> list:
     """Window reports for the whole panel, in chronological order, each equal to
     ``window_report`` on its window; the first window that fails raises its fault."""
-    parts = partition_windows(matrix, window_days)
-    if matrix.n_assets < 2:
-        raise ValueError("need at least two assets to form pairs")
-    return _reports(parts, resolution, alphas, upper_convention)
+    return _reports(partition_windows(matrix, window_days), resolution, alphas, upper_convention)
 
 
 def _reports(windows, resolution: int, alphas, upper_convention: str) -> list:

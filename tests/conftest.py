@@ -2,6 +2,7 @@ import multiprocessing
 import os
 import stat
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 import copuladyn  # noqa: E402
+from copuladyn import _pool  # noqa: E402
 
 # CLI tests run `python -m copuladyn` in subprocesses; they must import the
 # same package as this process, which pytest's `pythonpath` setting alone does
@@ -24,6 +26,32 @@ os.environ["PYTHONPATH"] = os.pathsep.join(
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+# each pooled module's gate: the input size from which ``_pool.processes`` may grant it more
+# than this process
+GATES = {"copuladyn.ingest": "_PARALLEL_MIN_BYTES", "copuladyn.synth": "_PARALLEL_MIN_ROWS"}
+
+
+def use_pool(mp, module, cpus):
+    """Let ``module``'s pooled step see ``cpus`` usable CPUs and no minimum size, patched
+    through ``mp``. Returns the list that collects the process count that each of its calls
+    of ``_pool.processes`` gets, 1 for a step run in this process alone."""
+    def processes(*args):
+        counts.append(_pool.processes(*args))
+        return counts[-1]
+
+    counts = []
+    mp.setattr(_pool, "usable_cpus", lambda: cpus)
+    mp.setattr(module, GATES[module.__name__], 0)
+    mp.setattr(module, "processes", processes)
+    return counts
+
+
+@pytest.fixture
+def pool(monkeypatch):
+    """``pool(module, cpus)``: ``use_pool`` for the rest of the test."""
+    return partial(use_pool, monkeypatch)
 
 
 @pytest.fixture(autouse=True)

@@ -505,7 +505,7 @@ def _contents(out: Path) -> dict:
 
 
 @pytest.mark.parametrize("command", ["taildep", "dynamics", "synth"])
-def test_failed_fork_runs_every_job_in_process(tmp_path, monkeypatch, price_file, command):
+def test_failed_fork_runs_every_job_in_process(tmp_path, monkeypatch, pool, price_file, command):
     # with no pool minimum, two usable CPUs and every os.fork failing, as at the process
     # limit, each pool runs its jobs in this process: the input is still parsed in byte
     # ranges, and the outputs equal those of a run whose pools stay below their minimum
@@ -524,9 +524,8 @@ def test_failed_fork_runs_every_job_in_process(tmp_path, monkeypatch, price_file
     }[command]
     assert cli.main([*args, "--out", str(tmp_path / "one")]) == cli.EXIT_OK
     forks, streamed, parse = [], [], ingest._parse_prices
-    for module, minimum in ((ingest, "_PARALLEL_MIN_BYTES"), (synth, "_PARALLEL_MIN_ROWS")):
-        monkeypatch.setattr(module, minimum, 0)
-        monkeypatch.setattr(module, "_usable_cpus", lambda: 2)
+    for module in (ingest, synth):
+        pool(module, 2)
     monkeypatch.setattr(ingest, "_parse_prices", whole_file)
     monkeypatch.setattr(os, "fork", fork)
     assert cli.main([*args, "--out", str(tmp_path / "forked")]) == cli.EXIT_OK
@@ -605,10 +604,17 @@ def _with_ticks_inside_slots(rows):
         yield row
 
 
+def _renamed_in_order(rows):
+    # a common prefix keeps the symbols' alphabetical order, and so the panel's asset order
+    for row in rows:
+        stamp, symbol, price = row.split(",")
+        yield f"{stamp},ZZ{symbol},{price}"
+
+
 @pytest.mark.parametrize("relation", [_doubled, _grouped_by_symbol, _with_pre_open_rows,
-                                      _with_ticks_inside_slots],
+                                      _with_ticks_inside_slots, _renamed_in_order],
                          ids=["prices doubled", "rows grouped by symbol", "pre-open rows",
-                              "ticks inside slots"])
+                              "ticks inside slots", "symbols renamed in order"])
 def test_metamorphic_tape_keeps_every_output(tmp_path, price_file, relation):
     # SYN000 never quotes at the open, so a pre-open quote let through would set its open price
     lines = price_file.read_text().splitlines()

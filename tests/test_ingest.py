@@ -24,7 +24,8 @@ from copuladyn import (
     load_calendar,
     load_prices,
 )
-from copuladyn import ingest
+from copuladyn import _pool, ingest
+from conftest import use_pool
 from oracles import weekday_session_mask
 
 CAL = TradingCalendar()
@@ -563,9 +564,10 @@ def test_ingest_peak_memory_cut_to_an_interval_does_not_grow_with_ticks(tmp_path
 
 
 def test_files_from_the_size_gate_on_are_cut_into_ranges(monkeypatch):
-    monkeypatch.setattr(ingest, "_usable_cpus", lambda: 2)
-    assert ingest._range_count(ingest._PARALLEL_MIN_BYTES - 1) == 1  # parsed in this process
-    assert ingest._range_count(ingest._PARALLEL_MIN_BYTES) == 2
+    monkeypatch.setattr(_pool, "usable_cpus", lambda: 2)
+    gate = ingest._PARALLEL_MIN_BYTES
+    assert _pool.processes(gate - 1, gate) == 1  # parsed in this process
+    assert _pool.processes(gate, gate) == 2
 
 
 # copies a file into a FIFO
@@ -587,8 +589,7 @@ def test_fifo_path_is_read_as_a_stream(tmp_path, monkeypatch):
     signal.alarm(30)
     try:
         with monkeypatch.context() as mp:
-            mp.setattr(ingest, "_PARALLEL_MIN_BYTES", 0)
-            mp.setattr(ingest, "_usable_cpus", lambda: 2)
+            use_pool(mp, ingest, 2)
             mp.setattr(os, "fork", no_fork)
             panel = load_prices(fifo, CAL)
         assert writer.wait(timeout=30) == 0
@@ -604,7 +605,7 @@ def test_fifo_path_is_read_as_a_stream(tmp_path, monkeypatch):
     # no_stray_processes (conftest.py) then finds no child process, running or unreaped
 
 
-def test_refused_first_range_ends_the_workers(tmp_path, monkeypatch):
+def test_refused_first_range_ends_the_workers(tmp_path, monkeypatch, pool):
     def slow_in_workers(path, bounds):
         if os.getpid() != caller:
             time.sleep(60)  # past the deadline, unless the worker is ended
@@ -619,8 +620,7 @@ def test_refused_first_range_ends_the_workers(tmp_path, monkeypatch):
     path = tmp_path / "prices.csv"
     path.write_text(text)
     caller, parse_range = os.getpid(), ingest._parse_range
-    monkeypatch.setattr(ingest, "_PARALLEL_MIN_BYTES", 0)
-    monkeypatch.setattr(ingest, "_usable_cpus", lambda: 2)
+    pool(ingest, 2)
     monkeypatch.setattr(ingest, "_parse_range", slow_in_workers)
     previous = signal.signal(signal.SIGALRM, hung)
     signal.alarm(30)

@@ -13,7 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from copuladyn import PriceDataError, PricePanel, TradingCalendar, compute_returns, load_prices
-from copuladyn import ingest
+from copuladyn import _pool, ingest
+from conftest import use_pool
 from oracles import parse_price_rows, session_returns
 
 HOLIDAY = dt.date(2024, 1, 15)  # a Monday
@@ -43,20 +44,11 @@ def use_ranges(mp, cpus):
     Returns a list that gets the range count of each file load, then "whole file"
     for a load that dropped its ranges and read the file as one stream.
     """
-    seen = []
-
-    def range_count(size):
-        seen.append(count(size))
-        return seen[-1]
-
     def whole_file(*args, **kwargs):
         seen.append("whole file")
         return parse(*args, **kwargs)
 
-    count, parse = ingest._range_count, ingest._parse_prices
-    mp.setattr(ingest, "_PARALLEL_MIN_BYTES", 0)
-    mp.setattr(ingest, "_usable_cpus", lambda: cpus)
-    mp.setattr(ingest, "_range_count", range_count)
+    seen, parse = use_pool(mp, ingest, cpus), ingest._parse_prices
     mp.setattr(ingest, "_parse_prices", whole_file)
     return seen
 
@@ -527,6 +519,50 @@ def test_quoted_record_across_a_block_boundary(monkeypatch, block_chars, fault):
     assert used[:3] == [("plain", 2), ("rows", second), ("plain", start + 2)]
 
 
+def not_utf8_case(case, block_chars):
+    """(bytes, the message that load_prices gives) for one case of a byte that is not UTF-8,
+    most of them at the second line of the third block that load_prices reads."""
+    lines = good_lines(3 * block_chars // 30 + 9)
+    third = block_starts(lines, block_chars)[2]  # physical line n is lines[n - 2]
+    at, fault = third + 1, None
+    if case == "in the header":
+        at = 1
+    elif case == "past a quoted block":
+        # a quoted record from the second block's last line on: the row loop reads its
+        # second physical line, the third block's first, past the block's end
+        ts_text, symbol, _ = lines[third - 3].split(",")
+        lines[third - 3:third - 2] = [f'{ts_text},"{symbol}{symbol}\n', f'{symbol}",100.0\n']
+        at = third
+        assert at in block_starts(lines, block_chars)
+    elif case == "value fault in that block":  # the byte still wins
+        fault = third
+    elif case == "value fault in an earlier block":  # the fault wins
+        fault = third - 1
+    if fault:
+        lines[fault - 2] = lines[fault - 2].replace("100.0", "cheap")
+    data = [line.encode() for line in [HEADER_LINE, *lines]]
+    data[at - 1] = data[at - 1].replace(b"100.0", b"10\xff0.0").replace(b"price", b"pr\xffce")
+    if case == "value fault in an earlier block":
+        return b"".join(data), f"line {fault}: unparseable price 'cheap'"
+    return b"".join(data), f"line {at}: byte 0xff is not UTF-8"
+
+
+@pytest.mark.parametrize("block_chars", BLOCK_CHARS)
+@pytest.mark.parametrize("case", ["in a block", "in the header", "past a quoted block",
+                                  "value fault in that block", "value fault in an earlier block"])
+def test_byte_that_is_not_utf8_is_reported_by_its_line(tmp_path, block_chars, case):
+    data, message = not_utf8_case(case, block_chars)
+    # a caller's stream that holds what load_prices decodes a file to
+    stream = io.StringIO(data.decode("utf-8", "surrogateescape"), newline="")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ingest, "_READ_BLOCK_CHARS", block_chars)
+        assert outcome(load_prices, stream, CALENDARS[0]) == message
+    for cpus in (1, 2):  # one byte range in this process, then 2
+        got, seen, _ = load_file(tmp_path, data, cpus, block_chars)
+        assert got == message
+        assert seen == [cpus, "whole file"]
+
+
 @pytest.mark.parametrize("block_chars", BLOCK_CHARS)
 @pytest.mark.parametrize("fault", [None, "price", "regression"])
 def test_quoted_line_3_hands_back_to_the_block_parser(tmp_path, monkeypatch, block_chars,
@@ -717,7 +753,7 @@ def test_plain_file_below_the_gate_is_one_range_in_this_process(tmp_path, monkey
         return parse(*args, **kwargs)
 
     streamed, parse = [], ingest._parse_prices
-    monkeypatch.setattr(ingest, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(_pool, "usable_cpus", lambda: 2)
     monkeypatch.setattr(ingest, "_parse_prices", whole_file)
     monkeypatch.setattr(os, "fork", no_fork)
     calendar, path = CALENDARS[0], tmp_path / "prices.csv"
@@ -872,15 +908,11 @@ def test_regression_across_a_range_boundary_when_cut(tmp_path, cpus):
 
 @pytest.mark.parametrize("cpus", POOL_CPUS)
 def test_undecodable_byte_in_a_later_range(tmp_path, cpus):
-    def message(*args):
-        with pytest.raises(UnicodeDecodeError) as excinfo:
-            args[0](*args[1:])
-        return str(excinfo.value)
-
-    got = message(last_range_case, tmp_path, cpus, b"2024-01-03T10:00:00,\xff,5.0\n")
-    want = message(load_prices, tmp_path / "prices.csv", CALENDARS[0])  # as a stream
+    got, seen, _ = last_range_case(tmp_path, cpus, b"2024-01-03T10:00:00,\xff,5.0\n")
+    want = outcome(load_prices, tmp_path / "prices.csv", CALENDARS[0])  # as a stream
     assert got == want
-    assert "can't decode byte 0xff" in got
+    assert got == "line 62: byte 0xff is not UTF-8"
+    assert seen == [cpus, "whole file"]
 
 
 @pytest.mark.parametrize("cpus", POOL_CPUS)

@@ -4,13 +4,15 @@ import ast
 import errno
 import os
 import signal
+import threading
 import time
 from pathlib import Path
 
 import pytest
 
 import copuladyn
-from copuladyn._pool import ordered
+from copuladyn import _pool, ingest, synth
+from copuladyn._pool import ordered, processes
 
 BIG = 1 << 20  # bytes in a result: far past a pipe's 64 KiB buffer
 
@@ -100,6 +102,47 @@ def test_caller_that_leaves_early_ends_the_workers():
     with ordered(work, [0, 1], 2) as results:
         assert next(results) == 0  # the caller's own job, then it leaves before the worker's
     # no_stray_processes (conftest.py) then finds no child process, running or unreaped
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_processes_from_the_gate_on_are_one_per_cpu_and_job(monkeypatch, cpus):
+    monkeypatch.setattr(_pool, "usable_cpus", lambda: cpus)
+    assert processes(99, 100) == processes(99, 100, 5) == 1  # below the gate: this process
+    for size in (100, 10**9):
+        assert processes(size, 100) == cpus
+        assert [processes(size, 100, n_jobs) for n_jobs in (1, 2, 5)] == [
+            min(cpus, n_jobs) for n_jobs in (1, 2, 5)]
+
+
+@pytest.mark.parametrize("reason", ["another thread runs", "no os.fork"])
+def test_processes_stay_one_when_it_cannot_fork(monkeypatch, reason):
+    monkeypatch.setattr(_pool, "usable_cpus", lambda: 4)
+    release = threading.Event()
+    other = threading.Thread(target=release.wait, args=(10,))
+    if reason == "another thread runs":
+        other.start()
+    else:
+        monkeypatch.delattr(os, "fork")
+    try:
+        assert processes(100, 0) == processes(100, 0, 8) == 1
+    finally:
+        release.set()
+        if other.ident is not None:
+            other.join(10)
+    assert not other.is_alive()
+    assert processes(100, 0, 8) == (1 if reason == "no os.fork" else 4)
+
+
+def test_benchmark_inputs_keep_their_process_counts_on_2_cpus(monkeypatch):
+    monkeypatch.setattr(_pool, "usable_cpus", lambda: 2)
+    # the seed-1 ticks-async tape (7,826,871 bytes) is cut into 2 byte ranges; the
+    # wide-diff and dynamics-windows inputs (1,828,990 and 2,200,182 bytes) are one
+    assert [processes(size, ingest._PARALLEL_MIN_BYTES)
+            for size in (7_826_871, 1_828_990, 2_200_182)] == [2, 1, 1]
+    # synth-write's 700,000 rows in 500 sessions take 2 processes; the 42,000 and 50,400
+    # rows of the factor panels that perfbench writes in its own process stay there
+    assert [processes(rows, synth._PARALLEL_MIN_ROWS, sessions)
+            for rows, sessions in ((700_000, 500), (42_000, 100), (50_400, 200))] == [2, 1, 1]
 
 
 def _imported_modules(tree) -> set:

@@ -36,18 +36,17 @@ note("import copuladyn")
 from copuladyn.cli import main
 note("import copuladyn.cli")
 seen["import copuladyn.cli loads numpy.ma"] = "numpy.ma" in sys.modules
-from copuladyn import synth
+from copuladyn import _pool, synth
 
 workers = []
-real_count = synth._worker_count
 
 
-def worker_count(rows, n_sessions):
-    workers.append(real_count(rows, n_sessions))
+def processes(*args):
+    workers.append(_pool.processes(*args))
     return workers[-1]
 
 
-synth._worker_count = worker_count
+synth.processes = processes
 prices = str(out / "data" / "prices.csv")
 runs = [
     ("synth", ["synth", "--assets", "3", "--length", "40", "--seed", "3",
@@ -64,7 +63,7 @@ runs = [
 for name, argv in runs:
     if name == "synth in 2 workers":
         synth._PARALLEL_MIN_ROWS = 0
-        synth._usable_cpus = lambda: 2
+        _pool.usable_cpus = lambda: 2
     if main(argv) != 0:
         raise SystemExit(f"{name} failed")
     note(name)
@@ -82,7 +81,7 @@ def test_no_command_loads_scipy(tmp_path):
     steps = ["import copuladyn", "import copuladyn.cli", "synth", "synth in 2 workers", "copula",
              "taildep", "diff", "dynamics"]
     expected = {step: False for step in steps}
-    expected["workers"] = [0, 2]
+    expected["workers"] = [1, 2]
     for step in steps:
         expected[f"{step} loads multiprocessing"] = False
         expected[f"{step} loads concurrent.futures"] = False
@@ -96,17 +95,17 @@ import json, sys
 from pathlib import Path
 
 out = Path(sys.argv[1])
-from copuladyn import ingest
+from copuladyn import _pool, ingest
 from copuladyn.cli import main
 
 if main(["synth", "--assets", "3", "--length", "400", "--seed", "3", "--out", str(out / "data")]):
     raise SystemExit("synth failed")
 ranges = []
-real_count, real_parse = ingest._range_count, ingest._parse_prices
+real_parse = ingest._parse_prices
 
 
-def range_count(size):
-    ranges.append(real_count(size))
+def processes(*args):
+    ranges.append(_pool.processes(*args))
     return ranges[-1]
 
 
@@ -115,9 +114,9 @@ def parse_prices(*args, **kwargs):
     return real_parse(*args, **kwargs)
 
 
-ingest._range_count, ingest._parse_prices = range_count, parse_prices
+ingest.processes, ingest._parse_prices = processes, parse_prices
 ingest._PARALLEL_MIN_BYTES = 0
-ingest._usable_cpus = lambda: 2
+_pool.usable_cpus = lambda: 2
 if main(["taildep", "--input", str(out / "data" / "prices.csv"), "--grid", "4",
          "--out", str(out / "t")]):
     raise SystemExit("taildep failed")

@@ -17,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import use_pool
 from oracles import (
     difference_csv_text,
     grid_csv_text,
@@ -25,7 +26,7 @@ from oracles import (
     tail_curve_csv_text,
 )
 
-from copuladyn import cli, copula, synth
+from copuladyn import _pool, cli, copula, synth
 from copuladyn.copula import (
     CopulaGrid,
     average_pairwise_density,
@@ -334,32 +335,13 @@ def test_relation_csv_matches_oracle(tmp_path, name, destination):
     assert text == relation_csv_text(reports)
 
 
-def use_pool(monkeypatch, cpus):
-    """Let ``write_price_csv`` see ``cpus`` usable CPUs and no minimum size for its pool.
-
-    Returns the list that collects the worker count of each call, 0 for one
-    formatted in this process.
-    """
-    counts = []
-
-    def worker_count(rows, n_sessions):
-        counts.append(real(rows, n_sessions))
-        return counts[-1]
-
-    real = synth._worker_count
-    monkeypatch.setattr(synth, "_PARALLEL_MIN_ROWS", 0)
-    monkeypatch.setattr(synth, "_usable_cpus", lambda: cpus)
-    monkeypatch.setattr(synth, "_worker_count", worker_count)
-    return counts
-
-
 def test_price_csv_peak_memory_per_row(tmp_path, monkeypatch):
     mat = sample_panel(SynthSpec("gaussian", 20, 6500, 1, 0.3))
     target = tmp_path / "prices.csv"
     # both paths, looped so that the test id stays: in this process, then in a pool of 2
     for cpus in (1, 2):
         with monkeypatch.context() as mp:
-            counts = use_pool(mp, cpus)
+            counts = use_pool(mp, synth, cpus)
             write_price_csv(mat, CAL, target)  # warm up: one-time allocations stay unmeasured
             tracemalloc.start()
             try:
@@ -367,7 +349,7 @@ def test_price_csv_peak_memory_per_row(tmp_path, monkeypatch):
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-        assert counts == [0 if cpus == 1 else 2] * 2
+        assert counts == [cpus] * 2
         rows = target.read_bytes().count(b"\n") - 1
         assert rows == 20 * (6500 + 500)  # 500 sessions of 13 returns, 14 endpoints each
         # the price paths take 8 bytes a row; Python floats for the whole panel would
@@ -387,32 +369,32 @@ POOL_CASES = [(dest, None) for dest in ("path", "stream")] + [
 # the panel ends one return short of its tenth session's end, at it, or one return past it
 # (a session of one return): the price writer's job, in process or in a worker, is a session
 @pytest.mark.parametrize("extra", [-1, 0, 1])
-def test_writers_at_block_boundaries(tmp_path, monkeypatch, destination, extra, cpus):
+def test_writers_at_block_boundaries(tmp_path, pool, destination, extra, cpus):
     # nine sessions of 13 returns (42 rows each), then a tenth of 12 or 13, or 13 and then 1
     mat = sample_panel(SynthSpec("gaussian", 3, 13 * 10 + extra, 12, 0.2))
     grid = gaussian_grid(0.3, 5)
     if cpus:
         # more sessions than workers, each forked one of which runs ahead of the writer
-        counts = use_pool(monkeypatch, cpus)
+        counts = pool(synth, cpus)
 
     text = written(lambda dest: write_price_csv(mat, CAL, dest), destination, tmp_path)
     assert text == price_csv_text(mat, CAL)
     if cpus:
-        assert counts == [cpus if cpus > 1 else 0]
+        assert counts == [cpus]
 
     text = written(lambda dest: write_grid_csv(grid, dest, permille=True), destination, tmp_path)
     assert text == grid_csv_text(grid, permille=True)
 
 
 @pytest.mark.parametrize("destination", ["path", "stream"])
-def test_price_csv_with_fewer_sessions_than_cpus(tmp_path, monkeypatch, destination):
-    counts = use_pool(monkeypatch, 3)
+def test_price_csv_with_fewer_sessions_than_cpus(tmp_path, pool, destination):
+    counts = pool(synth, 3)
     for sessions in (1, 2):
         mat = sample_panel(SynthSpec("gaussian", 3, 13 * sessions, 5, 0.2))
         text = written(lambda dest: write_price_csv(mat, CAL, dest), destination, tmp_path)
         assert text == price_csv_text(mat, CAL)
     # a worker per session: none for one session, which this process formats
-    assert counts == [0, 2]
+    assert counts == [1, 2]
 
 
 class _RecordingStream(io.StringIO):
@@ -503,11 +485,11 @@ def test_price_csv_validates_scale_before_opening(tmp_path):
         assert target.read_bytes() == b"timestamp,symbol,price\nkeep,me,1.0\n"
 
 
-def test_price_csv_rejects_scale_before_opening_or_forking(tmp_path, monkeypatch):
+def test_price_csv_rejects_scale_before_opening_or_forking(tmp_path, monkeypatch, pool):
     def no_fork():
         raise AssertionError("a process was started")
 
-    counts = use_pool(monkeypatch, 2)
+    counts = pool(synth, 2)
     monkeypatch.setattr(os, "fork", no_fork)
     for mat, kw, message in _refused_price_calls():
         # opening a file in a missing directory would raise FileNotFoundError instead
@@ -515,18 +497,18 @@ def test_price_csv_rejects_scale_before_opening_or_forking(tmp_path, monkeypatch
             write_price_csv(mat, CAL, tmp_path / "missing" / "prices.csv", **kw)
     assert counts == []
     # the same panel with valid settings would take the pool
-    assert synth._worker_count(10_000, 100) == 2
+    assert _pool.processes(10_000, synth._PARALLEL_MIN_ROWS, 100) == 2
 
 
 @pytest.mark.parametrize("destination", ["path", "stream"])
-def test_price_csv_worker_error_reaches_the_caller(tmp_path, monkeypatch, destination):
+def test_price_csv_worker_error_reaches_the_caller(tmp_path, monkeypatch, pool, destination):
     def failing(inputs, session):
         if session == 3:  # one of the forked worker's sessions: it formats the odd ones
             raise ValueError(f"session {session} failed")
         return format_session(inputs, session)
 
     format_session = synth._format_session
-    counts = use_pool(monkeypatch, 2)
+    counts = pool(synth, 2)
     monkeypatch.setattr(synth, "_format_session", failing)
     mat = sample_panel(SynthSpec("gaussian", 3, 13 * 6, 1, 0.2))
     with pytest.raises(ValueError, match="session 3 failed"):
@@ -536,7 +518,7 @@ def test_price_csv_worker_error_reaches_the_caller(tmp_path, monkeypatch, destin
 
 @pytest.mark.parametrize("destination", ["path", "stream"])
 @pytest.mark.parametrize("ending", [0, 3, 5])
-def test_price_csv_raises_when_a_worker_ends_without_its_result(tmp_path, monkeypatch,
+def test_price_csv_raises_when_a_worker_ends_without_its_result(tmp_path, monkeypatch, pool,
                                                                  destination, ending):
     def format_or_exit(inputs, session):
         if session >= ending and os.getpid() != caller:
@@ -547,7 +529,7 @@ def test_price_csv_raises_when_a_worker_ends_without_its_result(tmp_path, monkey
     format_session = synth._format_session
     # this process formats sessions 0, 2 and 4, the forked worker 1, 3 and 5, and it ends
     # at its first session from ``ending`` on: its first, its second or its last
-    counts = use_pool(monkeypatch, 2)
+    counts = pool(synth, 2)
     monkeypatch.setattr(synth, "_format_session", format_or_exit)
     mat = sample_panel(SynthSpec("gaussian", 3, 13 * 6, 1, 0.2))
     with pytest.raises(ChildProcessError, match="ended before it sent its result"):
@@ -560,7 +542,7 @@ def test_price_csv_raises_when_a_worker_ends_without_its_result(tmp_path, monkey
 BIG_SESSIONS = SynthSpec("gaussian", 120, 13 * 10, 1, 0.2)
 
 
-def test_price_csv_stream_error_reaches_the_caller_with_the_workers_reaped(monkeypatch):
+def test_price_csv_stream_error_reaches_the_caller_with_the_workers_reaped(pool):
     class FailingStream(io.StringIO):
         def write(self, text):
             calls.append(len(text))
@@ -573,7 +555,7 @@ def test_price_csv_stream_error_reaches_the_caller_with_the_workers_reaped(monke
         pytest.fail("write_price_csv still waits for its workers after 30 s")
 
     calls = []
-    counts = use_pool(monkeypatch, 2)
+    counts = pool(synth, 2)
     previous = signal.signal(signal.SIGALRM, hung)
     signal.alarm(30)  # a worker whose pipe never breaks would keep waitpid waiting
     try:
@@ -587,7 +569,8 @@ def test_price_csv_stream_error_reaches_the_caller_with_the_workers_reaped(monke
     # no_stray_processes (conftest.py) then finds no child process, running or unreaped
 
 
-def test_pool_formats_at_most_one_chunk_per_worker_ahead_of_the_writer(tmp_path, monkeypatch):
+def test_pool_formats_at_most_one_chunk_per_worker_ahead_of_the_writer(tmp_path, monkeypatch,
+                                                                        pool):
     def logged(inputs, session):  # each process notes every session it starts
         fd = os.open(log, os.O_WRONLY | os.O_APPEND | os.O_CREAT)
         os.write(fd, b".")
@@ -603,7 +586,7 @@ def test_pool_formats_at_most_one_chunk_per_worker_ahead_of_the_writer(tmp_path,
 
     log, ahead = tmp_path / "started", []
     format_session = synth._format_session
-    counts = use_pool(monkeypatch, 2)
+    counts = pool(synth, 2)
     monkeypatch.setattr(synth, "_format_session", logged)
     mat = sample_panel(BIG_SESSIONS)
     stream = SlowStream()
@@ -616,8 +599,8 @@ def test_pool_formats_at_most_one_chunk_per_worker_ahead_of_the_writer(tmp_path,
 
 
 @pytest.mark.parametrize("reason", ["another thread runs", "no fork start method"])
-def test_price_csv_formats_in_process_when_it_cannot_fork(monkeypatch, reason):
-    counts = use_pool(monkeypatch, 2)
+def test_price_csv_formats_in_process_when_it_cannot_fork(monkeypatch, pool, reason):
+    counts = pool(synth, 2)
     mat = sample_panel(SynthSpec("gaussian", 3, 13 * 6, 1, 0.2))
     release = threading.Event()
     other = threading.Thread(target=release.wait, args=(10,))
@@ -632,7 +615,7 @@ def test_price_csv_formats_in_process_when_it_cannot_fork(monkeypatch, reason):
         if other.ident is not None:
             other.join(10)
     assert not other.is_alive()
-    assert counts == [0]
+    assert counts == [1]
     assert text == price_csv_text(mat, CAL)
 
 
@@ -641,19 +624,18 @@ def test_price_csv_formats_in_process_when_it_cannot_fork(monkeypatch, reason):
 UTF8_SCRIPT = """
 import json, sys
 from dataclasses import replace
-from copuladyn import synth
+from copuladyn import _pool, synth
 from copuladyn.ingest import TradingCalendar, load_prices
 from copuladyn.synth import SynthSpec, sample_panel, write_price_csv
 
 mat = replace(sample_panel(SynthSpec("gaussian", 2, 13 * 6, 1, 0.2)),
               asset_ids=["\\u00c9T\\u00c9", "SYN001"])
 counts = []
-real = synth._worker_count
-synth._worker_count = lambda rows, n_sessions: counts.append(real(rows, n_sessions)) or counts[-1]
+synth.processes = lambda *args: counts.append(_pool.processes(*args)) or counts[-1]
 synth._PARALLEL_MIN_ROWS = 0
 seen = {}
 for cpus in (1, 2):  # in this process, then in 2 forked workers
-    synth._usable_cpus = lambda: cpus
+    _pool.usable_cpus = lambda: cpus
     target = f"{sys.argv[1]}/cpus{cpus}.csv"
     write_price_csv(mat, TradingCalendar(), target)
     seen[cpus] = load_prices(target, TradingCalendar()).asset_ids
@@ -667,7 +649,7 @@ def test_price_csv_is_utf8_whatever_the_locale(tmp_path):
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     seen = json.loads(proc.stdout)
-    assert seen["workers"] == [0, 2]
+    assert seen["workers"] == [1, 2]
     assert seen["asset_ids"] == {"1": ["SYN001", "ÉTÉ"], "2": ["SYN001", "ÉTÉ"]}
     in_process = (tmp_path / "cpus1.csv").read_bytes()
     assert b",\xc3\x89T\xc3\x89," in in_process  # "ÉTÉ" in UTF-8
